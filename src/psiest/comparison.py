@@ -53,6 +53,11 @@ class ComparisonVerdict:
         return self.status == NO_COUNTEREXAMPLE
 
 
+def _require_count(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise InvalidArgument(f"{name}={value!r} must be >= {least}")
+
+
 def build_witness_set(
     kernel: PsiKernel,
     observations: Sequence[float],
@@ -68,6 +73,8 @@ def build_witness_set(
     equispaced points shrunk by a 1e-6 relative margin, plus seeded uniform
     random points.
     """
+    _require_count("grid_points", grid_points, 2)
+    _require_count("random_points", random_points, 0)
     vals = [theta1(kernel, x, cfg) for x in observations]
     lo, hi = min(vals), max(vals)
     grid: list[float] = []
@@ -105,6 +112,8 @@ def check_direct(
 ) -> ComparisonVerdict:
     """Estimator ordering theta_psi <= theta_phi on random samples drawn from
     the witness observations, sizes 1..max_n."""
+    _require_count("max_n", max_n, 1)
+    _require_count("trials", trials, 1)
     meta = {"max_n": max_n, "trials": trials, "seed": ws.random_seed}
     rng = random.Random(ws.random_seed)
     obs = ws.observations
@@ -139,6 +148,7 @@ def check_two_point(
     m times, k+m <= max_km), realized as weights (k, m) on (x, y)."""
     if x == y:
         raise InvalidArgument("two-point check needs distinct observations")
+    _require_count("max_km", max_km, 2)
     meta = {"max_km": max_km}
     for k in range(1, max_km):
         for m in range(1, max_km - k + 1):
@@ -270,6 +280,8 @@ def check_equality(
 ) -> ComparisonVerdict:
     """Estimator equality: ordering in both directions on random samples,
     plus sign agreement of the two weighted sums on the parameter grid."""
+    _require_count("max_n", max_n, 1)
+    _require_count("trials", trials, 1)
     meta = {"max_n": max_n, "trials": trials, "seed": ws.random_seed,
             "grid_size": len(ws.parameter_grid)}
     for x in ws.observations:

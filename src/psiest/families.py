@@ -15,30 +15,6 @@ from typing import Callable, Mapping, Optional
 from .errors import DomainError, InvalidParameter, MissingClosedForm
 from .kernel import OpenInterval, PsiKernel, WeightedSample
 
-FAMILY_IDS = (
-    "expectile",
-    "mathieu",
-    "normal_var",
-    "beta_alpha",
-    "beta_beta",
-    "gamma_shape",
-    "gamma_rate",
-    "lomax_rate_lambda",
-    "lomax_shape_alpha",
-    "lognormal_mu",
-    "laplace_scale",
-)
-
-# Families whose estimator has an elementary closed form.
-CLOSED_FORM_IDS = (
-    "normal_var",
-    "beta_alpha",
-    "gamma_rate",
-    "lomax_shape_alpha",
-    "lognormal_mu",
-    "laplace_scale",
-)
-
 _REAL_LINE = OpenInterval(-math.inf, math.inf)
 _POSITIVE = OpenInterval(0.0, math.inf)
 
@@ -66,68 +42,35 @@ class FamilySpec:
     f: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if self.family not in FAMILY_IDS:
+        row = _FAMILIES.get(self.family)
+        if row is None:
             raise InvalidParameter(f"unknown family {self.family!r}")
         object.__setattr__(self, "params", dict(self.params))
-        _VALIDATORS[self.family](self)
+        if row.key is None:
+            _validate_increasing(self)
+            return
+        if row.key not in self.params:
+            raise InvalidParameter(f"{self.family} requires parameter {row.key!r}")
+        v = float(self.params[row.key])
+        if not (math.isfinite(v) and row.admissible(v)):
+            raise InvalidParameter(f"{self.family}: {row.key}={v!r} must be {row.what}")
 
     def param(self, key: str) -> float:
         return float(self.params[key])
 
 
-def _require(spec: FamilySpec, key: str, ok: Callable[[float], bool], what: str) -> float:
-    if key not in spec.params:
-        raise InvalidParameter(f"{spec.family} requires parameter {key!r}")
-    v = float(spec.params[key])
-    if not (math.isfinite(v) and ok(v)):
-        raise InvalidParameter(f"{spec.family}: {key}={v!r} must be {what}")
-    return v
-
-
-def _validate_expectile(spec):
-    _require(spec, "alpha", lambda v: 0.0 < v < 1.0, "in (0,1)")
-
-
-def _validate_mathieu(spec):
-    if spec.f is None:
-        raise InvalidParameter("mathieu requires an increasing function f with f(0)=0")
+def _validate_increasing(spec: FamilySpec) -> None:
     f = spec.f
+    if f is None:
+        raise InvalidParameter(
+            f"{spec.family} requires an increasing function f with f(0)=0")
     if abs(f(0.0)) > 1e-12:
-        raise InvalidParameter("mathieu: f(0) must be 0")
+        raise InvalidParameter(f"{spec.family}: f(0) must be 0")
     grid = [0.05 * k for k in range(0, 201)]
     vals = [f(u) for u in grid]
     if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise InvalidParameter("mathieu: f must be strictly increasing on [0, 10]")
-
-
-def _validate_normal_var(spec):
-    _require(spec, "m", lambda v: True, "finite")
-
-
-def _validate_positive(key):
-    def check(spec):
-        _require(spec, key, lambda v: v > 0.0, "> 0")
-
-    return check
-
-
-def _validate_laplace(spec):
-    _require(spec, "mu", lambda v: True, "finite")
-
-
-_VALIDATORS = {
-    "expectile": _validate_expectile,
-    "mathieu": _validate_mathieu,
-    "normal_var": _validate_normal_var,
-    "beta_alpha": _validate_positive("beta"),
-    "beta_beta": _validate_positive("alpha"),
-    "gamma_shape": _validate_positive("lambda"),
-    "gamma_rate": _validate_positive("p"),
-    "lomax_rate_lambda": _validate_positive("alpha"),
-    "lomax_shape_alpha": _validate_positive("lambda"),
-    "lognormal_mu": _validate_positive("sigma2"),
-    "laplace_scale": _validate_laplace,
-}
+        raise InvalidParameter(
+            f"{spec.family}: f must be strictly increasing on [0, 10]")
 
 
 # Bernoulli numbers B_2, B_4, ..., B_14 for the asymptotic expansion.
@@ -168,153 +111,185 @@ def _finite(x: float) -> bool:
     return math.isfinite(x)
 
 
+def _positive(x: float) -> bool:
+    return x > 0.0
+
+
+def _unit(x: float) -> bool:
+    return 0.0 < x < 1.0
+
+
+def _any(v: float) -> bool:
+    return True
+
+
+def _first(x: float, v) -> float:
+    """x itself, whatever the known parameter v."""
+    return x
+
+
 def _ln_one_minus_pow(x: float, beta: float) -> float:
     """ln(1 - x^beta) for x in (0,1), stable as x^beta -> 1."""
     return math.log1p(-math.exp(beta * math.log(x)))
 
 
+def _minus_inv_square(x: float, t: float) -> float:
+    return -1.0 / (t * t)
+
+
+# Kernel builders: known parameter -> (eval, d2 or None, domain check).  Each
+# eval is one closure so a term costs a single call.
+def _expectile(alpha):
+    def ev(x, t):
+        if x > t:
+            return alpha * (x - t)
+        if x < t:
+            return (1.0 - alpha) * (x - t)
+        return 0.0
+
+    def d2(x, t):
+        if x > t:
+            return -alpha
+        if x < t:
+            return -(1.0 - alpha)
+        return -0.5
+
+    return ev, d2, _finite
+
+
+def _mathieu(f):
+    def ev(x, t):
+        if x == t:
+            return 0.0
+        return math.copysign(f(abs(x - t)), x - t)
+
+    return ev, None, _finite
+
+
+def _normal_var(m):
+    return ((lambda x, t: ((x - m) ** 2 - t) / (2.0 * t * t)),
+            (lambda x, t: (t - 2.0 * (x - m) ** 2) / (2.0 * t ** 3)),
+            (lambda x: _finite(x) and x != m))
+
+
+def _beta_alpha(beta):
+    return (lambda x, t: 1.0 / t + _ln_one_minus_pow(x, beta)), _minus_inv_square, _unit
+
+
+def _beta_beta(alpha):
+    def ev(x, t):
+        lx = math.log(x)
+        u = math.exp(t * lx)  # x^t
+        # 1 - x^t via expm1 to keep precision as t -> 0
+        return 1.0 / t + lx * (1.0 - alpha * u) / (-math.expm1(t * lx))
+
+    return ev, None, _unit
+
+
+def _gamma_shape(lam):
+    return (lambda x, t: -digamma(t) + math.log(x) + math.log(lam)), None, _positive
+
+
+def _gamma_rate(p):
+    return (lambda x, t: p / t - x), (lambda x, t: -p / (t * t)), _positive
+
+
+def _lomax_rate_lambda(alpha):
+    return (lambda x, t: (alpha * x - t) / (t * (t + x))), None, _positive
+
+
+def _lomax_shape_alpha(lam):
+    return (lambda x, t: 1.0 / t - math.log1p(x / lam)), _minus_inv_square, _positive
+
+
+def _lognormal_mu(sigma2):
+    return ((lambda x, t: (math.log(x) - t) / sigma2), (lambda x, t: -1.0 / sigma2),
+            _positive)
+
+
+def _laplace_scale(mu):
+    return ((lambda x, t: abs(x - mu) / (t * t) - 1.0 / t),
+            (lambda x, t: -2.0 * abs(x - mu) / t ** 3 + 1.0 / (t * t)),
+            (lambda x: _finite(x) and x != mu))
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One catalog row.
+
+    key is the known parameter (None: the family takes the function f),
+    admissible its range and what the range in words.  build maps the known
+    value to (eval, d2 or None, domain check).  A quasi-arithmetic family has
+    psi = q(t) (F(x) - g(t)) with q of one sign and gives the pair (F, F_inv),
+    F_inv the inverse of g; then theta1(x) = F_inv(F(x)) and the estimator
+    is F_inv(weighted mean of F(x_i)).  Both take the known value as a
+    second argument.  Other families may give theta1(x, value) directly.
+    """
+
+    key: Optional[str]
+    admissible: Optional[Callable[[float], bool]]
+    what: Optional[str]
+    theta: OpenInterval
+    build: Callable
+    F: Optional[Callable[[float, float], float]] = None
+    F_inv: Optional[Callable[[float, float], float]] = None
+    theta1: Optional[Callable[[float, float], float]] = None
+
+
+_FAMILIES = {
+    "expectile": _Family("alpha", _unit, "in (0,1)", _REAL_LINE, _expectile,
+                         theta1=_first),
+    "mathieu": _Family(None, None, None, _REAL_LINE, _mathieu, theta1=_first),
+    "normal_var": _Family("m", _any, "finite", _POSITIVE, _normal_var,
+                          F=lambda x, m: (x - m) ** 2, F_inv=_first),
+    "beta_alpha": _Family("beta", _positive, "> 0", _POSITIVE, _beta_alpha,
+                          F=_ln_one_minus_pow, F_inv=lambda y, beta: -1.0 / y),
+    "beta_beta": _Family("alpha", _positive, "> 0", _POSITIVE, _beta_beta),
+    "gamma_shape": _Family("lambda", _positive, "> 0", _POSITIVE, _gamma_shape),
+    "gamma_rate": _Family("p", _positive, "> 0", _POSITIVE, _gamma_rate,
+                          F=_first, F_inv=lambda y, p: p / y),
+    "lomax_rate_lambda": _Family("alpha", _positive, "> 0", _POSITIVE,
+                                 _lomax_rate_lambda,
+                                 theta1=lambda x, alpha: alpha * x),
+    "lomax_shape_alpha": _Family("lambda", _positive, "> 0", _POSITIVE,
+                                 _lomax_shape_alpha,
+                                 F=lambda x, lam: math.log1p(x / lam),
+                                 F_inv=lambda y, lam: 1.0 / y),
+    "lognormal_mu": _Family("sigma2", _positive, "> 0", _REAL_LINE, _lognormal_mu,
+                            F=lambda x, sigma2: math.log(x), F_inv=_first),
+    "laplace_scale": _Family("mu", _any, "finite", _POSITIVE, _laplace_scale,
+                             F=lambda x, mu: abs(x - mu), F_inv=_first),
+}
+
+FAMILY_IDS = tuple(_FAMILIES)
+
+# Families whose estimator has an elementary closed form.
+CLOSED_FORM_IDS = tuple(fam for fam, row in _FAMILIES.items() if row.F is not None)
+
+
+def _known(spec: FamilySpec, row: _Family):
+    return spec.f if row.key is None else spec.param(row.key)
+
+
 def make_kernel(spec: FamilySpec) -> PsiKernel:
     """Build the PsiKernel for a family, with closed-form theta1 and the
     partial derivative in t where elementary."""
-    fam = spec.family
+    row = _FAMILIES[spec.family]
+    v = _known(spec, row)
+    ev, d2, check = row.build(v)
+    th1 = None
+    if row.F is not None:
+        F, F_inv = row.F, row.F_inv
 
-    if fam == "expectile":
-        alpha = spec.param("alpha")
+        def th1(x):
+            return F_inv(F(x, v), v)
+    elif row.theta1 is not None:
+        explicit = row.theta1
 
-        def ev(x, t):
-            if x > t:
-                return alpha * (x - t)
-            if x < t:
-                return (1.0 - alpha) * (x - t)
-            return 0.0
-
-        def d2(x, t):
-            if x > t:
-                return -alpha
-            if x < t:
-                return -(1.0 - alpha)
-            return -0.5
-
-        return PsiKernel(_REAL_LINE, ev, theta1=lambda x: x, d2=d2,
-                         domain_check=_finite, name="expectile")
-
-    if fam == "mathieu":
-        f = spec.f
-
-        def ev(x, t):
-            if x == t:
-                return 0.0
-            return math.copysign(f(abs(x - t)), x - t)
-
-        return PsiKernel(_REAL_LINE, ev, theta1=lambda x: x,
-                         domain_check=_finite, name="mathieu")
-
-    if fam == "normal_var":
-        m = spec.param("m")
-
-        def ev(x, t):
-            return ((x - m) ** 2 - t) / (2.0 * t * t)
-
-        def d2(x, t):
-            return (t - 2.0 * (x - m) ** 2) / (2.0 * t ** 3)
-
-        return PsiKernel(_POSITIVE, ev, theta1=lambda x: (x - m) ** 2, d2=d2,
-                         domain_check=lambda x: _finite(x) and x != m,
-                         name="normal_var")
-
-    if fam == "beta_alpha":
-        beta = spec.param("beta")
-
-        def ev(x, t):
-            return 1.0 / t + _ln_one_minus_pow(x, beta)
-
-        return PsiKernel(_POSITIVE, ev,
-                         theta1=lambda x: -1.0 / _ln_one_minus_pow(x, beta),
-                         d2=lambda x, t: -1.0 / (t * t),
-                         domain_check=lambda x: 0.0 < x < 1.0,
-                         name="beta_alpha")
-
-    if fam == "beta_beta":
-        alpha = spec.param("alpha")
-
-        def ev(x, t):
-            lx = math.log(x)
-            u = math.exp(t * lx)  # x^t
-            # 1 - x^t via expm1 to keep precision as t -> 0
-            return 1.0 / t + lx * (1.0 - alpha * u) / (-math.expm1(t * lx))
-
-        return PsiKernel(_POSITIVE, ev,
-                         domain_check=lambda x: 0.0 < x < 1.0,
-                         name="beta_beta")
-
-    if fam == "gamma_shape":
-        lam = spec.param("lambda")
-
-        def ev(x, t):
-            return -digamma(t) + math.log(x) + math.log(lam)
-
-        return PsiKernel(_POSITIVE, ev,
-                         domain_check=lambda x: x > 0.0,
-                         name="gamma_shape")
-
-    if fam == "gamma_rate":
-        p = spec.param("p")
-
-        def ev(x, t):
-            return p / t - x
-
-        return PsiKernel(_POSITIVE, ev, theta1=lambda x: p / x,
-                         d2=lambda x, t: -p / (t * t),
-                         domain_check=lambda x: x > 0.0,
-                         name="gamma_rate")
-
-    if fam == "lomax_rate_lambda":
-        alpha = spec.param("alpha")
-
-        def ev(x, t):
-            return (alpha * x - t) / (t * (t + x))
-
-        return PsiKernel(_POSITIVE, ev, theta1=lambda x: alpha * x,
-                         domain_check=lambda x: x > 0.0,
-                         name="lomax_rate_lambda")
-
-    if fam == "lomax_shape_alpha":
-        lam = spec.param("lambda")
-
-        def ev(x, t):
-            return 1.0 / t - math.log1p(x / lam)
-
-        return PsiKernel(_POSITIVE, ev,
-                         theta1=lambda x: 1.0 / math.log1p(x / lam),
-                         d2=lambda x, t: -1.0 / (t * t),
-                         domain_check=lambda x: x > 0.0,
-                         name="lomax_shape_alpha")
-
-    if fam == "lognormal_mu":
-        sigma2 = spec.param("sigma2")
-
-        def ev(x, t):
-            return (math.log(x) - t) / sigma2
-
-        return PsiKernel(_REAL_LINE, ev, theta1=lambda x: math.log(x),
-                         d2=lambda x, t: -1.0 / sigma2,
-                         domain_check=lambda x: x > 0.0,
-                         name="lognormal_mu")
-
-    if fam == "laplace_scale":
-        mu = spec.param("mu")
-
-        def ev(x, t):
-            return abs(x - mu) / (t * t) - 1.0 / t
-
-        def d2(x, t):
-            return -2.0 * abs(x - mu) / t ** 3 + 1.0 / (t * t)
-
-        return PsiKernel(_POSITIVE, ev, theta1=lambda x: abs(x - mu), d2=d2,
-                         domain_check=lambda x: _finite(x) and x != mu,
-                         name="laplace_scale")
-
-    raise InvalidParameter(f"unknown family {fam!r}")
+        def th1(x):
+            return explicit(x, v)
+    return PsiKernel(row.theta, ev, theta1=th1, d2=d2, domain_check=check,
+                     name=spec.family)
 
 
 def _weighted_mean(values, weights) -> float:
@@ -341,27 +316,12 @@ def closed_form_estimate(spec: FamilySpec, sample: WeightedSample) -> float:
     kernel = make_kernel(spec)
     for x in sample.xs:
         kernel.check_observation(x)
-    xs, ws = sample.xs, sample.weights
-    fam = spec.family
-
-    if fam == "normal_var":
-        m = spec.param("m")
-        return _weighted_mean([(x - m) ** 2 for x in xs], ws)
-    if fam == "beta_alpha":
-        beta = spec.param("beta")
-        return -1.0 / _weighted_mean([_ln_one_minus_pow(x, beta) for x in xs], ws)
-    if fam == "gamma_rate":
-        return spec.param("p") / _weighted_mean(xs, ws)
-    if fam == "lomax_shape_alpha":
-        lam = spec.param("lambda")
-        return 1.0 / _weighted_mean([math.log1p(x / lam) for x in xs], ws)
-    if fam == "lognormal_mu":
-        return _weighted_mean([math.log(x) for x in xs], ws)
-    if fam == "laplace_scale":
-        mu = spec.param("mu")
-        return _weighted_mean([abs(x - mu) for x in xs], ws)
-
-    raise MissingClosedForm(f"{fam} has no elementary estimator formula")
+    row = _FAMILIES[spec.family]
+    if row.F is None:
+        raise MissingClosedForm(f"{spec.family} has no elementary estimator formula")
+    v = _known(spec, row)
+    F = row.F
+    return row.F_inv(_weighted_mean([F(x, v) for x in sample.xs], sample.weights), v)
 
 
 def beta_alpha_bounds(alpha: float, sample: WeightedSample) -> tuple[float, float]:

@@ -78,7 +78,7 @@ class PsiKernel:
 
 @dataclass(frozen=True)
 class WeightedSample:
-    """Observations with nonnegative weights, not all zero."""
+    """Observations with finite nonnegative weights, not all zero."""
 
     xs: tuple
     weights: tuple
@@ -90,8 +90,8 @@ class WeightedSample:
             raise InvalidArgument("xs and weights must have equal length")
         if len(self.xs) == 0:
             raise InvalidArgument("sample must contain at least one observation")
-        if any(w < 0 for w in self.weights):
-            raise InvalidArgument("weights must be nonnegative")
+        if not all(0.0 <= w < math.inf for w in self.weights):
+            raise InvalidArgument("weights must be finite and nonnegative")
         if not any(w > 0 for w in self.weights):
             raise InvalidArgument("at least one weight must be positive")
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import OutOfRange, SolverError
+from .errors import InvalidArgument, OutOfRange, SolverError
 from .kernel import OpenInterval, PsiKernel, WeightedSample, weighted_sum
 
 CONVERGED = "Converged"
@@ -30,8 +30,11 @@ class SolverConfig:
     seed_guess: Optional[float] = None
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for tol in (self.abs_tol, self.rel_tol):
+            if not (0.0 < tol < math.inf):
+                raise InvalidArgument(f"tolerance {tol!r} must be finite and > 0")
+        if self.max_expand < 0 or self.max_bisect < 0:
+            raise InvalidArgument("max_expand and max_bisect must be >= 0")
 
     def width_tol(self, t: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(t))

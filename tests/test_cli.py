@@ -97,6 +97,45 @@ class TestExitCodes:
         assert code == 3
 
 
+class TestRejectedInput:
+    LAPLACE = ["estimate", "--family", "laplace_scale", "--param", "mu=0"]
+    REVERSED = ["compare", "--family", "expectile", "--param", "alpha=0.7",
+                "--family-phi", "expectile", "--param-phi", "alpha=0.3",
+                "--data", "[0,1,2,5]"]
+
+    def assert_usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
+    def test_bad_tolerance(self, tol, capsys):
+        argv = self.LAPLACE + ["--data", "[1,-2,3]", "--tol", tol]
+        self.assert_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_nonfinite_weight(self, weight, tmp_path, capsys):
+        p = tmp_path / "d.txt"
+        p.write_text(f"1\n2,{weight}\n3\n")
+        self.assert_usage_error(self.LAPLACE + ["--data", str(p)], capsys)
+
+    @pytest.mark.parametrize("extra", [
+        ["--grid", "1"],
+        ["--max-n", "0"],
+        ["--trials", "0", "--condition", "direct"],
+        ["--trials", "0", "--condition", "equality"],
+        ["--max-km", "1", "--condition", "two-point"],
+    ])
+    def test_bad_comparison_counts(self, extra, capsys):
+        self.assert_usage_error(self.REVERSED + extra, capsys)
+
+    def test_reversed_ordering_found_by_default(self, capsys):
+        assert main(self.REVERSED + ["--condition", "direct"]) == 3
+        capsys.readouterr()
+
+
 class TestEstimate:
     def test_expression_kernel(self, capsys):
         code = main(["estimate", "--psi", "x - t", "--theta=-inf,inf",

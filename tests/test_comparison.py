@@ -5,6 +5,7 @@ import pytest
 import gen
 from psiest import (
     EmptyLowerSet,
+    InvalidArgument,
     FamilySpec,
     OpenInterval,
     PsiKernel,
@@ -197,6 +198,34 @@ class TestCheckEquality:
         obs = (0.0, 1.0, 3.0)
         v = check_equality(kp, kq, ws_for(kq, obs), max_n=5, trials=50)
         assert v.status == "Counterexample"
+
+
+class TestCountValidation:
+    OBS = (0.0, 1.0, 2.0, 5.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"grid_points": 1}, {"grid_points": 0}, {"random_points": -1}])
+    def test_witness_set_counts(self, kwargs):
+        with pytest.raises(InvalidArgument):
+            build_witness_set(expectile(0.3), self.OBS, **kwargs)
+
+    @pytest.mark.parametrize("check", [check_direct, check_equality])
+    @pytest.mark.parametrize("kwargs", [{"max_n": 0}, {"trials": 0}, {"trials": -3}])
+    def test_sampling_counts(self, check, kwargs):
+        kp, kq = expectile(0.7), expectile(0.3)
+        with pytest.raises(InvalidArgument):
+            check(kp, kq, ws_for(kq, self.OBS), **kwargs)
+
+    @pytest.mark.parametrize("max_km", [1, 0])
+    def test_two_point_counts(self, max_km):
+        with pytest.raises(InvalidArgument):
+            check_two_point(expectile(0.7), expectile(0.3), 0.0, 5.0, max_km=max_km)
+
+    def test_smallest_counts_still_decide(self):
+        kp, kq = expectile(0.7), expectile(0.3)
+        ws = build_witness_set(kq, self.OBS, grid_points=2, random_points=0)
+        assert len(ws.parameter_grid) == 2
+        assert check_two_point(kp, kq, 0.0, 5.0, max_km=2).status == "Counterexample"
 
 
 class TestRemarkRegression:

@@ -5,6 +5,8 @@ import mpmath
 import pytest
 
 from psiest import (
+    CLOSED_FORM_IDS,
+    FAMILY_IDS,
     DomainError,
     FamilySpec,
     InvalidParameter,
@@ -28,6 +30,15 @@ def solve(spec, xs, weights=None):
     res = solve_sign_change(k, s)
     assert res.converged, res.status
     return res.theta
+
+
+def _wmean(values, weights):
+    num = 0.0
+    den = 0.0
+    for v, w in zip(values, weights):
+        num += w * v
+        den += w
+    return num / den
 
 
 class TestValidation:
@@ -148,6 +159,80 @@ class TestClosedForms:
             closed = closed_form_estimate(spec, WeightedSample.uniform(xs))
             solved = solve(spec, xs)
             assert abs(closed - solved) <= 1e-8
+
+    # Today's closed forms and single-observation estimates, written out:
+    # (params, draw, theta1(x, param), estimate(xs, ws, param)).
+    PINNED = {
+        "normal_var": (
+            {"m": 1.0}, lambda r: r.uniform(-10, 10),
+            lambda x, m: (x - m) ** 2,
+            lambda xs, ws, m: _wmean([(x - m) ** 2 for x in xs], ws)),
+        "beta_alpha": (
+            {"beta": 2.5}, lambda r: r.uniform(0.01, 0.99),
+            lambda x, b: -1.0 / math.log1p(-math.exp(b * math.log(x))),
+            lambda xs, ws, b: -1.0 / _wmean(
+                [math.log1p(-math.exp(b * math.log(x))) for x in xs], ws)),
+        "gamma_rate": (
+            {"p": 1.5}, lambda r: r.uniform(0.01, 20),
+            lambda x, p: p / x,
+            lambda xs, ws, p: p / _wmean(xs, ws)),
+        "lomax_shape_alpha": (
+            {"lambda": 2.0}, lambda r: r.uniform(0.01, 20),
+            lambda x, lam: 1.0 / math.log1p(x / lam),
+            lambda xs, ws, lam: 1.0 / _wmean([math.log1p(x / lam) for x in xs], ws)),
+        "lognormal_mu": (
+            {"sigma2": 2.0}, lambda r: r.uniform(0.01, 20),
+            lambda x, s2: math.log(x),
+            lambda xs, ws, s2: _wmean([math.log(x) for x in xs], ws)),
+        "laplace_scale": (
+            {"mu": -0.7}, lambda r: r.uniform(-10, 10),
+            lambda x, mu: abs(x - mu),
+            lambda xs, ws, mu: _wmean([abs(x - mu) for x in xs], ws)),
+    }
+
+    @pytest.mark.parametrize("family", sorted(PINNED))
+    def test_values_pinned_exactly(self, family):
+        params, draw, theta1_of, estimate_of = self.PINNED[family]
+        (v,) = params.values()
+        spec = FamilySpec(family, params)
+        kernel = make_kernel(spec)
+        rng = random.Random(family)
+        for _ in range(200):
+            n = rng.randint(1, 20)
+            xs = [draw(rng) for _ in range(n)]
+            ws = [rng.choice([0.0, 0.25, 1.0, 3.5]) for _ in range(n - 1)] + [1.0]
+            for x in xs:
+                assert kernel.theta1(x) == theta1_of(x, v)
+            s = WeightedSample(tuple(xs), tuple(ws))
+            assert closed_form_estimate(spec, s) == estimate_of(xs, ws, v)
+
+    SPECS = {
+        "expectile": FamilySpec("expectile", {"alpha": 0.4}),
+        "mathieu": FamilySpec("mathieu", {}, f=lambda u: u),
+        "normal_var": FamilySpec("normal_var", {"m": 0.0}),
+        "beta_alpha": FamilySpec("beta_alpha", {"beta": 2.0}),
+        "beta_beta": FamilySpec("beta_beta", {"alpha": 2.0}),
+        "gamma_shape": FamilySpec("gamma_shape", {"lambda": 1.0}),
+        "gamma_rate": FamilySpec("gamma_rate", {"p": 2.0}),
+        "lomax_rate_lambda": FamilySpec("lomax_rate_lambda", {"alpha": 2.0}),
+        "lomax_shape_alpha": FamilySpec("lomax_shape_alpha", {"lambda": 2.0}),
+        "lognormal_mu": FamilySpec("lognormal_mu", {"sigma2": 1.0}),
+        "laplace_scale": FamilySpec("laplace_scale", {"mu": 0.0}),
+    }
+
+    def test_catalog_covers_every_family(self):
+        assert sorted(self.SPECS) == sorted(FAMILY_IDS)
+        assert set(CLOSED_FORM_IDS) == set(self.PINNED)
+
+    @pytest.mark.parametrize("family", FAMILY_IDS)
+    def test_closed_form_exactly_when_declared(self, family):
+        assert has_closed_form(family) == (family in CLOSED_FORM_IDS)
+        sample = WeightedSample.uniform([0.25, 0.5])
+        if has_closed_form(family):
+            assert math.isfinite(closed_form_estimate(self.SPECS[family], sample))
+        else:
+            with pytest.raises(MissingClosedForm):
+                closed_form_estimate(self.SPECS[family], sample)
 
     def test_weighted_extension(self):
         spec = FamilySpec("laplace_scale", {"mu": 0.0})

@@ -63,6 +63,11 @@ class TestWeightedSample:
         with pytest.raises(InvalidArgument):
             WeightedSample((1, 2), (0.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_weight(self, bad):
+        with pytest.raises(InvalidArgument):
+            WeightedSample((1, 2), (1.0, bad))
+
     def test_uniform(self):
         s = WeightedSample.uniform([3, 4, 5])
         assert s.weights == (1.0, 1.0, 1.0)

@@ -6,6 +6,7 @@ import pytest
 
 from psiest import (
     FamilySpec,
+    InvalidArgument,
     OpenInterval,
     OutOfRange,
     PsiKernel,
@@ -26,6 +27,24 @@ def solve(spec_or_kernel, xs, weights=None, cfg=SolverConfig()):
     res = solve_sign_change(k, s, cfg)
     assert res.converged, res.status
     return res
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(InvalidArgument):
+            SolverConfig(abs_tol=tol)
+        with pytest.raises(InvalidArgument):
+            SolverConfig(rel_tol=tol)
+
+    @pytest.mark.parametrize("field", ["max_expand", "max_bisect"])
+    def test_negative_limit_rejected(self, field):
+        with pytest.raises(InvalidArgument):
+            SolverConfig(**{field: -1})
+
+    def test_zero_limits_accepted(self):
+        cfg = SolverConfig(max_expand=0, max_bisect=0)
+        assert (cfg.max_expand, cfg.max_bisect) == (0, 0)
 
 
 class TestSolveSignChange:
