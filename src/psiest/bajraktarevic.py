@@ -26,19 +26,6 @@ from .kernel import OpenInterval, PsiKernel, WeightedSample
 from .solver import SolverConfig, generalized_left_inverse
 
 
-def _probe_grid(theta: OpenInterval, n: int = 257) -> list[float]:
-    """Equispaced probes strictly inside theta; infinite endpoints are
-    clamped to a window of width 200 next to the finite one (or around 0)."""
-    lo, hi = theta.lo, theta.hi
-    if not math.isfinite(lo):
-        lo = (hi - 200.0) if math.isfinite(hi) else -100.0
-    if not math.isfinite(hi):
-        hi = lo + 200.0
-    margin = 1e-6 * (hi - lo)
-    lo, hi = lo + margin, hi - margin
-    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
-
-
 @dataclass(frozen=True)
 class BajraktarevicSpec:
     """The triple (f, p, F) on an open interval.
@@ -59,7 +46,7 @@ class BajraktarevicSpec:
         # validated by sampling; tolerate flat stretches from rounding (e.g.
         # Mobius transforms saturating at double precision) but reject any
         # decrease and overall constancy
-        probes = _probe_grid(self.theta, 33)
+        probes = self.theta.probe_grid(33)
         vals = [self.f(t) for t in probes]
         if vals[-1] <= vals[0] or any(
             b < a - 1e-13 * max(1.0, abs(a)) for a, b in zip(vals, vals[1:])
@@ -156,7 +143,7 @@ def apply_mobius(
     """
     if m.determinant <= 0.0:
         raise InvalidArgument("ad - bc must be positive for an increasing g")
-    grid = _probe_grid(spec.theta, probes)
+    grid = spec.theta.probe_grid(probes)
     dens = [m.c * spec.f(t) + m.d for t in grid]
     if any(v == 0.0 for v in dens) or (min(dens) < 0.0 < max(dens)):
         raise SignViolation("c*f(t)+d changes sign on the probe grid")

@@ -64,6 +64,15 @@ def emit(report: dict) -> None:
     sys.stdout.write(_ser(report) + "\n")
 
 
+def _records(path: str):
+    """(line number, text) of each record line: `#` comments, blanks skipped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, line
+
+
 def read_data(source: str, weights_path: Optional[str] = None) -> WeightedSample:
     """Load a sample from a file (one `value` or `value,weight` per line,
     `#` comments) or an inline `[a,b,c]` literal."""
@@ -83,39 +92,31 @@ def read_data(source: str, weights_path: Optional[str] = None) -> WeightedSample
                 raise DataParseError(1, f"bad number {part.strip()!r}") from None
             ws.append(1.0)
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                cols = [c.strip() for c in line.split(",")]
-                if len(cols) > 2:
-                    raise DataParseError(lineno, "expected `value` or `value,weight`")
-                try:
-                    x = float(cols[0])
-                    w = float(cols[1]) if len(cols) == 2 else 1.0
-                except ValueError:
-                    raise DataParseError(lineno, f"bad number in {line!r}") from None
-                if w < 0.0:
-                    raise NegativeWeight(lineno)
-                xs.append(x)
-                ws.append(w)
+        for lineno, line in _records(source):
+            cols = [c.strip() for c in line.split(",")]
+            if len(cols) > 2:
+                raise DataParseError(lineno, "expected `value` or `value,weight`")
+            try:
+                x = float(cols[0])
+                w = float(cols[1]) if len(cols) == 2 else 1.0
+            except ValueError:
+                raise DataParseError(lineno, f"bad number in {line!r}") from None
+            if w < 0.0:
+                raise NegativeWeight(lineno)
+            xs.append(x)
+            ws.append(w)
         if not xs:
             raise EmptyData(f"no records in {source}")
     if weights_path is not None:
         ws = []
-        with open(weights_path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    w = float(line)
-                except ValueError:
-                    raise DataParseError(lineno, f"bad weight {line!r}") from None
-                if w < 0.0:
-                    raise NegativeWeight(lineno)
-                ws.append(w)
+        for lineno, line in _records(weights_path):
+            try:
+                w = float(line)
+            except ValueError:
+                raise DataParseError(lineno, f"bad weight {line!r}") from None
+            if w < 0.0:
+                raise NegativeWeight(lineno)
+            ws.append(w)
         if len(ws) != len(xs):
             raise DataParseError(len(ws), "weights file length mismatch")
     return WeightedSample(tuple(xs), tuple(ws))
@@ -263,6 +264,8 @@ def cmd_compare(args) -> int:
 
 def cmd_mobius_test(args) -> int:
     theta = _parse_theta(args.theta)
+    if args.probes < 4:
+        raise InvalidArgument(f"--probes={args.probes} must be >= 4")
     f_ast = exprparse.parse(args.f)
     g_ast = exprparse.parse(args.g)
     seed = _seed(args)
@@ -277,7 +280,7 @@ def cmd_mobius_test(args) -> int:
     if not exprparse.validate_monotone(f_ast, theta):
         raise DomainError("f must be strictly increasing on theta")
 
-    probes = bajraktarevic._probe_grid(theta, args.probes)
+    probes = theta.probe_grid(args.probes)
     f_vals = [(t, f(t)) for t in probes]
     g_vals = [(t, g(t)) for t in probes]
 

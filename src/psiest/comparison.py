@@ -9,13 +9,12 @@ re-verifies by direct evaluation.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import DegenerateDerivative, EmptyLowerSet, InvalidArgument, PsiEstError
-from .kernel import PsiKernel, WeightedSample, weighted_sum
+from .kernel import OpenInterval, PsiKernel, WeightedSample, weighted_sum
 from .solver import SolverConfig, solve_sign_change, theta1
 
 NO_COUNTEREXAMPLE = "NoCounterexample"
@@ -79,9 +78,9 @@ def build_witness_set(
     lo, hi = min(vals), max(vals)
     grid: list[float] = []
     if hi > lo:
-        margin = 1e-6 * (hi - lo)
-        a, b = lo + margin, hi - margin
-        grid.extend(a + (b - a) * k / (grid_points - 1) for k in range(grid_points))
+        hull = OpenInterval(lo, hi)
+        grid.extend(hull.probe_grid(grid_points))
+        a, b = hull.probe_window()
         rng = random.Random(seed)
         grid.extend(rng.uniform(a, b) for _ in range(random_points))
     return WitnessSet(tuple(observations), tuple(grid), seed)
@@ -102,6 +101,57 @@ def _solve(kernel: PsiKernel, sample: WeightedSample, cfg: SolverConfig) -> floa
     return res.theta
 
 
+def _random_cases(ws: WitnessSet, max_n: int, trials: int):
+    """Seeded samples of sizes 1..max_n drawn from the witness observations,
+    as scan cases.  The counts are checked now, the samples drawn lazily."""
+    _require_count("max_n", max_n, 1)
+    _require_count("trials", trials, 1)
+    rng = random.Random(ws.random_seed)
+    obs = ws.observations
+
+    def cases():
+        for trial in range(trials):
+            n = rng.randint(1, max_n)
+            xs = tuple(rng.choice(obs) for _ in range(n))
+            yield {"sample": list(xs)}, WeightedSample.uniform(xs), {"trial": trial}
+
+    return cases()
+
+
+def _sign_witness(kpsi, kphi, sample: WeightedSample, grid) -> Optional[dict]:
+    """The first grid t where the two weighted sums have opposite signs,
+    both clear of zero, or None."""
+    for t in grid:
+        sp = weighted_sum(kpsi, sample, t)
+        sq = weighted_sum(kphi, sample, t)
+        zp = abs(sp) <= _slack(sp, sq, 1e-9)
+        zq = abs(sq) <= _slack(sp, sq, 1e-9)
+        if not (zp or zq) and (sp > 0) != (sq > 0):
+            return {"t": t, "sum_psi": sp, "sum_phi": sq}
+    return None
+
+
+def _scan(kpsi, kphi, cases, cfg: SolverConfig, equal_on=None):
+    """(status, witness) of solving both estimators on each (head, sample,
+    tail) case: Inconclusive at the first solver failure, Counterexample at
+    the first case with theta_psi above theta_phi or, given a grid equal_on,
+    with the two apart or their sums of opposite sign on the grid."""
+    for head, sample, tail in cases:
+        try:
+            tp = _solve(kpsi, sample, cfg)
+            tq = _solve(kphi, sample, cfg)
+        except PsiEstError as exc:
+            return INCONCLUSIVE, {**head, "error": str(exc), **tail}
+        tol = _pair_tol(cfg, tp, tq)
+        if (abs(tp - tq) > tol) if equal_on is not None else (tp > tq + tol):
+            return COUNTEREXAMPLE, {**head, "theta_psi": tp, "theta_phi": tq, **tail}
+        if equal_on is not None:
+            found = _sign_witness(kpsi, kphi, sample, equal_on)
+            if found is not None:
+                return COUNTEREXAMPLE, {**head, **found, **tail}
+    return NO_COUNTEREXAMPLE, None
+
+
 def check_direct(
     kpsi: PsiKernel,
     kphi: PsiKernel,
@@ -112,28 +162,10 @@ def check_direct(
 ) -> ComparisonVerdict:
     """Estimator ordering theta_psi <= theta_phi on random samples drawn from
     the witness observations, sizes 1..max_n."""
-    _require_count("max_n", max_n, 1)
-    _require_count("trials", trials, 1)
+    cases = _random_cases(ws, max_n, trials)
     meta = {"max_n": max_n, "trials": trials, "seed": ws.random_seed}
-    rng = random.Random(ws.random_seed)
-    obs = ws.observations
-    for trial in range(trials):
-        n = rng.randint(1, max_n)
-        xs = tuple(rng.choice(obs) for _ in range(n))
-        sample = WeightedSample.uniform(xs)
-        try:
-            tp = _solve(kpsi, sample, cfg)
-            tq = _solve(kphi, sample, cfg)
-        except PsiEstError as exc:
-            return ComparisonVerdict(
-                INCONCLUSIVE, "direct",
-                {"sample": list(xs), "error": str(exc), "trial": trial}, meta)
-        if tp > tq + _pair_tol(cfg, tp, tq):
-            return ComparisonVerdict(
-                COUNTEREXAMPLE, "direct",
-                {"sample": list(xs), "theta_psi": tp, "theta_phi": tq,
-                 "trial": trial}, meta)
-    return ComparisonVerdict(NO_COUNTEREXAMPLE, "direct", None, meta)
+    status, witness = _scan(kpsi, kphi, cases, cfg)
+    return ComparisonVerdict(status, "direct", witness, meta)
 
 
 def check_two_point(
@@ -149,22 +181,10 @@ def check_two_point(
     if x == y:
         raise InvalidArgument("two-point check needs distinct observations")
     _require_count("max_km", max_km, 2)
-    meta = {"max_km": max_km}
-    for k in range(1, max_km):
-        for m in range(1, max_km - k + 1):
-            sample = WeightedSample((x, y), (float(k), float(m)))
-            try:
-                tp = _solve(kpsi, sample, cfg)
-                tq = _solve(kphi, sample, cfg)
-            except PsiEstError as exc:
-                return ComparisonVerdict(
-                    INCONCLUSIVE, "two-point",
-                    {"k": k, "m": m, "error": str(exc)}, meta)
-            if tp > tq + _pair_tol(cfg, tp, tq):
-                return ComparisonVerdict(
-                    COUNTEREXAMPLE, "two-point",
-                    {"k": k, "m": m, "theta_psi": tp, "theta_phi": tq}, meta)
-    return ComparisonVerdict(NO_COUNTEREXAMPLE, "two-point", None, meta)
+    cases = (({"k": k, "m": m}, WeightedSample((x, y), (float(k), float(m))), {})
+             for k in range(1, max_km) for m in range(1, max_km - k + 1))
+    status, witness = _scan(kpsi, kphi, cases, cfg)
+    return ComparisonVerdict(status, "two-point", witness, {"max_km": max_km})
 
 
 def check_ratio_condition(
@@ -229,6 +249,21 @@ def _d2(kernel: PsiKernel, x: float, t: float, fd_step: float) -> float:
     return (kernel.eval(x, t + fd_step) - kernel.eval(x, t - fd_step)) / (2.0 * fd_step)
 
 
+def _shared_theta1(kpsi, kphi, ws: WitnessSet, cfg: SolverConfig):
+    """The kernels' common theta1 on each witness observation, as
+    ({x: midpoint}, None), or (None, witness) for the first observation
+    where the two differ."""
+    t1s = {}
+    for x in ws.observations:
+        a = theta1(kpsi, x, cfg)
+        b = theta1(kphi, x, cfg)
+        if abs(a - b) > 1e-8 * (1.0 + max(abs(a), abs(b))):
+            return None, {"reason": "theta1 values differ", "x": x,
+                          "theta1_psi": a, "theta1_phi": b}
+        t1s[x] = 0.5 * (a + b)
+    return t1s, None
+
+
 def check_derivative_condition(
     kpsi: PsiKernel,
     kphi: PsiKernel,
@@ -241,16 +276,9 @@ def check_derivative_condition(
     t0 = theta1(x).  Requires both kernels to share theta1 on the witnesses
     (else Inconclusive) and nonvanishing parameter derivatives."""
     meta = {"fd_step": fd_step}
-    t1s = {}
-    for x in ws.observations:
-        a = theta1(kpsi, x, cfg)
-        b = theta1(kphi, x, cfg)
-        if abs(a - b) > 1e-8 * (1.0 + max(abs(a), abs(b))):
-            return ComparisonVerdict(
-                INCONCLUSIVE, "derivative",
-                {"reason": "theta1 values differ", "x": x,
-                 "theta1_psi": a, "theta1_phi": b}, meta)
-        t1s[x] = 0.5 * (a + b)
+    t1s, differ = _shared_theta1(kpsi, kphi, ws, cfg)
+    if differ is not None:
+        return ComparisonVerdict(INCONCLUSIVE, "derivative", differ, meta)
     for x in ws.observations:
         t0 = t1s[x]
         if not (kpsi.theta.contains(t0) and kphi.theta.contains(t0)):
@@ -280,46 +308,12 @@ def check_equality(
 ) -> ComparisonVerdict:
     """Estimator equality: ordering in both directions on random samples,
     plus sign agreement of the two weighted sums on the parameter grid."""
-    _require_count("max_n", max_n, 1)
-    _require_count("trials", trials, 1)
+    cases = _random_cases(ws, max_n, trials)
     meta = {"max_n": max_n, "trials": trials, "seed": ws.random_seed,
             "grid_size": len(ws.parameter_grid)}
-    for x in ws.observations:
-        a = theta1(kpsi, x, cfg)
-        b = theta1(kphi, x, cfg)
-        if abs(a - b) > 1e-8 * (1.0 + max(abs(a), abs(b))):
-            return ComparisonVerdict(
-                INCONCLUSIVE, "equality",
-                {"reason": "theta1 values differ", "x": x,
-                 "theta1_psi": a, "theta1_phi": b}, meta)
-    rng = random.Random(ws.random_seed)
-    obs = ws.observations
-    for trial in range(trials):
-        n = rng.randint(1, max_n)
-        xs = tuple(rng.choice(obs) for _ in range(n))
-        sample = WeightedSample.uniform(xs)
-        try:
-            tp = _solve(kpsi, sample, cfg)
-            tq = _solve(kphi, sample, cfg)
-        except PsiEstError as exc:
-            return ComparisonVerdict(
-                INCONCLUSIVE, "equality",
-                {"sample": list(xs), "error": str(exc), "trial": trial}, meta)
-        if abs(tp - tq) > _pair_tol(cfg, tp, tq):
-            return ComparisonVerdict(
-                COUNTEREXAMPLE, "equality",
-                {"sample": list(xs), "theta_psi": tp, "theta_phi": tq,
-                 "trial": trial}, meta)
-        for t in ws.parameter_grid:
-            sp = weighted_sum(kpsi, sample, t)
-            sq = weighted_sum(kphi, sample, t)
-            zp = abs(sp) <= _slack(sp, sq, 1e-9)
-            zq = abs(sq) <= _slack(sp, sq, 1e-9)
-            if zp or zq:
-                continue
-            if (sp > 0) != (sq > 0):
-                return ComparisonVerdict(
-                    COUNTEREXAMPLE, "equality",
-                    {"sample": list(xs), "t": t, "sum_psi": sp, "sum_phi": sq,
-                     "trial": trial}, meta)
-    return ComparisonVerdict(NO_COUNTEREXAMPLE, "equality", None, meta)
+    _, differ = _shared_theta1(kpsi, kphi, ws, cfg)
+    if differ is not None:
+        return ComparisonVerdict(INCONCLUSIVE, "equality", differ, meta)
+
+    status, witness = _scan(kpsi, kphi, cases, cfg, equal_on=ws.parameter_grid)
+    return ComparisonVerdict(status, "equality", witness, meta)

@@ -287,26 +287,16 @@ def validate_monotone(
     """True iff the expression, as a function of t, is strictly increasing on
     an equispaced grid inside theta plus 100 seeded random pairs.
 
-    Infinite endpoints are clamped to a window of half-width 100 around the
-    finite endpoint (or around 0).  DomainError propagates if evaluation
-    fails on the grid.
+    Grid and pairs span theta.probe_window().  DomainError propagates if
+    evaluation fails on the grid.
     """
     if grid < 3:
         raise ValueError("grid must be >= 3")
-    lo, hi = theta.lo, theta.hi
-    if not math.isfinite(lo):
-        lo = (hi - 200.0) if math.isfinite(hi) else -100.0
-    if not math.isfinite(hi):
-        hi = lo + 200.0
-    span = hi - lo
-    margin = 1e-6 * span
-    lo, hi = lo + margin, hi - margin
-
-    pts = [lo + (hi - lo) * k / (grid - 1) for k in range(grid)]
-    vals = [eval_expr(e, 0.0, t) for t in pts]
+    vals = [eval_expr(e, 0.0, t) for t in theta.probe_grid(grid)]
     if any(b <= a for a, b in zip(vals, vals[1:])):
         return False
 
+    lo, hi = theta.probe_window()
     rng = random.Random(seed)
     for _ in range(100):
         s = rng.uniform(lo, hi)

@@ -47,6 +47,25 @@ class OpenInterval:
             return self.hi - 1.0
         return 0.0
 
+    def probe_window(self) -> tuple[float, float]:
+        """(lo, hi) shrunk by a 1e-6 relative margin; an infinite endpoint is
+        first clamped to a window of width 200 next to the finite one (or
+        around 0)."""
+        lo, hi = self.lo, self.hi
+        if not math.isfinite(lo):
+            lo = (hi - 200.0) if math.isfinite(hi) else -100.0
+        if not math.isfinite(hi):
+            hi = lo + 200.0
+        margin = 1e-6 * (hi - lo)
+        return lo + margin, hi - margin
+
+    def probe_grid(self, n: int) -> list[float]:
+        """n equispaced probes spanning probe_window(), ends included."""
+        if n < 2:
+            raise InvalidArgument(f"probe grid needs n >= 2, got {n!r}")
+        lo, hi = self.probe_window()
+        return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+
 
 def _always_admissible(x: float) -> bool:
     return True
@@ -121,34 +140,20 @@ def _clamp(v: float) -> float:
     return v
 
 
-def weighted_sum(
-    kernel: PsiKernel,
-    sample: WeightedSample,
-    t: float,
-    compensated: bool = False,
-) -> float:
+def weighted_sum(kernel: PsiKernel, sample: WeightedSample, t: float) -> float:
     """sum_i lambda_i * psi(x_i, t), summed left to right.
 
-    Summation order is fixed for reproducibility of sign decisions near zero;
-    pass compensated=True for Kahan summation when accuracy matters more.
+    Summation order is fixed for reproducibility of sign decisions near zero.
     Individual terms are clamped to +-1e300 so endpoint blowups keep their
     limit sign instead of producing inf - inf.
     """
     kernel.check_parameter(t)
     total = 0.0
-    comp = 0.0
     for x, w in zip(sample.xs, sample.weights):
         kernel.check_observation(x)
         if w == 0.0:
             continue
-        term = _clamp(w * _clamp(kernel.eval(x, t)))
-        if compensated:
-            y = term - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-        else:
-            total += term
+        total += _clamp(w * _clamp(kernel.eval(x, t)))
     return _clamp(total)
 
 

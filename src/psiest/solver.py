@@ -19,6 +19,7 @@ CONVERGED = "Converged"
 NO_POSITIVE_PART = "NoPositivePart"
 NO_NEGATIVE_PART = "NoNegativePart"
 MAX_ITERATIONS = "MaxIterations"
+NON_FINITE_SUM = "NonFiniteSum"
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SignChangeResult:
+    """Unless converged, theta is the last bisection midpoint (MaxIterations),
+    the first t whose weighted sum was NaN (NonFiniteSum), or NaN."""
+
     theta: float
     bracket_lo: float
     bracket_hi: float
@@ -143,17 +147,25 @@ def solve_sign_change(
 
     A non-converged status means the required sign was never observed
     (the kernel violates the sign-change premise numerically, or Theta is
-    mis-specified), or bisection stalled.  The residual is reported for
-    diagnostics only; it is never used as a convergence criterion since the
-    kernel may jump across zero.
+    mis-specified), bisection stalled, or the weighted sum was NaN, which
+    has no sign, at some evaluated t (NonFiniteSum).  The residual is
+    reported for diagnostics only; it is never used as a convergence
+    criterion since the kernel may jump across zero.
     """
     for x in sample.xs:
         kernel.check_observation(x)
+    nan_at = []
 
     def positive(t: float) -> bool:
-        return weighted_sum(kernel, sample, t) > 0.0
+        s = weighted_sum(kernel, sample, t)
+        if math.isnan(s):
+            nan_at.append(t)
+        return s > 0.0
 
     res = _solve_predicate(positive, kernel.theta, cfg)
+    if nan_at:
+        return SignChangeResult(nan_at[0], math.nan, math.nan, res.iterations,
+                                math.nan, NON_FINITE_SUM)
     if res.converged:
         residual = weighted_sum(kernel, sample, res.theta)
         res = SignChangeResult(

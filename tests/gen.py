@@ -11,7 +11,6 @@ from psiest import (
     WeightedSample,
     make_kernel,
 )
-from psiest.bajraktarevic import _probe_grid
 
 # Kernel pairs whose estimator ordering is an if-and-only-if in the family
 # parameter: forward order holds, reversed order fails.
@@ -81,7 +80,7 @@ def random_mobius(rng: random.Random, spec: BajraktarevicSpec) -> MobiusCoeffici
 
     c is scaled by the F-spread over the observation window so the transform
     stays well conditioned there (no saturation toward a/c)."""
-    fmin = min(spec.f(t) for t in _probe_grid(spec.theta, 257))
+    fmin = min(spec.f(t) for t in spec.theta.probe_grid(257))
     f_lo, f_hi = sorted((spec.F(0.1), spec.F(3.0)))
     if rng.random() < 0.4:
         c = 0.0

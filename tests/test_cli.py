@@ -62,6 +62,21 @@ class TestReadData:
         s = read_data(str(d), str(w))
         assert s.weights == (3.0, 4.0)
 
+    def test_weights_file_comments_and_line_numbers(self, tmp_path):
+        d = tmp_path / "d.txt"
+        d.write_text("1\n2\n")
+        w = tmp_path / "w.txt"
+        w.write_text("# weights\n3  # first\n\n4\n")
+        assert read_data(str(d), str(w)).weights == (3.0, 4.0)
+        w.write_text("# weights\n3\n\n-4\n")
+        with pytest.raises(NegativeWeight) as neg:
+            read_data(str(d), str(w))
+        assert neg.value.line == 4
+        w.write_text("3\n# x\nfour\n")
+        with pytest.raises(DataParseError, match="bad weight 'four'") as bad:
+            read_data(str(d), str(w))
+        assert bad.value.line == 3
+
     def test_weights_length_mismatch(self, tmp_path):
         d = tmp_path / "d.txt"
         d.write_text("1\n2\n")
@@ -90,6 +105,16 @@ class TestExitCodes:
         assert main(["estimate", "--psi", "0 - 1", "--theta", "0,1",
                      "--data", "[1]"]) == 2
         capsys.readouterr()
+
+    def test_nan_sum_exits_2(self, capsys):
+        # exp(t) overflows past t ~ 709.78, so the sum is inf - inf = NaN;
+        # it used to converge there with status Converged
+        code = main(["estimate", "--psi", "exp(x) - exp(t)", "--theta=-inf,inf",
+                     "--data", "[800,801]"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["status"] == "NonFiniteSum"
+        assert "Traceback" not in captured.err
 
     def test_counterexample_exit(self, capsys):
         code = main(golden_cases.CASES["compare_expectile_reversed"])
@@ -130,6 +155,12 @@ class TestRejectedInput:
     ])
     def test_bad_comparison_counts(self, extra, capsys):
         self.assert_usage_error(self.REVERSED + extra, capsys)
+
+    @pytest.mark.parametrize("probes", ["3", "2", "1", "0", "-1"])
+    def test_too_few_probes(self, probes, capsys):
+        argv = ["mobius-test", "--f", "t", "--g", "2*t + 1", "--theta", "0,1",
+                "--probes", probes]
+        self.assert_usage_error(argv, capsys)
 
     def test_reversed_ordering_found_by_default(self, capsys):
         assert main(self.REVERSED + ["--condition", "direct"]) == 3

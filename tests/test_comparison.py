@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import pytest
 
@@ -8,6 +10,7 @@ from psiest import (
     InvalidArgument,
     FamilySpec,
     OpenInterval,
+    PsiEstError,
     PsiKernel,
     SolverConfig,
     WeightedSample,
@@ -228,6 +231,29 @@ class TestCountValidation:
         assert check_two_point(kp, kq, 0.0, 5.0, max_km=2).status == "Counterexample"
 
 
+class TestNonFiniteSum:
+    """A kernel that is NaN from t = 5 on: its solves on samples above 5
+    report NonFiniteSum, which the checks turn into Inconclusive (the NaN
+    used to read as the non-positive side and give a wrong estimate)."""
+
+    KERNEL = PsiKernel(LINE, lambda x, t: x - t if t < 5.0 else math.nan,
+                       theta1=lambda x: x, name="nan_beyond_5")
+
+    @pytest.mark.parametrize("check", [check_direct, check_equality])
+    def test_sampling_checks(self, check):
+        kq = expectile(0.5)
+        v = check(self.KERNEL, kq, ws_for(kq, (6.0, 7.0)), max_n=3, trials=5)
+        assert v.status == "Inconclusive"
+        assert v.witness["error"] == "solver failed with status NonFiniteSum"
+        assert list(v.witness) == ["sample", "error", "trial"]
+
+    def test_two_point(self):
+        v = check_two_point(self.KERNEL, expectile(0.5), 6.0, 7.0, max_km=4)
+        assert v.status == "Inconclusive"
+        assert v.witness == {"k": 1, "m": 1,
+                             "error": "solver failed with status NonFiniteSum"}
+
+
 class TestRemarkRegression:
     """Kernels psi(x,t) = -x t and phi(x,t) = -x (t+1) over observations
     {1, 2}: theta_psi is 0, theta_phi is -1, the phi-hull is empty, and the
@@ -277,3 +303,93 @@ class TestEquivalenceConsistency:
         v_deriv = check_derivative_condition(kp, kq, ws)
         if v_deriv.status != "Inconclusive":
             assert v_deriv.status == expected
+
+
+def _stalling(x, t):
+    # psi(x, t) = tanh(x - t) below x = 3 and +2 from there on; theta1
+    # claims x, so the witness set builds, but a sample with k points below 3
+    # and m from 3 on has no negative part when 2m >= k: its solve fails.
+    return math.tanh(x - t) if x < 3.0 else 2.0
+
+
+STALLING = PsiKernel(LINE, _stalling, theta1=lambda x: x, name="stalling")
+MEAN = PsiKernel(LINE, lambda x, t: x - t, theta1=lambda x: x, name="mean")
+# The mean's kernel with its sign flipped for 4 < t < 4.5: the same estimates
+# on samples whose mean lies below 4, but opposite sums on that window.
+FLIPPED = PsiKernel(LINE, lambda x, t: (t - x) if 4.0 < t < 4.5 else (x - t),
+                    name="flipped")
+
+
+def _pinned_pairs():
+    """(name, kernel psi, kernel phi, observations) for every pinned pair."""
+    pairs = [(name, kp, kq, obs) for name, kp, kq, obs, _ in gen.comparison_corpus()]
+    mathieu = [make_kernel(FamilySpec("mathieu", {}, f=f)) for f in
+               (lambda u: u, lambda u: 2.0 * u, lambda u: u * u)]
+    pairs += [
+        ("mathieu_scaled", mathieu[0], mathieu[1], (0.0, 1.0, 3.0)),
+        ("mathieu_square", mathieu[0], mathieu[2], (0.0, 1.0, 3.0)),
+        ("lognormal_variances", lognormal(1.0), lognormal(4.0),
+         (1.0, math.e, math.e ** 2)),
+        ("normal_var_shifted",
+         make_kernel(FamilySpec("normal_var", {"m": 0.0})),
+         make_kernel(FamilySpec("normal_var", {"m": 1.0})), (-1.0, 0.5, 2.0)),
+        ("gamma_rate_theta1_differ",
+         make_kernel(FamilySpec("gamma_rate", {"p": 1.0})),
+         make_kernel(FamilySpec("gamma_rate", {"p": 2.0})), (1.0, 2.0)),
+        ("stalling_mixed", STALLING, expectile(0.5), (0.0, 1.0, 5.0)),
+        ("stalling_only", STALLING, expectile(0.5), (5.0, 6.0)),
+        ("sign_window", MEAN, FLIPPED, (0.0, 1.0, 5.0)),
+    ]
+    return pairs
+
+
+def _outcome(fn):
+    """A verdict as (status, witness, grid), or the error it raised."""
+    try:
+        v = fn()
+    except PsiEstError as exc:
+        return {"raises": type(exc).__name__, "message": str(exc)}
+    if isinstance(v, float):
+        return v
+    return {"status": v.status, "witness": v.witness, "grid": v.grid}
+
+
+def _verdict_record(kp, kq, obs):
+    """Every comparison verdict, and multipliers on a slice of the grid,
+    at reduced sizes so the whole table runs in about a second."""
+    ws = build_witness_set(kq, obs, seed=0, grid_points=33, random_points=16)
+    return {
+        "direct": _outcome(lambda: check_direct(kp, kq, ws, max_n=6, trials=60)),
+        "two-point": _outcome(
+            lambda: check_two_point(kp, kq, min(obs), max(obs), max_km=12)),
+        "ratio": _outcome(lambda: check_ratio_condition(kp, kq, ws)),
+        "derivative": _outcome(lambda: check_derivative_condition(kp, kq, ws)),
+        "equality": _outcome(lambda: check_equality(kp, kq, ws, max_n=5, trials=40)),
+        "multiplier": [[t, _outcome(lambda: construct_multiplier(kp, kq, ws, t))]
+                       for t in ws.parameter_grid[::4] + (-math.inf,)],
+    }
+
+
+PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "comparison_pins.json")
+
+
+class TestVerdictPins:
+    """Status, witness (in key order), grid meta and multipliers of every
+    check, exactly as recorded in comparison_pins.json.  Regenerate only on
+    purpose, with  PYTHONPATH=src python tests/test_comparison.py"""
+
+    @pytest.mark.parametrize("name,kp,kq,obs", _pinned_pairs(),
+                             ids=[p[0] for p in _pinned_pairs()])
+    def test_pinned(self, name, kp, kq, obs):
+        with open(PINS_PATH, encoding="utf-8") as fh:
+            pins = json.load(fh)
+        got = json.dumps(_verdict_record(kp, kq, obs))
+        assert got == json.dumps(pins[name])
+
+
+if __name__ == "__main__":
+    with open(PINS_PATH, "w", encoding="utf-8") as fh:
+        json.dump({name: _verdict_record(kp, kq, obs)
+                   for name, kp, kq, obs in _pinned_pairs()}, fh, indent=1)
+        fh.write("\n")

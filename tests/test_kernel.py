@@ -41,6 +41,28 @@ class TestOpenInterval:
         with pytest.raises(InvalidArgument):
             OpenInterval(2.0, 1.0)
 
+    @pytest.mark.parametrize("lo,hi,window", [
+        (0.0, 1.0, (1e-6, 1.0 - 1e-6)),
+        (-math.inf, math.inf, (-100.0 + 2e-4, 100.0 - 2e-4)),
+        (0.0, math.inf, (2e-4, 200.0 - 2e-4)),
+        (-math.inf, 1.0, (-199.0 + 2e-4, 1.0 - 2e-4)),
+    ])
+    def test_probe_window(self, lo, hi, window):
+        got = OpenInterval(lo, hi).probe_window()
+        assert got == pytest.approx(window, rel=1e-15, abs=1e-15)
+
+    def test_probe_grid_spans_window(self):
+        iv = OpenInterval(0.0, math.inf)
+        grid = iv.probe_grid(5)
+        assert (grid[0], grid[-1]) == iv.probe_window()
+        assert all(iv.contains(t) for t in grid)
+        assert grid == sorted(grid)
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_probe_grid_needs_two_points(self, n):
+        with pytest.raises(InvalidArgument):
+            OpenInterval(0.0, 1.0).probe_grid(n)
+
 
 class TestWeightedSample:
     def test_valid(self):
@@ -137,14 +159,6 @@ class TestWeightedSum:
             lhs = weighted_sum(k, both, t)
             rhs = weighted_sum(k, s1, t) + weighted_sum(k, s2, t)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-    def test_compensated_matches_plain(self):
-        k = expectile(0.5)
-        s = WeightedSample.uniform([1, 2, 3, 4])
-        t = 2.2
-        plain = weighted_sum(k, s, t)
-        comp = weighted_sum(k, s, t, compensated=True)
-        assert plain == pytest.approx(comp, rel=1e-12)
 
 
 class TestEmpiricalHull:

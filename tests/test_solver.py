@@ -11,6 +11,7 @@ from psiest import (
     OutOfRange,
     PsiKernel,
     SolverConfig,
+    SolverError,
     WeightedSample,
     generalized_left_inverse,
     make_kernel,
@@ -84,6 +85,23 @@ class TestSolveSignChange:
         k = PsiKernel(OpenInterval(-math.inf, math.inf), lambda x, t: -1.0)
         res = solve_sign_change(k, WeightedSample((0.0,), (1.0,)))
         assert res.status == "NoPositivePart"
+
+    def test_nan_sum_is_reported(self):
+        # x - t below t = 5 and NaN from there on: the NaN must not be read
+        # as the non-positive side (that converged at ~5 instead of 7.5)
+        k = PsiKernel(OpenInterval(-math.inf, math.inf),
+                      lambda x, t: x - t if t < 5.0 else math.nan)
+        res = solve_sign_change(k, WeightedSample.uniform((7.0, 8.0)))
+        assert res.status == "NonFiniteSum"
+        assert not res.converged
+        assert res.theta >= 5.0
+        assert math.isnan(k.eval(7.0, res.theta))
+
+    def test_nan_sum_fails_theta1(self):
+        k = PsiKernel(OpenInterval(-math.inf, math.inf),
+                      lambda x, t: x - t if t < 5.0 else math.nan)
+        with pytest.raises(SolverError, match="NonFiniteSum"):
+            theta1(k, 7.0)
 
     def test_discontinuous_kernel(self):
         # jumps across zero at t=2 without a root
