@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     DegenerateDerivative,
     DegenerateProbes,
@@ -30,10 +28,10 @@ from .solver import SolverConfig, generalized_left_inverse
 class BajraktarevicSpec:
     """The triple (f, p, F) on an open interval.
 
-    f must be strictly increasing on theta (validated on a probe grid),
-    p positive on admissible observations, and F must map observations into
-    the convex hull of f(theta).  fprime is optional and only used to supply
-    a closed-form parameter derivative to the kernel.
+    f must be strictly increasing and never NaN on theta (validated on a
+    probe grid), p positive on admissible observations, and F must map
+    observations into the convex hull of f(theta).  fprime is optional and
+    only used to supply a closed-form parameter derivative to the kernel.
     """
 
     f: Callable[[float], float]
@@ -48,6 +46,9 @@ class BajraktarevicSpec:
         # decrease and overall constancy
         probes = self.theta.probe_grid(33)
         vals = [self.f(t) for t in probes]
+        for t, v in zip(probes, vals):
+            if math.isnan(v):
+                raise InvalidArgument(f"f({t!r}) is NaN")
         if vals[-1] <= vals[0] or any(
             b < a - 1e-13 * max(1.0, abs(a)) for a, b in zip(vals, vals[1:])
         ):
@@ -195,15 +196,23 @@ def schwarzian(
     return d3 / d1 - 1.5 * r * r
 
 
+def _det3(r0, r1, r2) -> float:
+    return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+            - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+            + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
+
+
 def determinant_test(
     f_vals: Sequence[float], g_vals: Sequence[float]
 ) -> float:
     """Determinant of the 4x4 matrix with rows (1, f_i, g_i, f_i g_i) at four
-    probes; it vanishes exactly when g is a Mobius transform of f there."""
+    probes; it vanishes exactly when g is a Mobius transform of f there.
+
+    Cofactor expansion along the column of ones."""
     if len(f_vals) != 4 or len(g_vals) != 4:
         raise InvalidArgument("determinant test needs exactly four probes")
-    rows = [[1.0, fv, gv, fv * gv] for fv, gv in zip(f_vals, g_vals)]
-    return float(np.linalg.det(np.array(rows, dtype=float)))
+    rows = [(fv, gv, fv * gv) for fv, gv in zip(f_vals, g_vals)]
+    return sum((-1) ** i * _det3(*rows[:i], *rows[i + 1:]) for i in range(4))
 
 
 def determinant_scale(f_vals: Sequence[float], g_vals: Sequence[float]) -> float:
@@ -212,6 +221,18 @@ def determinant_scale(f_vals: Sequence[float], g_vals: Sequence[float]) -> float
     for fv, gv in zip(f_vals, g_vals):
         out *= math.sqrt(1.0 + fv * fv + gv * gv + (fv * gv) ** 2)
     return out
+
+
+def _orth(v: Sequence[float], basis: Sequence[Sequence[float]]) -> list[float]:
+    """v minus its projection onto an orthonormal basis: classical
+    Gram-Schmidt run twice, which keeps the result orthogonal to working
+    precision."""
+    v = list(v)
+    for _ in range(2):
+        for q in basis:
+            p = sum(x * y for x, y in zip(v, q))
+            v = [x - p * y for x, y in zip(v, q)]
+    return v
 
 
 def mobius_fit(
@@ -236,19 +257,24 @@ def mobius_fit(
     order = sorted(range(len(fs)), key=lambda i: fs[i])
     anchors = [order[0], order[len(order) // 2], order[-1]]
     rows = [[fs[i], 1.0, -fs[i] * gs[i], -gs[i]] for i in anchors]
-    mat = np.array(rows, dtype=float)
-    # 3x4 system: the nullspace is at least one-dimensional and vt[-1] spans
-    # it; a vanishing third singular value means the anchors underdetermine
-    # the coefficients.
-    _, sv, vt = np.linalg.svd(mat)
-    if sv[2] <= 1e-12 * max(sv[0], 1.0):
-        raise DegenerateProbes("anchor system is rank-deficient")
-    coeffs = vt[-1]
-    # fix the overall sign deterministically
-    pivot = int(np.argmax(np.abs(coeffs)))
-    if coeffs[pivot] < 0.0:
-        coeffs = -coeffs
-    a, b, c, d = (float(v) for v in coeffs)
+    # Orthonormal basis of the row space; a row with (almost) nothing
+    # outside the span of the earlier ones leaves the coefficients
+    # underdetermined.
+    tol = 1e-12 * max(max(math.hypot(*r) for r in rows), 1.0)
+    basis = []
+    for r in rows:
+        v = _orth(r, basis)
+        n = math.hypot(*v)
+        if n <= tol:
+            raise DegenerateProbes("anchor system is rank-deficient")
+        basis.append([x / n for x in v])
+    # The nullspace is the orthogonal complement: project out the row space
+    # from the unit vector e_k with the largest remainder (norm >= 1/2).
+    coeffs = max((_orth([float(j == k) for j in range(4)], basis) for k in range(4)),
+                 key=lambda v: math.hypot(*v))
+    # unit norm, and fix the overall sign deterministically
+    n = math.copysign(math.hypot(*coeffs), max(coeffs, key=abs))
+    a, b, c, d = (v / n for v in coeffs)
     if abs(a * d - b * c) <= 1e-12:
         return None
 

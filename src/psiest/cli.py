@@ -168,7 +168,7 @@ def _build_kernel(args, suffix: str = ""):
     if getattr(args, "theta", None) is None:
         raise InvalidArgument("--psi requires --theta lo,hi")
     theta = _parse_theta(args.theta)
-    echo = {"psi": psi, "theta": [theta.lo, theta.hi]}
+    echo = {"psi": psi, "interval": [theta.lo, theta.hi]}
     return _expr_kernel(psi, theta, "psi"), echo, None
 
 

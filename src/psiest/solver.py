@@ -70,72 +70,71 @@ def _step_toward(t: float, endpoint: float, delta: float) -> float:
 
 
 def _solve_predicate(
+    value: Callable[[float], float],
     positive: Callable[[float], bool],
     theta: OpenInterval,
     cfg: SolverConfig,
 ) -> SignChangeResult:
     """Locate the boundary where a decreasing-type predicate flips True->False.
 
-    positive(t) must be True strictly below the target and False strictly
-    above it (a value of exactly zero counts as the False side).
+    positive(value(t)) must be True strictly below the target and False
+    strictly above it.  A NaN value has no side: the search goes on with
+    whatever positive() says, and the result is NonFiniteSum at the first t
+    where value(t) was NaN.
     """
+    nan_at = []
+
+    def pred(t: float) -> bool:
+        v = value(t)
+        if math.isnan(v):
+            nan_at.append(t)
+        return positive(v)
+
     seed = cfg.seed_guess if (
         cfg.seed_guess is not None and theta.contains(cfg.seed_guess)
     ) else theta.midpoint_seed()
 
-    lo_bracket = None  # largest t seen with positive(t)
-    hi_bracket = None  # smallest t seen with not positive(t)
-    if positive(seed):
-        lo_bracket = seed
-    else:
-        hi_bracket = seed
-
+    # Step away from the seed, toward the side where the flip lies, until the
+    # predicate flips: near is the last t on the seed's side, far the first
+    # beyond the flip.
+    up = pred(seed)
+    endpoint = theta.hi if up else theta.lo
+    near, far = seed, None
+    t, delta = seed, max(1.0, abs(seed))
     evals = 1
-    if lo_bracket is None:
-        t, delta = seed, max(1.0, abs(seed))
-        for _ in range(cfg.max_expand):
-            t = _step_toward(t, theta.lo, delta)
-            delta *= 2.0
-            evals += 1
-            if positive(t):
-                lo_bracket = t
-                break
-            hi_bracket = min(hi_bracket, t)
-        if lo_bracket is None:
-            return SignChangeResult(
-                math.nan, math.nan, hi_bracket, evals, math.nan, NO_POSITIVE_PART
-            )
-    if hi_bracket is None:
-        t, delta = seed, max(1.0, abs(seed))
-        for _ in range(cfg.max_expand):
-            t = _step_toward(t, theta.hi, delta)
-            delta *= 2.0
-            evals += 1
-            if not positive(t):
-                hi_bracket = t
-                break
-            lo_bracket = max(lo_bracket, t)
-        if hi_bracket is None:
-            return SignChangeResult(
-                math.nan, lo_bracket, math.nan, evals, math.nan, NO_NEGATIVE_PART
-            )
+    for _ in range(cfg.max_expand):
+        t = _step_toward(t, endpoint, delta)
+        delta *= 2.0
+        evals += 1
+        if pred(t) != up:
+            far = t
+            break
+        near = t
 
-    a, b = lo_bracket, hi_bracket
-    iterations = 0
-    while b - a > cfg.width_tol(0.5 * (a + b)):
-        if iterations >= cfg.max_bisect:
+    if far is None:
+        status = NO_NEGATIVE_PART if up else NO_POSITIVE_PART
+        a, b = (near, math.nan) if up else (math.nan, near)
+        res = SignChangeResult(math.nan, a, b, evals, math.nan, status)
+    else:
+        a, b = (near, far) if up else (far, near)
+        iterations, status = 0, CONVERGED
+        while b - a > cfg.width_tol(0.5 * (a + b)):
+            if iterations >= cfg.max_bisect:
+                status = MAX_ITERATIONS
+                break
             mid = 0.5 * (a + b)
-            return SignChangeResult(mid, a, b, evals + iterations, math.nan, MAX_ITERATIONS)
-        mid = 0.5 * (a + b)
-        if not (a < mid < b):
-            break  # bracket exhausted at double precision
-        if positive(mid):
-            a = mid
-        else:
-            b = mid
-        iterations += 1
-    theta_hat = 0.5 * (a + b)
-    return SignChangeResult(theta_hat, a, b, evals + iterations, math.nan, CONVERGED)
+            if not (a < mid < b):
+                break  # bracket exhausted at double precision
+            if pred(mid):
+                a = mid
+            else:
+                b = mid
+            iterations += 1
+        res = SignChangeResult(0.5 * (a + b), a, b, evals + iterations, math.nan, status)
+    if nan_at:
+        return SignChangeResult(nan_at[0], math.nan, math.nan, res.iterations,
+                                math.nan, NON_FINITE_SUM)
+    return res
 
 
 def solve_sign_change(
@@ -154,18 +153,11 @@ def solve_sign_change(
     """
     for x in sample.xs:
         kernel.check_observation(x)
-    nan_at = []
 
-    def positive(t: float) -> bool:
-        s = weighted_sum(kernel, sample, t)
-        if math.isnan(s):
-            nan_at.append(t)
-        return s > 0.0
+    def total(t: float) -> float:
+        return weighted_sum(kernel, sample, t)
 
-    res = _solve_predicate(positive, kernel.theta, cfg)
-    if nan_at:
-        return SignChangeResult(nan_at[0], math.nan, math.nan, res.iterations,
-                                math.nan, NON_FINITE_SUM)
+    res = _solve_predicate(total, lambda s: s > 0.0, kernel.theta, cfg)
     if res.converged:
         residual = weighted_sum(kernel, sample, res.theta)
         res = SignChangeResult(
@@ -197,13 +189,12 @@ def generalized_left_inverse(
     For y in f(Theta) this returns the preimage; for y inside a jump gap
     [f(t0-), f(t0+)] it returns t0.  Computed by bisection on the predicate
     f(t) < y, which needs no continuity.  Raises OutOfRange when y falls
-    outside the convex hull of f(Theta) beyond 1e-9 * (1 + |y|).
+    outside the convex hull of f(Theta) beyond 1e-9 * (1 + |y|), and
+    SolverError naming the first t where f(t) was NaN.
     """
-
-    def below(t: float) -> bool:
-        return f(t) < y
-
-    res = _solve_predicate(below, theta, cfg)
+    res = _solve_predicate(f, lambda v: v < y, theta, cfg)
+    if res.status == NON_FINITE_SUM:
+        raise SolverError(f"f({res.theta!r}) is NaN", res)
     slack = 1e-9 * (1.0 + abs(y))
     if res.status == NO_POSITIVE_PART:
         # Never saw f(t) < y: y is at or below the infimum of f.

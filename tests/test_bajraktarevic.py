@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
+import mpmath
 import pytest
 
 import gen
@@ -12,6 +16,7 @@ from psiest import (
     MobiusCoefficients,
     OpenInterval,
     SignViolation,
+    SolverError,
     WeightedSample,
     apply_mobius,
     as_kernel,
@@ -45,6 +50,12 @@ class TestSpecValidation:
     def test_decreasing_f_rejected(self):
         with pytest.raises(InvalidArgument):
             BajraktarevicSpec(lambda t: -t, lambda x: 1.0, lambda x: x, LINE)
+
+    def test_nan_f_rejected(self):
+        # NaN compares False, so the monotonicity probe alone lets it pass
+        with pytest.raises(InvalidArgument, match="NaN"):
+            BajraktarevicSpec(lambda t: t if t < 5.0 else math.nan,
+                              lambda x: 1.0, lambda x: x, LINE)
 
     def test_mobius_zero_determinant_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -92,6 +103,14 @@ class TestEstimate:
         spec = BajraktarevicSpec(lambda t: t, lambda x: x, lambda x: x, LINE)
         t = estimate(spec, WeightedSample.uniform([1, 3]))
         assert abs(t - 2.5) <= 1e-10
+
+    def test_nan_between_probes_is_an_error(self):
+        # the probe grid of (0, 10) steps by 0.3125 and misses (7, 7.1)
+        spec = BajraktarevicSpec(lambda t: math.nan if 7.0 < t < 7.1 else t,
+                                 lambda x: 1.0, lambda x: x,
+                                 OpenInterval(0.0, 10.0))
+        with pytest.raises(SolverError, match="NaN"):
+            estimate(spec, WeightedSample.uniform([7.0, 7.1]))
 
     def test_agrees_with_solver_on_random_specs(self):
         rng = random.Random(21)
@@ -197,6 +216,52 @@ class TestMobiusFit:
         with pytest.raises(DegenerateProbes):
             mobius_fit(fv, fv)
 
+    def test_constant_g_rank_deficient(self):
+        # (c f + d) g = a f + b has a two-dimensional solution space
+        fv = [(t, t) for t in (1.0, 2.0, 3.0, 4.0)]
+        gv = [(t, 5.0) for t in (1.0, 2.0, 3.0, 4.0)]
+        with pytest.raises(DegenerateProbes):
+            mobius_fit(fv, gv)
+
+    def test_near_constant_mobius_fits(self):
+        # g = base + eps * (Mobius of t) is Mobius for every eps > 0; a null
+        # vector taken from the signed 3x3 minors loses it near eps = 1e-8
+        rng = random.Random(8)
+        for k in range(400):
+            eps = 10.0 ** -(8.0 * k / 399)
+            a, b = rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0)
+            c, d = rng.uniform(0.0, 0.3), rng.uniform(2.5, 3.5)
+            base = rng.uniform(-5.0, 5.0)
+            ts = sorted(rng.uniform(-5.0, 5.0) for _ in range(rng.randint(4, 12)))
+            fv = [(t, t) for t in ts]
+            gv = [(t, base + eps * (a * t + b) / (c * t + d)) for t in ts]
+            assert mobius_fit(fv, gv) is not None, (k, eps)
+
+    @mpmath.workdps(50)
+    def test_matches_mpmath_null_vector(self):
+        rng = random.Random(9)
+        for _ in range(100):
+            a, b = rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0)
+            c, d = rng.uniform(-0.3, 0.3), rng.uniform(2.5, 3.5)
+            ts = sorted(rng.uniform(-5.0, 5.0) for _ in range(rng.randint(4, 12)))
+            fv = [(t, t) for t in ts]
+            gv = [(t, (a * t + b) / (c * t + d)) for t in ts]
+            fit = mobius_fit(fv, gv)
+            # the same anchors (smallest, median, largest f), exact null
+            # vector from the signed 3x3 minors at 50 digits
+            anchors = [ts[0], ts[len(ts) // 2], ts[-1]]
+            g = dict(gv)
+            rows = [[mpmath.mpf(t), 1, -mpmath.mpf(t) * g[t], -g[t]]
+                    for t in anchors]
+            ref = [(-1) ** j * mpmath.det(mpmath.matrix(
+                       [r[:j] + r[j + 1:] for r in rows])) for j in range(4)]
+            norm = mpmath.sqrt(sum(v * v for v in ref))
+            if max(ref, key=abs) < 0:
+                norm = -norm
+            got = (fit.a, fit.b, fit.c, fit.d)
+            for x, r in zip(got, ref):
+                assert abs(x - float(r / norm)) <= 1e-12
+
     def test_succeeds_iff_schwarzian_small(self):
         rng = random.Random(44)
         grid = [0.2 + 0.3 * k for k in range(12)]
@@ -238,6 +303,20 @@ class TestDeterminant:
         fv = [1.0, 2.0, 3.0, 4.0]
         gv = [t ** 3 for t in fv]
         assert abs(determinant_test(fv, gv)) > 1.0
+
+    @mpmath.workdps(50)
+    def test_matches_mpmath(self):
+        rng = random.Random(10)
+        for k in range(300):
+            fv = [rng.uniform(-5.0, 5.0) for _ in range(4)]
+            if k % 2:
+                gv = [rng.uniform(-5.0, 5.0) for _ in range(4)]
+            else:
+                gv = [(2.0 * f + 1.0) / (0.2 * f + 3.0) for f in fv]
+            ref = mpmath.det(mpmath.matrix(
+                [[1, f, g, mpmath.mpf(f) * g] for f, g in zip(fv, gv)]))
+            err = abs(determinant_test(fv, gv) - ref)
+            assert err <= 1e-12 * determinant_scale(fv, gv)
 
     def test_wrong_arity(self):
         with pytest.raises(InvalidArgument):
@@ -312,3 +391,13 @@ class TestStructuralLemmas:
                 found = True
                 break
         assert found
+
+
+def test_import_leaves_numpy_out():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    code = "import sys, psiest; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

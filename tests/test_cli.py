@@ -176,6 +176,18 @@ class TestEstimate:
         report = json.loads(out)
         assert abs(report["theta"] - 2.0) <= 1e-10
 
+    def test_psi_interval_echoed(self, capsys):
+        # the --psi interval has its own key; `theta` is the estimate alone
+        code = main(["estimate", "--psi", "x - t", "--theta=-10,10",
+                     "--data", "[1,2,3]"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count('"theta":') == 1
+        report = json.loads(out)
+        assert list(report)[:3] == ["command", "psi", "interval"]
+        assert report["interval"] == [-10, 10]
+        assert abs(report["theta"] - 2.0) <= 1e-10
+
     def test_closed_form_flag(self, capsys):
         code = main(["estimate", "--family", "laplace_scale", "--param", "mu=0",
                      "--data", "[1,-2,3]", "--closed-form"])

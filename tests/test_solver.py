@@ -243,6 +243,17 @@ class TestGeneralizedLeftInverse:
             generalized_left_inverse(
                 lambda t: math.atan(t), self.LINE, -2.0)
 
+    def test_nan_is_an_error(self):
+        # read as "not below y", the NaN would put the inverse of 7 at 5
+        f = lambda t: t if t < 5.0 else math.nan
+        with pytest.raises(SolverError, match=r"f\(5\.0\) is NaN"):
+            generalized_left_inverse(f, OpenInterval(0.0, 10.0), 7.0)
+
+    def test_nan_names_first_t(self):
+        f = lambda t: math.nan if 2.0 < t < 3.0 else t
+        with pytest.raises(SolverError, match=r"f\(2\.5\) is NaN"):
+            generalized_left_inverse(f, OpenInterval(0.0, 10.0), 2.2)
+
     def test_contract_random_values(self):
         rng = random.Random(3)
         f = lambda t: t + math.sin(t) / 2.0  # strictly increasing
