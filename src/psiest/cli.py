@@ -9,6 +9,7 @@ error, 2 solver or domain failure, 3 counterexample found.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -146,11 +147,7 @@ def _parse_theta(text: str) -> OpenInterval:
 
 
 def _expr_kernel(source: str, theta: OpenInterval, name: str) -> PsiKernel:
-    ast = exprparse.parse(source)
-
-    def ev(x: float, t: float) -> float:
-        return exprparse.eval_expr(ast, x, t)
-
+    ev = exprparse.compile_expr(exprparse.parse(source))
     return PsiKernel(theta, ev, domain_check=math.isfinite, name=name)
 
 
@@ -271,11 +268,9 @@ def cmd_mobius_test(args) -> int:
     seed = _seed(args)
     cfg = _cfg(args)
 
-    def f(t: float) -> float:
-        return exprparse.eval_expr(f_ast, 0.0, t)
-
-    def g(t: float) -> float:
-        return exprparse.eval_expr(g_ast, 0.0, t)
+    # f and g as functions of t alone, at x = 0
+    f = functools.partial(exprparse.compile_expr(f_ast), 0.0)
+    g = functools.partial(exprparse.compile_expr(g_ast), 0.0)
 
     if not exprparse.validate_monotone(f_ast, theta):
         raise DomainError("f must be strictly increasing on theta")

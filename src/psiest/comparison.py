@@ -9,6 +9,7 @@ re-verifies by direct evaluation.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -88,6 +89,12 @@ def build_witness_set(
 
 def _slack(lhs: float, rhs: float, rel: float) -> float:
     return rel * max(abs(lhs), abs(rhs), 1.0)
+
+
+def _non_finite(lhs: float, rhs: float) -> bool:
+    """A side of lhs <= rhs is inf or NaN: an overflowed product has lost its
+    size, and the slack test then always passes (inf - inf is NaN)."""
+    return not (math.isfinite(lhs) and math.isfinite(rhs))
 
 
 def _pair_tol(cfg: SolverConfig, ta: float, tb: float) -> float:
@@ -196,7 +203,8 @@ def check_ratio_condition(
     """Two-stage pointwise condition: single-observation ordering on every
     witness, then the cross-product inequality
     psi(x,t) phi(y,t) <= psi(y,t) phi(x,t) for witness pairs whose phi
-    estimates straddle each grid t."""
+    estimates straddle each grid t.  Without a counterexample, the first
+    cross instance with a side inf or NaN makes the verdict Inconclusive."""
     meta = {"grid_size": len(ws.parameter_grid), "seed": ws.random_seed}
     t1_psi = {x: theta1(kpsi, x, cfg) for x in ws.observations}
     t1_phi = {x: theta1(kphi, x, cfg) for x in ws.observations}
@@ -207,6 +215,7 @@ def check_ratio_condition(
                 COUNTEREXAMPLE, "ratio",
                 {"stage": "theta1", "x": x, "theta1_psi": a, "theta1_phi": b},
                 meta)
+    unsure = None
     for x in ws.observations:
         for y in ws.observations:
             if not t1_phi[x] < t1_phi[y]:
@@ -216,11 +225,15 @@ def check_ratio_condition(
                     continue
                 lhs = kpsi.eval(x, t) * kphi.eval(y, t)
                 rhs = kpsi.eval(y, t) * kphi.eval(x, t)
-                if lhs > rhs + _slack(lhs, rhs, 1e-10):
-                    return ComparisonVerdict(
-                        COUNTEREXAMPLE, "ratio",
-                        {"stage": "cross", "x": x, "y": y, "t": t,
-                         "lhs": lhs, "rhs": rhs}, meta)
+                bad = lhs > rhs + _slack(lhs, rhs, 1e-10)
+                if bad or (unsure is None and _non_finite(lhs, rhs)):
+                    witness = {"stage": "cross", "x": x, "y": y, "t": t,
+                               "lhs": lhs, "rhs": rhs}
+                    if bad:
+                        return ComparisonVerdict(COUNTEREXAMPLE, "ratio", witness, meta)
+                    unsure = witness
+    if unsure is not None:
+        return ComparisonVerdict(INCONCLUSIVE, "ratio", unsure, meta)
     return ComparisonVerdict(NO_COUNTEREXAMPLE, "ratio", None, meta)
 
 
@@ -274,11 +287,14 @@ def check_derivative_condition(
     """Pointwise slope condition at shared single-observation estimates:
     -psi(y, t0)/d2_psi(x, t0) <= -phi(y, t0)/d2_phi(x, t0) with
     t0 = theta1(x).  Requires both kernels to share theta1 on the witnesses
-    (else Inconclusive) and nonvanishing parameter derivatives."""
+    (else Inconclusive) and nonvanishing parameter derivatives.  Without a
+    counterexample, the first instance with a side inf or NaN makes the
+    verdict Inconclusive."""
     meta = {"fd_step": fd_step}
     t1s, differ = _shared_theta1(kpsi, kphi, ws, cfg)
     if differ is not None:
         return ComparisonVerdict(INCONCLUSIVE, "derivative", differ, meta)
+    unsure = None
     for x in ws.observations:
         t0 = t1s[x]
         if not (kpsi.theta.contains(t0) and kphi.theta.contains(t0)):
@@ -291,10 +307,14 @@ def check_derivative_condition(
         for y in ws.observations:
             lhs = -kpsi.eval(y, t0) / dp
             rhs = -kphi.eval(y, t0) / dq
-            if lhs > rhs + _slack(lhs, rhs, 1e-8):
-                return ComparisonVerdict(
-                    COUNTEREXAMPLE, "derivative",
-                    {"x": x, "y": y, "t0": t0, "lhs": lhs, "rhs": rhs}, meta)
+            bad = lhs > rhs + _slack(lhs, rhs, 1e-8)
+            if bad or (unsure is None and _non_finite(lhs, rhs)):
+                witness = {"x": x, "y": y, "t0": t0, "lhs": lhs, "rhs": rhs}
+                if bad:
+                    return ComparisonVerdict(COUNTEREXAMPLE, "derivative", witness, meta)
+                unsure = witness
+    if unsure is not None:
+        return ComparisonVerdict(INCONCLUSIVE, "derivative", unsure, meta)
     return ComparisonVerdict(NO_COUNTEREXAMPLE, "derivative", None, meta)
 
 

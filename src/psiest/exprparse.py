@@ -13,7 +13,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 from .kernel import OpenInterval
@@ -177,62 +177,97 @@ def _domain(offset: int, message: str):
     raise DomainError(f"at offset {offset}: {message}")
 
 
-def eval_expr(e: Expr, x: float = 0.0, t: float = 0.0) -> float:
-    """Evaluate in IEEE doubles; undefined points raise DomainError, not NaN."""
+def compile_expr(e: Expr) -> Callable[[float, float], float]:
+    """The expression as a function of (x, t), built in one walk of the tree.
+
+    Evaluation is in IEEE doubles, left operand before right; undefined
+    points raise DomainError at the offset of the failing node, not NaN.
+    """
     if isinstance(e, Num):
-        return e.value
+        value = e.value
+        return lambda x, t: value
     if isinstance(e, Var):
-        return x if e.name == "x" else t
+        return (lambda x, t: x) if e.name == "x" else (lambda x, t: t)
     if isinstance(e, Neg):
-        return -eval_expr(e.operand, x, t)
+        operand = compile_expr(e.operand)
+        return lambda x, t: -operand(x, t)
     if isinstance(e, Fn):
-        v = eval_expr(e.arg, x, t)
-        if e.name == "ln":
+        return _compile_fn(e.name, compile_expr(e.arg), e.offset)
+    if isinstance(e, Bin):
+        return _compile_bin(e.op, compile_expr(e.left), compile_expr(e.right), e.offset)
+    raise AssertionError(type(e))
+
+
+def _compile_fn(name: str, arg, offset: int):
+    if name == "ln":
+        def ln(x, t):
+            v = arg(x, t)
             if v <= 0.0:
-                _domain(e.offset, f"ln of nonpositive value {v!r}")
+                _domain(offset, f"ln of nonpositive value {v!r}")
             return math.log(v)
-        if e.name == "exp":
+        return ln
+    if name == "exp":
+        def exp(x, t):
             try:
-                return math.exp(v)
+                return math.exp(arg(x, t))
             except OverflowError:
                 return math.inf
-        if e.name == "abs":
-            return abs(v)
-        if e.name == "sign":
+        return exp
+    if name == "abs":
+        return lambda x, t: abs(arg(x, t))
+    if name == "sign":
+        def sign(x, t):
+            v = arg(x, t)
             if v > 0.0:
                 return 1.0
             if v < 0.0:
                 return -1.0
             return 0.0
-        if e.name == "sqrt":
+        return sign
+    if name == "sqrt":
+        def sqrt(x, t):
+            v = arg(x, t)
             if v < 0.0:
-                _domain(e.offset, f"sqrt of negative value {v!r}")
+                _domain(offset, f"sqrt of negative value {v!r}")
             return math.sqrt(v)
-        raise AssertionError(e.name)
-    if isinstance(e, Bin):
-        a = eval_expr(e.left, x, t)
-        b = eval_expr(e.right, x, t)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
+        return sqrt
+    raise AssertionError(name)
+
+
+def _compile_bin(op: str, left, right, offset: int):
+    if op == "+":
+        return lambda x, t: left(x, t) + right(x, t)
+    if op == "-":
+        return lambda x, t: left(x, t) - right(x, t)
+    if op == "*":
+        return lambda x, t: left(x, t) * right(x, t)
+    if op == "/":
+        def div(x, t):
+            a = left(x, t)
+            b = right(x, t)
             if b == 0.0:
-                _domain(e.offset, "division by zero")
+                _domain(offset, "division by zero")
             return a / b
-        if e.op == "^":
+        return div
+    if op == "^":
+        def power(x, t):
+            a = left(x, t)
+            b = right(x, t)
             if a == 0.0 and b < 0.0:
-                _domain(e.offset, "zero base with negative exponent")
+                _domain(offset, "zero base with negative exponent")
             if a < 0.0 and b != math.floor(b):
-                _domain(e.offset, "negative base with non-integer exponent")
+                _domain(offset, "negative base with non-integer exponent")
             try:
                 return math.pow(a, b)
             except OverflowError:
                 return math.copysign(math.inf, math.pow(a, math.copysign(1.0, b)))
-        raise AssertionError(e.op)
-    raise AssertionError(type(e))
+        return power
+    raise AssertionError(op)
+
+
+def eval_expr(e: Expr, x: float = 0.0, t: float = 0.0) -> float:
+    """Evaluate once: compile_expr(e)(x, t)."""
+    return compile_expr(e)(x, t)
 
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
@@ -292,7 +327,8 @@ def validate_monotone(
     """
     if grid < 3:
         raise ValueError("grid must be >= 3")
-    vals = [eval_expr(e, 0.0, t) for t in theta.probe_grid(grid)]
+    f = compile_expr(e)
+    vals = [f(0.0, t) for t in theta.probe_grid(grid)]
     if any(b <= a for a, b in zip(vals, vals[1:])):
         return False
 
@@ -304,6 +340,6 @@ def validate_monotone(
         if s == u:
             continue
         s, u = (s, u) if s < u else (u, s)
-        if eval_expr(e, 0.0, u) <= eval_expr(e, 0.0, s):
+        if f(0.0, u) <= f(0.0, s):
             return False
     return True

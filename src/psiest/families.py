@@ -187,7 +187,20 @@ def _beta_beta(alpha):
 
 
 def _gamma_shape(lam):
-    return (lambda x, t: -digamma(t) + math.log(x) + math.log(lam)), None, _positive
+    log_lam = math.log(lam)
+    # The latest (t, digamma(t)), one tuple so a reader never sees half an
+    # update: a weighted sum evaluates every x at one t.
+    last = (math.nan, math.nan)
+
+    def ev(x, t):
+        nonlocal last
+        last_t, d = last
+        if last_t != t:
+            d = digamma(t)
+            last = (t, d)
+        return -d + math.log(x) + log_lam
+
+    return ev, None, _positive
 
 
 def _gamma_rate(p):
@@ -313,9 +326,7 @@ def closed_form_estimate(spec: FamilySpec, sample: WeightedSample) -> float:
     that in their reports.  Raises MissingClosedForm for families whose
     estimating equation has no elementary solution.
     """
-    kernel = make_kernel(spec)
-    for x in sample.xs:
-        kernel.check_observation(x)
+    sample.check(make_kernel(spec))
     row = _FAMILIES[spec.family]
     if row.F is None:
         raise MissingClosedForm(f"{spec.family} has no elementary estimator formula")

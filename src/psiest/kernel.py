@@ -101,6 +101,8 @@ class WeightedSample:
 
     xs: tuple
     weights: tuple
+    # The kernel domain checks every x has passed; see check().
+    _passed: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "xs", tuple(float(x) for x in self.xs))
@@ -117,6 +119,15 @@ class WeightedSample:
     @classmethod
     def uniform(cls, xs: Sequence[float]) -> "WeightedSample":
         return cls(tuple(xs), tuple(uniform_weights(len(xs))))
+
+    def check(self, kernel: PsiKernel) -> None:
+        """kernel.check_observation on every x, unless the sample has already
+        passed kernel.domain_check; a check that fails is not recorded."""
+        if kernel.domain_check in self._passed:
+            return
+        for x in self.xs:
+            kernel.check_observation(x)
+        self._passed.add(kernel.domain_check)
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -145,15 +156,27 @@ def weighted_sum(kernel: PsiKernel, sample: WeightedSample, t: float) -> float:
 
     Summation order is fixed for reproducibility of sign decisions near zero.
     Individual terms are clamped to +-1e300 so endpoint blowups keep their
-    limit sign instead of producing inf - inf.
+    limit sign instead of producing inf - inf.  The sample is checked against
+    the kernel's domain once (WeightedSample.check), not per term.
     """
     kernel.check_parameter(t)
+    sample.check(kernel)
+    ev = kernel.eval
     total = 0.0
     for x, w in zip(sample.xs, sample.weights):
-        kernel.check_observation(x)
         if w == 0.0:
             continue
-        total += _clamp(w * _clamp(kernel.eval(x, t)))
+        v = ev(x, t)
+        if v > _CAP:
+            v = _CAP
+        elif v < -_CAP:
+            v = -_CAP
+        v *= w
+        if v > _CAP:
+            v = _CAP
+        elif v < -_CAP:
+            v = -_CAP
+        total += v
     return _clamp(total)
 
 

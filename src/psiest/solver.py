@@ -151,8 +151,7 @@ def solve_sign_change(
     reported for diagnostics only; it is never used as a convergence
     criterion since the kernel may jump across zero.
     """
-    for x in sample.xs:
-        kernel.check_observation(x)
+    sample.check(kernel)
 
     def total(t: float) -> float:
         return weighted_sum(kernel, sample, t)

@@ -20,11 +20,14 @@ from psiest import (
     check_equality,
     check_ratio_condition,
     check_two_point,
+    compile_expr,
     construct_multiplier,
     empirical_theta1_hull,
     make_kernel,
+    parse,
     solve_sign_change,
 )
+from psiest.comparison import WitnessSet
 
 LINE = OpenInterval(-math.inf, math.inf)
 
@@ -252,6 +255,56 @@ class TestNonFiniteSum:
         assert v.status == "Inconclusive"
         assert v.witness == {"k": 1, "m": 1,
                              "error": "solver failed with status NonFiniteSum"}
+
+
+class TestNonFiniteSides:
+    """A side of a pointwise inequality that overflows to inf has lost its
+    size; the slack test then reads inf - inf = NaN as a pass.  Such an
+    instance makes the check Inconclusive unless a counterexample is found."""
+
+    OBS = (0.0, 1000.0)
+
+    def test_ratio_cross_product_overflow(self):
+        # At t = 100, rhs = psi(1000, t) phi(0, t) is really about -1e393,
+        # far below lhs ~ -900, but it overflows to -inf.
+        kp = PsiKernel(LINE, compile_expr(parse("exp(x-t)-1")), name="psi")
+        kq = PsiKernel(LINE, compile_expr(parse("x-t")), name="phi")
+        v = check_ratio_condition(kp, kq, WitnessSet(self.OBS, (1.0, 2.0, 100.0)))
+        assert v.status == "Inconclusive"
+        assert list(v.witness) == ["stage", "x", "y", "t", "lhs", "rhs"]
+        assert v.witness["stage"] == "cross"
+        assert not math.isfinite(v.witness["rhs"])
+
+    def test_derivative_overflow(self):
+        # psi = e^(x-t) - 1 above t (inf where e^(x-t) overflows), x - t
+        # below; phi = x - t.  The only instance that fails, x = 0 and
+        # y = 1000, has lhs = e^1000 - 1 > rhs = 1000.
+        def ev(x, t):
+            if x <= t:
+                return x - t
+            return math.inf if x - t > 700.0 else math.expm1(x - t)
+
+        def d2(x, t):
+            return -1.0
+
+        kp = PsiKernel(LINE, ev, theta1=lambda x: x, d2=d2, name="psi")
+        kq = PsiKernel(LINE, lambda x, t: x - t, theta1=lambda x: x, d2=d2,
+                       name="phi")
+        v = check_derivative_condition(kp, kq, WitnessSet(self.OBS, (1.0,)))
+        assert v.status == "Inconclusive"
+        assert v.witness == {"x": 0.0, "y": 1000.0, "t0": 0.0,
+                             "lhs": math.inf, "rhs": 1000.0}
+
+    def test_counterexample_wins(self):
+        # The same kernels with a finite failing instance (x = 0, y = 1)
+        # after the overflowing one: the counterexample is reported.
+        kp = PsiKernel(LINE, compile_expr(parse("exp(x-t)-1")), theta1=lambda x: x,
+                       d2=lambda x, t: -math.exp(x - t), name="psi")
+        kq = PsiKernel(LINE, compile_expr(parse("x-t")), theta1=lambda x: x,
+                       d2=lambda x, t: -1.0, name="phi")
+        v = check_derivative_condition(kp, kq, WitnessSet((0.0, 1000.0, 1.0), (1.0,)))
+        assert v.status == "Counterexample"
+        assert (v.witness["x"], v.witness["y"]) == (0.0, 1.0)
 
 
 class TestRemarkRegression:

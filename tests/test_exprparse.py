@@ -9,6 +9,7 @@ from psiest import (
     ExprSyntaxError,
     OpenInterval,
     UnknownIdentifier,
+    compile_expr,
     eval_expr,
     parse,
     pretty,
@@ -189,3 +190,106 @@ class TestFuzz:
             parse(src)
         except (ExprSyntaxError, UnknownIdentifier):
             pass
+
+
+def tree_walk(e, x=0.0, t=0.0):
+    """The evaluator that compile_expr replaced, kept as its oracle: one
+    isinstance walk of the tree per evaluation."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return x if e.name == "x" else t
+    if isinstance(e, Neg):
+        return -tree_walk(e.operand, x, t)
+    if isinstance(e, Fn):
+        v = tree_walk(e.arg, x, t)
+        if e.name == "ln":
+            if v <= 0.0:
+                raise DomainError(f"at offset {e.offset}: ln of nonpositive value {v!r}")
+            return math.log(v)
+        if e.name == "exp":
+            try:
+                return math.exp(v)
+            except OverflowError:
+                return math.inf
+        if e.name == "abs":
+            return abs(v)
+        if e.name == "sign":
+            if v > 0.0:
+                return 1.0
+            if v < 0.0:
+                return -1.0
+            return 0.0
+        if e.name == "sqrt":
+            if v < 0.0:
+                raise DomainError(f"at offset {e.offset}: sqrt of negative value {v!r}")
+            return math.sqrt(v)
+        raise AssertionError(e.name)
+    if isinstance(e, Bin):
+        a = tree_walk(e.left, x, t)
+        b = tree_walk(e.right, x, t)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if e.op == "/":
+            if b == 0.0:
+                raise DomainError(f"at offset {e.offset}: division by zero")
+            return a / b
+        if e.op == "^":
+            if a == 0.0 and b < 0.0:
+                raise DomainError(f"at offset {e.offset}: zero base with negative exponent")
+            if a < 0.0 and b != math.floor(b):
+                raise DomainError(
+                    f"at offset {e.offset}: negative base with non-integer exponent")
+            try:
+                return math.pow(a, b)
+            except OverflowError:
+                return math.copysign(math.inf, math.pow(a, math.copysign(1.0, b)))
+        raise AssertionError(e.op)
+    raise AssertionError(type(e))
+
+
+def outcome(fn, *args):
+    """repr of the value (so -0.0, inf and nan count), or the exception's
+    type and message."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # the oracle's own errors must match too
+        return type(exc).__name__, str(exc)
+
+
+WIDE = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0])
+OFFSETS = st.integers(0, 99)
+TREES = st.recursive(
+    st.builds(Num, WIDE, OFFSETS) | st.builds(Var, st.sampled_from(("x", "t")), OFFSETS),
+    lambda sub: (st.builds(Neg, sub, OFFSETS)
+                 | st.builds(Fn, st.sampled_from(("ln", "exp", "abs", "sign", "sqrt")),
+                             sub, OFFSETS)
+                 | st.builds(Bin, st.sampled_from(("+", "-", "*", "/", "^")), sub, sub,
+                             OFFSETS)),
+    max_leaves=12,
+)
+
+
+class TestCompiled:
+    @given(TREES, WIDE, WIDE)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_tree_walk(self, e, x, t):
+        assert outcome(compile_expr(e), x, t) == outcome(tree_walk, e, x, t)
+
+    @pytest.mark.parametrize("src", ROUND_TRIP_CORPUS)
+    def test_corpus_matches_tree_walk(self, src):
+        e = parse(src)
+        f = compile_expr(e)
+        for x in (0.0, -0.0, 0.5, -2.0, 3.0, 1e300, -1e300, math.inf):
+            for t in (0.0, -0.0, 1.5, -0.25, 2.0, 700.0, -math.inf):
+                assert outcome(f, x, t) == outcome(tree_walk, e, x, t)
+
+    @pytest.mark.parametrize("src", ["ln(0-1) / (t-t)"] + [
+        f"ln(0-1) {op} sqrt(0-1)" for op in "+-*/^"])
+    def test_left_error_reported_first(self, src):
+        with pytest.raises(DomainError, match="^at offset 0: ln of nonpositive value -1.0$"):
+            compile_expr(parse(src))(0.0, 1.0)

@@ -1,16 +1,28 @@
-"""Invariances of the family estimators, as hypothesis properties.
+"""Invariances of the estimators, as hypothesis properties.
 
 A sign-change estimator depends on the sample only through the weighted sum
 t -> sum_i w_i psi(x_i, t), so it does not see the order of the sample,
 k copies of an observation count as weight k, and it lies in the hull of
-the single-observation estimates theta1(x_i).  Each property holds to
-1e-9 * (1 + |theta|): the solver's width plus the rounding of the sum.
+the single-observation estimates theta1(x_i).  Each family property holds to
+1e-9 * (1 + |theta|): the solver's width plus the rounding of the sum.  A
+Bajraktarevic estimator is unchanged by a Mobius transform of (f, F).
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psiest import FamilySpec, WeightedSample, make_kernel, solve_sign_change, theta1
+import gen
+from psiest import (
+    FamilySpec,
+    WeightedSample,
+    apply_mobius,
+    estimate as quasi_mean,
+    make_kernel,
+    solve_sign_change,
+    theta1,
+)
 
 # (spec, observation range inside the family's domain)
 FAMILIES = [
@@ -79,3 +91,16 @@ def test_internality(case):
     theta = estimate(spec, xs, ws)
     pad = 1e-9 * (1.0 + abs(theta))
     assert min(singles) - pad <= theta <= max(singles) + pad
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_mobius_invariance(seed):
+    # A random (f, p, F), a Mobius map with c f + d > 0 on Theta, and a
+    # random weighted sample, all drawn from one seeded generator.
+    rng = random.Random(seed)
+    spec = gen.random_spec(rng)
+    moved = apply_mobius(spec, gen.random_mobius(rng, spec))
+    sample = gen.random_sample(rng)
+    t1 = quasi_mean(spec, sample)
+    assert abs(quasi_mean(moved, sample) - t1) <= 1e-9 * max(1.0, abs(t1))

@@ -12,8 +12,10 @@ from psiest import (
     OpenInterval,
     PsiKernel,
     WeightedSample,
+    digamma,
     empirical_theta1_hull,
     make_kernel,
+    solve_sign_change,
     uniform_weights,
     weighted_sum,
 )
@@ -159,6 +161,60 @@ class TestWeightedSum:
             lhs = weighted_sum(k, both, t)
             rhs = weighted_sum(k, s1, t) + weighted_sum(k, s2, t)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+class TestValidateOnce:
+    """A sample is checked against a kernel's domain once per domain check,
+    not per term, and this must not let a bad observation through."""
+
+    POSITIVE = make_kernel(FamilySpec("gamma_rate", {"p": 2.0}))
+
+    @pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 0.0)])
+    def test_bad_observation_raises(self, weights):
+        # also when the bad observation has weight 0 and is never summed
+        s = WeightedSample((1.0, -1.0), weights)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="observation -1.0 outside X"):
+                weighted_sum(self.POSITIVE, s, 1.0)
+
+    def test_parameter_checked_every_call(self):
+        s = WeightedSample((1.0, 2.0), (1.0, 1.0))
+        weighted_sum(self.POSITIVE, s, 1.0)
+        with pytest.raises(DomainError, match="parameter -1.0 outside Theta"):
+            weighted_sum(self.POSITIVE, s, -1.0)
+
+    def test_passing_one_domain_does_not_pass_another(self):
+        s = WeightedSample((-1.0, 2.0), (1.0, 1.0))
+        weighted_sum(expectile(0.5), s, 0.0)
+        assert solve_sign_change(expectile(0.5), s).converged
+        with pytest.raises(DomainError):
+            weighted_sum(self.POSITIVE, s, 1.0)
+        with pytest.raises(DomainError):
+            solve_sign_change(self.POSITIVE, s)
+
+    def test_domain_checked_once_per_sample(self):
+        calls = []
+
+        def check(x):
+            calls.append(x)
+            return True
+
+        k = PsiKernel(OpenInterval(-math.inf, math.inf), lambda x, t: x - t,
+                      domain_check=check)
+        s = WeightedSample((1.0, 2.0, 3.0), (1.0, 0.0, 1.0))
+        for t in (0.0, 1.0, 5.0):
+            weighted_sum(k, s, t)
+        assert calls == [1.0, 2.0, 3.0]
+        fresh = WeightedSample((1.0, 2.0, 3.0), (1.0, 0.0, 1.0))
+        assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+
+    def test_gamma_shape_term_exact(self):
+        lam = 2.5
+        ev = make_kernel(FamilySpec("gamma_shape", {"lambda": lam})).eval
+        ts = (0.7, 0.7, 3.0, 0.7, 3.0, 3.0, 12.5, 0.7)
+        for t in ts:
+            for x in (0.3, 1.0, 4.2):
+                assert ev(x, t) == -digamma(t) + math.log(x) + math.log(lam)
 
 
 class TestEmpiricalHull:
