@@ -72,12 +72,6 @@ class MobiusCoefficients:
     def determinant(self) -> float:
         return self.a * self.d - self.b * self.c
 
-    def transform(self, v: float) -> float:
-        den = self.c * v + self.d
-        if den == 0.0:
-            raise DomainError(f"Mobius denominator vanishes at {v!r}")
-        return (self.a * v + self.b) / den
-
 
 def as_kernel(spec: BajraktarevicSpec, cfg: SolverConfig = SolverConfig()) -> PsiKernel:
     """Kernel view: eval(x,t) = p(x) (F(x) - f(t)).
@@ -130,21 +124,17 @@ def estimate(
     return generalized_left_inverse(spec.f, spec.theta, num / den, cfg)
 
 
-def apply_mobius(
-    spec: BajraktarevicSpec,
-    m: MobiusCoefficients,
-    probes: int = 257,
-) -> BajraktarevicSpec:
+def apply_mobius(spec: BajraktarevicSpec, m: MobiusCoefficients) -> BajraktarevicSpec:
     """Transformed spec (g, q, G) with g=(af+b)/(cf+d), G=(aF+b)/(cF+d),
     q=(cF+d) p; it produces the same estimator as the original.
 
-    Requires ad > bc and c f + d of constant sign on the probe grid; a
+    Requires ad > bc and c f + d of constant sign on a 257-point probe grid; a
     uniformly negative denominator is normalized by negating all four
     coefficients (which leaves the transform unchanged).
     """
     if m.determinant <= 0.0:
         raise InvalidArgument("ad - bc must be positive for an increasing g")
-    grid = spec.theta.probe_grid(probes)
+    grid = spec.theta.probe_grid(257)
     dens = [m.c * spec.f(t) + m.d for t in grid]
     if any(v == 0.0 for v in dens) or (min(dens) < 0.0 < max(dens)):
         raise SignViolation("c*f(t)+d changes sign on the probe grid")
@@ -245,7 +235,7 @@ def mobius_fit(
     Three anchors (smallest, median, largest f) give a 3x4 homogeneous system
     whose nullspace is the coefficient vector; the fit is accepted only if
     the residual |(c f + d) g - (a f + b)| stays within 1e-8 of scale at
-    every probe.
+    every probe.  A NaN determinant or residual means no fit.
     """
     if len(f_vals) < 4 or len(g_vals) != len(f_vals):
         raise InvalidArgument("need at least 4 paired probes")
@@ -275,14 +265,14 @@ def mobius_fit(
     # unit norm, and fix the overall sign deterministically
     n = math.copysign(math.hypot(*coeffs), max(coeffs, key=abs))
     a, b, c, d = (v / n for v in coeffs)
-    if abs(a * d - b * c) <= 1e-12:
+    if not abs(a * d - b * c) > 1e-12:
         return None
 
     for fv, gv in zip(fs, gs):
         lhs = (c * fv + d) * gv
         rhs = a * fv + b
         scale = max(1.0, abs(lhs), abs(rhs))
-        if abs(lhs - rhs) > 1e-8 * scale:
+        if not abs(lhs - rhs) <= 1e-8 * scale:
             return None
     return MobiusCoefficients(a, b, c, d)
 

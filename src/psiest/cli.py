@@ -278,6 +278,9 @@ def cmd_mobius_test(args) -> int:
     probes = theta.probe_grid(args.probes)
     f_vals = [(t, f(t)) for t in probes]
     g_vals = [(t, g(t)) for t in probes]
+    for t, v in g_vals:
+        if math.isnan(v):
+            raise DomainError(f"g({t!r}) is NaN")
 
     rng = random.Random(seed)
     n_quads = min(100, args.probes)

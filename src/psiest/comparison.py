@@ -15,12 +15,15 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import DegenerateDerivative, EmptyLowerSet, InvalidArgument, PsiEstError
-from .kernel import OpenInterval, PsiKernel, WeightedSample, weighted_sum
-from .solver import SolverConfig, solve_sign_change, theta1
+from .kernel import PsiKernel, WeightedSample, weighted_sum
+from .solver import SolverConfig, empirical_theta1_hull, solve_sign_change, theta1
 
 NO_COUNTEREXAMPLE = "NoCounterexample"
 COUNTEREXAMPLE = "Counterexample"
 INCONCLUSIVE = "Inconclusive"
+
+# Central-difference step for a kernel without a closed-form d2.
+_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -48,10 +51,6 @@ class ComparisonVerdict:
     witness: Optional[dict] = None
     grid: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.status == NO_COUNTEREXAMPLE
-
 
 def _require_count(name: str, value: int, least: int) -> None:
     if value < least:
@@ -75,11 +74,9 @@ def build_witness_set(
     """
     _require_count("grid_points", grid_points, 2)
     _require_count("random_points", random_points, 0)
-    vals = [theta1(kernel, x, cfg) for x in observations]
-    lo, hi = min(vals), max(vals)
+    hull = empirical_theta1_hull(kernel, observations, cfg)
     grid: list[float] = []
-    if hi > lo:
-        hull = OpenInterval(lo, hi)
+    if hull is not None:
         grid.extend(hull.probe_grid(grid_points))
         a, b = hull.probe_window()
         rng = random.Random(seed)
@@ -256,10 +253,10 @@ def construct_multiplier(
     return min(ratios)
 
 
-def _d2(kernel: PsiKernel, x: float, t: float, fd_step: float) -> float:
+def _d2(kernel: PsiKernel, x: float, t: float) -> float:
     if kernel.d2 is not None:
         return kernel.d2(x, t)
-    return (kernel.eval(x, t + fd_step) - kernel.eval(x, t - fd_step)) / (2.0 * fd_step)
+    return (kernel.eval(x, t + _FD_STEP) - kernel.eval(x, t - _FD_STEP)) / (2.0 * _FD_STEP)
 
 
 def _shared_theta1(kpsi, kphi, ws: WitnessSet, cfg: SolverConfig):
@@ -281,7 +278,6 @@ def check_derivative_condition(
     kpsi: PsiKernel,
     kphi: PsiKernel,
     ws: WitnessSet,
-    fd_step: float = 1e-6,
     cfg: SolverConfig = SolverConfig(),
 ) -> ComparisonVerdict:
     """Pointwise slope condition at shared single-observation estimates:
@@ -290,7 +286,7 @@ def check_derivative_condition(
     (else Inconclusive) and nonvanishing parameter derivatives.  Without a
     counterexample, the first instance with a side inf or NaN makes the
     verdict Inconclusive."""
-    meta = {"fd_step": fd_step}
+    meta = {"fd_step": _FD_STEP}
     t1s, differ = _shared_theta1(kpsi, kphi, ws, cfg)
     if differ is not None:
         return ComparisonVerdict(INCONCLUSIVE, "derivative", differ, meta)
@@ -299,8 +295,8 @@ def check_derivative_condition(
         t0 = t1s[x]
         if not (kpsi.theta.contains(t0) and kphi.theta.contains(t0)):
             continue
-        dp = _d2(kpsi, x, t0, fd_step)
-        dq = _d2(kphi, x, t0, fd_step)
+        dp = _d2(kpsi, x, t0)
+        dq = _d2(kphi, x, t0)
         if abs(dp) < 1e-8 or abs(dq) < 1e-8:
             raise DegenerateDerivative(
                 f"parameter derivative vanishes at theta1({x!r})")

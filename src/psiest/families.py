@@ -314,10 +314,6 @@ def _weighted_mean(values, weights) -> float:
     return num / den
 
 
-def has_closed_form(family: str) -> bool:
-    return family in CLOSED_FORM_IDS
-
-
 def closed_form_estimate(spec: FamilySpec, sample: WeightedSample) -> float:
     """Elementary estimator formula where one exists.
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .errors import DomainError, InvalidArgument, MissingClosedForm
+from .errors import DomainError, InvalidArgument
 
 # Magnitude cap applied per term: kernels like Beta/Lomax blow up toward the
 # endpoints of Theta, but the limit sign is always definite.
@@ -118,7 +118,7 @@ class WeightedSample:
 
     @classmethod
     def uniform(cls, xs: Sequence[float]) -> "WeightedSample":
-        return cls(tuple(xs), tuple(uniform_weights(len(xs))))
+        return cls(tuple(xs), (1.0,) * len(xs))
 
     def check(self, kernel: PsiKernel) -> None:
         """kernel.check_observation on every x, unless the sample has already
@@ -131,16 +131,6 @@ class WeightedSample:
 
     def __len__(self) -> int:
         return len(self.xs)
-
-    def concat(self, other: "WeightedSample") -> "WeightedSample":
-        return WeightedSample(self.xs + other.xs, self.weights + other.weights)
-
-
-def uniform_weights(n: int) -> list[float]:
-    """n copies of 1.0."""
-    if n < 1:
-        raise InvalidArgument("n must be >= 1")
-    return [1.0] * n
 
 
 def _clamp(v: float) -> float:
@@ -178,27 +168,3 @@ def weighted_sum(kernel: PsiKernel, sample: WeightedSample, t: float) -> float:
             v = -_CAP
         total += v
     return _clamp(total)
-
-
-def empirical_theta1_hull(
-    kernel: PsiKernel, witnesses: Sequence[float]
-) -> Optional[OpenInterval]:
-    """Finite-witness approximation of the interior of the hull of theta1(X).
-
-    Returns the open interval spanned by the theta1 values of the witnesses,
-    or None when they all coincide (the hull is empty).
-    """
-    if kernel.theta1 is None:
-        raise MissingClosedForm(
-            f"{kernel.name} has no closed-form theta1; solve per observation first"
-        )
-    if not witnesses:
-        raise InvalidArgument("witnesses must be nonempty")
-    vals = []
-    for x in witnesses:
-        kernel.check_observation(x)
-        vals.append(kernel.theta1(x))
-    lo, hi = min(vals), max(vals)
-    if lo == hi:
-        return None
-    return OpenInterval(lo, hi)

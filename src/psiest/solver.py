@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import InvalidArgument, OutOfRange, SolverError
 from .kernel import OpenInterval, PsiKernel, WeightedSample, weighted_sum
@@ -28,7 +28,6 @@ class SolverConfig:
     rel_tol: float = 1e-12
     max_expand: int = 200
     max_bisect: int = 200
-    seed_guess: Optional[float] = None
 
     def __post_init__(self):
         for tol in (self.abs_tol, self.rel_tol):
@@ -90,9 +89,7 @@ def _solve_predicate(
             nan_at.append(t)
         return positive(v)
 
-    seed = cfg.seed_guess if (
-        cfg.seed_guess is not None and theta.contains(cfg.seed_guess)
-    ) else theta.midpoint_seed()
+    seed = theta.midpoint_seed()
 
     # Step away from the seed, toward the side where the flip lies, until the
     # predicate flips: near is the last t on the seed's side, far the first
@@ -175,6 +172,22 @@ def theta1(kernel: PsiKernel, x: float, cfg: SolverConfig = SolverConfig()) -> f
     if not res.converged:
         raise SolverError(f"theta1 solve failed for x={x!r}: {res.status}", res)
     return res.theta
+
+
+def empirical_theta1_hull(
+    kernel: PsiKernel, witnesses: Sequence[float], cfg: SolverConfig = SolverConfig()
+) -> Optional[OpenInterval]:
+    """Finite-witness approximation of the interior of the hull of theta1(X).
+
+    Returns the open interval spanned by the theta1 values of the witnesses
+    (closed form or solved, as theta1 gives them), or None when they all
+    coincide (the hull is empty).
+    """
+    if not witnesses:
+        raise InvalidArgument("witnesses must be nonempty")
+    vals = [theta1(kernel, x, cfg) for x in witnesses]
+    lo, hi = min(vals), max(vals)
+    return OpenInterval(lo, hi) if lo < hi else None
 
 
 def generalized_left_inverse(

@@ -211,6 +211,15 @@ class TestMobiusFit:
         with pytest.raises(DegenerateProbes):
             mobius_fit(fv, gv)
 
+    @pytest.mark.parametrize("nan_at", [1, 5])
+    def test_nan_g_is_no_fit(self, nan_at):
+        # NaN at an anchor (largest f) makes the coefficients NaN, elsewhere
+        # a residual; both used to pass as a fit
+        ts = (1.0, 2.0, 3.0, 4.0, 5.0)
+        fv = [(t, t) for t in ts]
+        gv = [(t, math.nan if t == nan_at else 2.0 * t + 1.0) for t in ts]
+        assert mobius_fit(fv, gv) is None
+
     def test_near_constant_mobius_fits(self):
         # g = base + eps * (Mobius of t) is Mobius for every eps > 0; a null
         # vector taken from the signed 3x3 minors loses it near eps = 1e-8

@@ -116,6 +116,32 @@ class TestExitCodes:
         assert json.loads(captured.out)["status"] == "NonFiniteSum"
         assert "Traceback" not in captured.err
 
+    def test_power_overflow_keeps_sign(self, capsys):
+        # (-10)^400 overflows to +inf, so the sum is positive for every t
+        code = main(["estimate", "--psi", "(0-10)^x - t", "--theta=-inf,inf",
+                     "--data", "[400]"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["status"] == "NoNegativePart"
+
+    def test_negative_base_infinite_exponent(self, capsys):
+        code = main(["estimate", "--psi", "(0-2)^exp(x) - t", "--theta=-inf,inf",
+                     "--data", "[1000]"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ("error: at offset 5: negative base with "
+                                "non-integer exponent\n")
+
+    @pytest.mark.parametrize("fg,message", [
+        (("t + (exp(t) - exp(t))", "t"), "error: f must be strictly increasing on theta\n"),
+        (("t", "t + (exp(t) - exp(t))"), "error: g(714.2852857142857) is NaN\n"),
+    ], ids=["f_nan", "g_nan"])
+    def test_mobius_nan(self, fg, message, capsys):
+        code = main(["mobius-test", "--f", fg[0], "--g", fg[1], "--theta", "0,1000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == message
+
     def test_counterexample_exit(self, capsys):
         code = main(golden_cases.CASES["compare_expectile_reversed"])
         capsys.readouterr()

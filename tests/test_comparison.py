@@ -215,6 +215,10 @@ class TestCountValidation:
         with pytest.raises(InvalidArgument):
             build_witness_set(expectile(0.3), self.OBS, **kwargs)
 
+    def test_witness_set_needs_observations(self):
+        with pytest.raises(InvalidArgument):
+            build_witness_set(expectile(0.3), [])
+
     @pytest.mark.parametrize("check", [check_direct, check_equality])
     @pytest.mark.parametrize("kwargs", [{"max_n": 0}, {"trials": 0}, {"trials": -3}])
     def test_sampling_counts(self, check, kwargs):

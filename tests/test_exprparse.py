@@ -105,6 +105,24 @@ class TestEval:
     def test_exp_overflow_is_inf(self):
         assert eval_expr(parse("exp(t)"), t=1e6) == math.inf
 
+    @pytest.mark.parametrize("src,x,t,want", [
+        ("(0-10)^x", 400.0, 0.0, math.inf),  # even exponent: positive
+        ("(0-10)^x", 401.0, 0.0, -math.inf),
+        ("sqrt(x^2 + t^2)", -1e300, 0.0, math.inf),
+        ("exp(t)^t", 0.0, -745.0, math.inf),  # subnormal base
+        ("(0-1e-300)^x", -3.0, 0.0, -math.inf),
+    ])
+    def test_power_overflow_sign(self, src, x, t, want):
+        assert eval_expr(parse(src), x=x, t=t) == want
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_negative_base_nonfinite_exponent(self, x):
+        with pytest.raises(DomainError, match="negative base with non-integer exponent"):
+            eval_expr(parse("(0-2)^x"), x=x)
+
+    def test_nan_is_returned(self):
+        assert math.isnan(eval_expr(parse("exp(x) - exp(x)"), x=1000.0))
+
     @given(st.floats(-50, 50), st.floats(-50, 50))
     @settings(max_examples=100, deadline=None)
     def test_no_nan_results(self, x, t):
@@ -130,6 +148,11 @@ class TestValidateMonotone:
 
     def test_constant_fails(self):
         assert not validate_monotone(parse("5"), OpenInterval(0.0, 1.0))
+
+    def test_nan_is_not_increasing(self):
+        # exp(t) - exp(t) is NaN beyond t ~ 709.78
+        assert not validate_monotone(parse("t + (exp(t) - exp(t))"),
+                                     OpenInterval(0.0, 1000.0))
 
     def test_eval_failure_propagates(self):
         with pytest.raises(DomainError):
@@ -241,13 +264,13 @@ def tree_walk(e, x=0.0, t=0.0):
         if e.op == "^":
             if a == 0.0 and b < 0.0:
                 raise DomainError(f"at offset {e.offset}: zero base with negative exponent")
-            if a < 0.0 and b != math.floor(b):
+            if a < 0.0 and not float(b).is_integer():
                 raise DomainError(
                     f"at offset {e.offset}: negative base with non-integer exponent")
             try:
                 return math.pow(a, b)
             except OverflowError:
-                return math.copysign(math.inf, math.pow(a, math.copysign(1.0, b)))
+                return -math.inf if a < 0.0 and b % 2.0 == 1.0 else math.inf
         raise AssertionError(e.op)
     raise AssertionError(type(e))
 

@@ -8,7 +8,6 @@ from psiest import (
     DomainError,
     FamilySpec,
     InvalidArgument,
-    MissingClosedForm,
     OpenInterval,
     PsiKernel,
     WeightedSample,
@@ -16,7 +15,7 @@ from psiest import (
     empirical_theta1_hull,
     make_kernel,
     solve_sign_change,
-    uniform_weights,
+    theta1,
     weighted_sum,
 )
 
@@ -95,18 +94,9 @@ class TestWeightedSample:
     def test_uniform(self):
         s = WeightedSample.uniform([3, 4, 5])
         assert s.weights == (1.0, 1.0, 1.0)
-
-
-class TestUniformWeights:
-    def test_three(self):
-        assert uniform_weights(3) == [1.0, 1.0, 1.0]
-
-    def test_one(self):
-        assert uniform_weights(1) == [1.0]
-
-    def test_zero(self):
+        assert WeightedSample.uniform([2]).weights == (1.0,)
         with pytest.raises(InvalidArgument):
-            uniform_weights(0)
+            WeightedSample.uniform([])
 
 
 class TestWeightedSum:
@@ -156,7 +146,7 @@ class TestWeightedSum:
         k = expectile(0.4)
         s1 = WeightedSample.uniform(xs1)
         s2 = WeightedSample.uniform(xs2)
-        both = s1.concat(s2)
+        both = WeightedSample.uniform(xs1 + xs2)
         for t in (-3.0, 0.0, 2.5):
             lhs = weighted_sum(k, both, t)
             rhs = weighted_sum(k, s1, t) + weighted_sum(k, s2, t)
@@ -230,10 +220,12 @@ class TestEmpiricalHull:
         hull = empirical_theta1_hull(k, [1, 3])
         assert (hull.lo, hull.hi) == (2.0, 6.0)
 
-    def test_missing_closed_form(self):
+    def test_solved_theta1(self):
+        # beta_beta has no closed-form theta1: the hull spans the solved ones
         k = make_kernel(FamilySpec("beta_beta", {"alpha": 1.0}))
-        with pytest.raises(MissingClosedForm):
-            empirical_theta1_hull(k, [0.5])
+        solved = [theta1(k, x) for x in (0.2, 0.5, 0.9)]
+        hull = empirical_theta1_hull(k, [0.5, 0.9, 0.2])
+        assert (hull.lo, hull.hi) == (min(solved), max(solved))
 
 
 class TestZeroAtTheta1:
