@@ -111,9 +111,7 @@ def estimate(
     """Closed form: f^(-1) of the p-weighted average of F over the sample."""
     num = 0.0
     den = 0.0
-    for x, w in zip(sample.xs, sample.weights):
-        if w == 0.0:
-            continue
+    for x, w in zip(sample._live_xs, sample._live_weights):
         px = spec.p(x)
         if px <= 0.0:
             raise DomainError(f"p({x!r}) = {px!r} must be positive")
@@ -209,7 +207,8 @@ def determinant_scale(f_vals: Sequence[float], g_vals: Sequence[float]) -> float
     """Scale for judging a determinant value: the product of row norms."""
     out = 1.0
     for fv, gv in zip(f_vals, g_vals):
-        out *= math.sqrt(1.0 + fv * fv + gv * gv + (fv * gv) ** 2)
+        fg = fv * gv  # a product, not ** 2, which raises OverflowError
+        out *= math.sqrt(1.0 + fv * fv + gv * gv + fg * fg)
     return out
 
 

@@ -27,7 +27,7 @@ from .errors import (
     NegativeWeight,
     PsiEstError,
 )
-from .kernel import OpenInterval, PsiKernel, WeightedSample
+from .kernel import OpenInterval, PsiKernel, WeightedSample, weighted_sum
 from .solver import SolverConfig, solve_sign_change
 
 EXIT_OK = 0
@@ -178,9 +178,7 @@ def _seed(args) -> int:
 
 def _cfg(args) -> SolverConfig:
     tol = getattr(args, "tol", None)
-    if tol is None:
-        return SolverConfig()
-    return SolverConfig(abs_tol=tol, rel_tol=tol)
+    return SolverConfig() if tol is None else SolverConfig(tol)
 
 
 def cmd_estimate(args) -> int:
@@ -190,7 +188,7 @@ def cmd_estimate(args) -> int:
     weighted = len(set(sample.weights)) > 1
     report = {"command": "estimate", **echo,
               "n": len(sample), "weighted": weighted,
-              "tolerance": {"abs": cfg.abs_tol, "rel": cfg.rel_tol}}
+              "tolerance": {"abs": cfg.tol, "rel": cfg.tol}}
     if args.closed_form:
         if spec is None:
             raise InvalidArgument("--closed-form requires --family")
@@ -200,9 +198,11 @@ def cmd_estimate(args) -> int:
         emit(report)
         return EXIT_OK
     res = solve_sign_change(kernel, sample, cfg)
+    # The sum at theta, for diagnostics only: the kernel may jump across zero.
+    residual = weighted_sum(kernel, sample, res.theta) if res.converged else math.nan
     report.update({"method": "solver", "theta": res.theta,
                    "bracket": [res.bracket_lo, res.bracket_hi],
-                   "iterations": res.iterations, "residual": res.residual,
+                   "iterations": res.iterations, "residual": residual,
                    "status": res.status})
     emit(report)
     return EXIT_OK if res.converged else EXIT_FAILURE
@@ -228,10 +228,7 @@ def cmd_compare(args) -> int:
             v = comparison.check_direct(kpsi, kphi, ws, max_n=args.max_n,
                                         trials=args.trials, cfg=cfg)
         elif cond == "two-point":
-            distinct = sorted(set(obs))
-            if len(distinct) < 2:
-                raise InvalidArgument("two-point check needs two distinct observations")
-            v = comparison.check_two_point(kpsi, kphi, distinct[0], distinct[-1],
+            v = comparison.check_two_point(kpsi, kphi, min(obs), max(obs),
                                            max_km=args.max_km, cfg=cfg)
         elif cond == "ratio":
             v = comparison.check_ratio_condition(kpsi, kphi, ws, cfg=cfg)
@@ -259,6 +256,13 @@ def cmd_compare(args) -> int:
     return code
 
 
+def _max_abs(values) -> float:
+    """The largest |v|, or NaN if any v is NaN (the builtin max keeps a NaN
+    only when it comes first)."""
+    vals = [abs(v) for v in values]
+    return math.nan if any(math.isnan(v) for v in vals) else max(vals)
+
+
 def cmd_mobius_test(args) -> int:
     theta = _parse_theta(args.theta)
     if args.probes < 4:
@@ -279,21 +283,19 @@ def cmd_mobius_test(args) -> int:
     f_vals = [(t, f(t)) for t in probes]
     g_vals = [(t, g(t)) for t in probes]
     for t, v in g_vals:
-        if math.isnan(v):
-            raise DomainError(f"g({t!r}) is NaN")
+        if not math.isfinite(v):
+            raise DomainError(f"g({t!r}) is {'NaN' if math.isnan(v) else repr(v)}")
 
     rng = random.Random(seed)
     n_quads = min(100, args.probes)
-    max_det = 0.0
-    max_rel = 0.0
+    dets, rels = [], []
     for _ in range(n_quads):
         idx = rng.sample(range(len(probes)), 4)
         fq = [f_vals[i][1] for i in idx]
         gq = [g_vals[i][1] for i in idx]
         det = bajraktarevic.determinant_test(fq, gq)
-        scale = bajraktarevic.determinant_scale(fq, gq)
-        max_det = max(max_det, abs(det))
-        max_rel = max(max_rel, abs(det) / scale)
+        dets.append(det)
+        rels.append(det / bajraktarevic.determinant_scale(fq, gq))
 
     # Schwarzian of h = g o f^(-1), evaluated at interior f-values.
     def h(s: float) -> float:
@@ -302,7 +304,7 @@ def cmd_mobius_test(args) -> int:
     f_lo, f_hi = f_vals[0][1], f_vals[-1][1]
     pad = 0.05 * (f_hi - f_lo)
     s_probes = [f_lo + pad + (f_hi - f_lo - 2 * pad) * k / 16 for k in range(17)]
-    max_schwarz = max(abs(bajraktarevic.schwarzian(h, s)) for s in s_probes)
+    max_schwarz = _max_abs(bajraktarevic.schwarzian(h, s) for s in s_probes)
 
     try:
         fit = bajraktarevic.mobius_fit(f_vals, g_vals)
@@ -314,7 +316,7 @@ def cmd_mobius_test(args) -> int:
     emit({"command": "mobius-test",
           "f": exprparse.pretty(f_ast), "g": exprparse.pretty(g_ast),
           "theta": [theta.lo, theta.hi], "probes": args.probes, "seed": seed,
-          "determinant": {"max_abs": max_det, "max_rel": max_rel,
+          "determinant": {"max_abs": _max_abs(dets), "max_rel": _max_abs(rels),
                           "quadruples": n_quads},
           "schwarzian_max_abs": max_schwarz,
           "fit": fit_dict,

@@ -95,7 +95,7 @@ def _non_finite(lhs: float, rhs: float) -> bool:
 
 
 def _pair_tol(cfg: SolverConfig, ta: float, tb: float) -> float:
-    return 10.0 * max(cfg.abs_tol, cfg.rel_tol * max(abs(ta), abs(tb)))
+    return 10.0 * cfg.width_tol(max(abs(ta), abs(tb)))
 
 
 def _solve(kernel: PsiKernel, sample: WeightedSample, cfg: SolverConfig) -> float:

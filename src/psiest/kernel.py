@@ -103,6 +103,9 @@ class WeightedSample:
     weights: tuple
     # The kernel domain checks every x has passed; see check().
     _passed: set = field(default_factory=set, init=False, repr=False, compare=False)
+    # The xs and weights of the positive-weight terms, the only ones summed.
+    _live_xs: tuple = field(default=(), init=False, repr=False, compare=False)
+    _live_weights: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "xs", tuple(float(x) for x in self.xs))
@@ -115,6 +118,12 @@ class WeightedSample:
             raise InvalidArgument("weights must be finite and nonnegative")
         if not any(w > 0 for w in self.weights):
             raise InvalidArgument("at least one weight must be positive")
+        xs, ws = self.xs, self.weights
+        if 0.0 in ws:  # else the live terms are xs and weights themselves
+            xs = tuple(x for x, w in zip(xs, ws) if w > 0.0)
+            ws = tuple(w for w in ws if w > 0.0)
+        object.__setattr__(self, "_live_xs", xs)
+        object.__setattr__(self, "_live_weights", ws)
 
     @classmethod
     def uniform(cls, xs: Sequence[float]) -> "WeightedSample":
@@ -142,7 +151,8 @@ def _clamp(v: float) -> float:
 
 
 def weighted_sum(kernel: PsiKernel, sample: WeightedSample, t: float) -> float:
-    """sum_i lambda_i * psi(x_i, t), summed left to right.
+    """sum_i lambda_i * psi(x_i, t), summed left to right over the terms of
+    positive weight (psi is not evaluated where lambda_i = 0).
 
     Summation order is fixed for reproducibility of sign decisions near zero.
     Individual terms are clamped to +-1e300 so endpoint blowups keep their
@@ -153,9 +163,7 @@ def weighted_sum(kernel: PsiKernel, sample: WeightedSample, t: float) -> float:
     sample.check(kernel)
     ev = kernel.eval
     total = 0.0
-    for x, w in zip(sample.xs, sample.weights):
-        if w == 0.0:
-            continue
+    for x, w in zip(sample._live_xs, sample._live_weights):
         v = ev(x, t)
         if v > _CAP:
             v = _CAP

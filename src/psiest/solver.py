@@ -21,35 +21,40 @@ NO_NEGATIVE_PART = "NoNegativePart"
 MAX_ITERATIONS = "MaxIterations"
 NON_FINITE_SUM = "NonFiniteSum"
 
+# Steps allowed in each phase of a search: bracket expansion, then bisection.
+MAX_EXPAND = 200
+MAX_BISECT = 200
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_expand: int = 200
-    max_bisect: int = 200
+    """Search tolerance: a bracket [a, b] is narrow enough once
+    b - a <= width_tol((a + b) / 2)."""
+
+    tol: float = 1e-12
 
     def __post_init__(self):
-        for tol in (self.abs_tol, self.rel_tol):
-            if not (0.0 < tol < math.inf):
-                raise InvalidArgument(f"tolerance {tol!r} must be finite and > 0")
-        if self.max_expand < 0 or self.max_bisect < 0:
-            raise InvalidArgument("max_expand and max_bisect must be >= 0")
+        if not (0.0 < self.tol < math.inf):
+            raise InvalidArgument(f"tolerance {self.tol!r} must be finite and > 0")
 
     def width_tol(self, t: float) -> float:
-        return max(self.abs_tol, self.rel_tol * abs(t))
+        return max(self.tol, self.tol * abs(t))
 
 
 @dataclass(frozen=True)
 class SignChangeResult:
     """Unless converged, theta is the last bisection midpoint (MaxIterations),
-    the first t whose weighted sum was NaN (NonFiniteSum), or NaN."""
+    the first t whose weighted sum was NaN (NonFiniteSum), or NaN.
+
+    iterations counts every evaluation of the predicate: the seed, each
+    expansion step and each bisection step.  So a search whose first
+    expansion step finds the flip and that then hits the MAX_BISECT limit
+    reports 1 + 1 + 200 = 202."""
 
     theta: float
     bracket_lo: float
     bracket_hi: float
     iterations: int
-    residual: float
     status: str
 
     @property
@@ -99,7 +104,7 @@ def _solve_predicate(
     near, far = seed, None
     t, delta = seed, max(1.0, abs(seed))
     evals = 1
-    for _ in range(cfg.max_expand):
+    for _ in range(MAX_EXPAND):
         t = _step_toward(t, endpoint, delta)
         delta *= 2.0
         evals += 1
@@ -111,12 +116,12 @@ def _solve_predicate(
     if far is None:
         status = NO_NEGATIVE_PART if up else NO_POSITIVE_PART
         a, b = (near, math.nan) if up else (math.nan, near)
-        res = SignChangeResult(math.nan, a, b, evals, math.nan, status)
+        res = SignChangeResult(math.nan, a, b, evals, status)
     else:
         a, b = (near, far) if up else (far, near)
         iterations, status = 0, CONVERGED
         while b - a > cfg.width_tol(0.5 * (a + b)):
-            if iterations >= cfg.max_bisect:
+            if iterations >= MAX_BISECT:
                 status = MAX_ITERATIONS
                 break
             mid = 0.5 * (a + b)
@@ -127,10 +132,10 @@ def _solve_predicate(
             else:
                 b = mid
             iterations += 1
-        res = SignChangeResult(0.5 * (a + b), a, b, evals + iterations, math.nan, status)
+        res = SignChangeResult(0.5 * (a + b), a, b, evals + iterations, status)
     if nan_at:
         return SignChangeResult(nan_at[0], math.nan, math.nan, res.iterations,
-                                math.nan, NON_FINITE_SUM)
+                                NON_FINITE_SUM)
     return res
 
 
@@ -144,22 +149,16 @@ def solve_sign_change(
     A non-converged status means the required sign was never observed
     (the kernel violates the sign-change premise numerically, or Theta is
     mis-specified), bisection stalled, or the weighted sum was NaN, which
-    has no sign, at some evaluated t (NonFiniteSum).  The residual is
-    reported for diagnostics only; it is never used as a convergence
-    criterion since the kernel may jump across zero.
+    has no sign, at some evaluated t (NonFiniteSum).  Convergence is judged
+    by bracket width alone, never by the size of the sum, since the kernel
+    may jump across zero.
     """
     sample.check(kernel)
 
     def total(t: float) -> float:
         return weighted_sum(kernel, sample, t)
 
-    res = _solve_predicate(total, lambda s: s > 0.0, kernel.theta, cfg)
-    if res.converged:
-        residual = weighted_sum(kernel, sample, res.theta)
-        res = SignChangeResult(
-            res.theta, res.bracket_lo, res.bracket_hi, res.iterations, residual, res.status
-        )
-    return res
+    return _solve_predicate(total, lambda s: s > 0.0, kernel.theta, cfg)
 
 
 def theta1(kernel: PsiKernel, x: float, cfg: SolverConfig = SolverConfig()) -> float:

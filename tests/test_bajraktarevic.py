@@ -104,6 +104,12 @@ class TestEstimate:
         t = estimate(spec, WeightedSample.uniform([1, 3]))
         assert abs(t - 2.5) <= 1e-10
 
+    def test_zero_weight_not_evaluated(self):
+        # p(-1) = -1 would be rejected, but x = -1 has weight 0
+        spec = BajraktarevicSpec(lambda t: t, lambda x: x, lambda x: x, LINE)
+        t = estimate(spec, WeightedSample((1.0, -1.0, 3.0), (1.0, 0.0, 1.0)))
+        assert abs(t - 2.5) <= 1e-10
+
     def test_nan_between_probes_is_an_error(self):
         # the probe grid of (0, 10) steps by 0.3125 and misses (7, 7.1)
         spec = BajraktarevicSpec(lambda t: math.nan if 7.0 < t < 7.1 else t,
@@ -314,6 +320,10 @@ class TestDeterminant:
                 [[1, f, g, mpmath.mpf(f) * g] for f, g in zip(fv, gv)]))
             err = abs(determinant_test(fv, gv) - ref)
             assert err <= 1e-12 * determinant_scale(fv, gv)
+
+    def test_scale_overflows_to_inf(self):
+        # (f g)^2 overflows: the scale is inf, not an OverflowError
+        assert determinant_scale([1e200] * 4, [1e200] * 4) == math.inf
 
     def test_wrong_arity(self):
         with pytest.raises(InvalidArgument):

@@ -1,11 +1,12 @@
 import json
+import math
 import os
 
 import pytest
 
 import golden_cases
-from psiest import DataParseError, EmptyData, NegativeWeight
-from psiest.cli import main, read_data
+from psiest import DataParseError, EmptyData, NegativeWeight, solver
+from psiest.cli import _max_abs, main, read_data
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -142,6 +143,42 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == message
 
+    @pytest.mark.parametrize("g,theta,message", [
+        ("exp(t)", ["0,1000"], "error: g(714.2852857142857) is inf\n"),
+        ("exp(t)", ["700,1000", "--probes", "8"], "error: g(742.8573571428572) is inf\n"),
+        ("0 - exp(t)", ["0,1000"], "error: g(714.2852857142857) is -inf\n"),
+    ], ids=["inf", "inf_8_probes", "minus_inf"])
+    def test_mobius_infinite_g(self, g, theta, message, capsys):
+        # these used to end in an OverflowError traceback
+        code = main(["mobius-test", "--f", "t", "--g", g, "--theta", *theta])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == message
+
+    def test_mobius_nan_determinant_maxima(self, capsys):
+        # g is finite at every probe, but f*g*f*g overflows and most
+        # determinants are inf - inf; the maxima must say so
+        code = main(["mobius-test", "--f", "t", "--g", "exp(t)", "--theta", "0,700"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["determinant"]["max_abs"] == "nan"
+        assert report["determinant"]["max_rel"] == "nan"
+        assert report["status"] == "NoFit"
+
+    def test_max_abs_keeps_nan(self):
+        assert _max_abs([1.0, -3.0, 2.0]) == 3.0
+        assert math.isnan(_max_abs([1.0, math.nan, -2.0]))
+
+    def test_max_iterations_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(solver, "MAX_BISECT", 5)
+        code = main(["estimate", "--family", "gamma_shape", "--param", "lambda=2",
+                     "--data", "[0.5,1.5,3]"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert '"status":"MaxIterations"' in out
+        assert '"residual":"nan"' in out
+
     def test_counterexample_exit(self, capsys):
         code = main(golden_cases.CASES["compare_expectile_reversed"])
         capsys.readouterr()
@@ -186,6 +223,10 @@ class TestRejectedInput:
     def test_too_few_probes(self, probes, capsys):
         argv = ["mobius-test", "--f", "t", "--g", "2*t + 1", "--theta", "0,1",
                 "--probes", probes]
+        self.assert_usage_error(argv, capsys)
+
+    def test_two_point_needs_distinct_observations(self, capsys):
+        argv = self.REVERSED[:-1] + ["[2,2]", "--condition", "two-point"]
         self.assert_usage_error(argv, capsys)
 
     def test_reversed_ordering_found_by_default(self, capsys):

@@ -116,6 +116,18 @@ class TestWeightedSum:
         s = WeightedSample((0, 4), (3.0, 1.0))
         assert weighted_sum(k, s, 1.0) == 0.0
 
+    def test_zero_weight_terms_not_evaluated(self):
+        seen = []
+
+        def ev(x, t):
+            seen.append(x)
+            return x - t
+
+        k = PsiKernel(OpenInterval(-math.inf, math.inf), ev)
+        s = WeightedSample((1.0, 2.0, 3.0, 4.0), (1.0, 0.0, 2.0, 0.0))
+        assert weighted_sum(k, s, 0.0) == 7.0
+        assert seen == [1.0, 3.0]
+
     def test_parameter_outside_theta(self):
         k = make_kernel(FamilySpec("normal_var", {"m": 0.0}))
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -16,7 +17,9 @@ from psiest import (
     generalized_left_inverse,
     make_kernel,
     solve_sign_change,
+    solver,
     theta1,
+    weighted_sum,
 )
 
 
@@ -31,24 +34,56 @@ def solve(spec_or_kernel, xs, weights=None, cfg=SolverConfig()):
 
 
 class TestSolverConfig:
+    def test_one_field(self):
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["tol"]
+        assert SolverConfig().tol == 1e-12
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(InvalidArgument):
-            SolverConfig(abs_tol=tol)
-        with pytest.raises(InvalidArgument):
-            SolverConfig(rel_tol=tol)
+            SolverConfig(tol)
 
-    @pytest.mark.parametrize("field", ["max_expand", "max_bisect"])
-    def test_negative_limit_rejected(self, field):
-        with pytest.raises(InvalidArgument):
-            SolverConfig(**{field: -1})
+    def test_width_tol(self):
+        cfg = SolverConfig(1e-6)
+        assert cfg.width_tol(0.5) == 1e-6
+        assert cfg.width_tol(-4.0) == 4e-6
 
-    def test_zero_limits_accepted(self):
-        cfg = SolverConfig(max_expand=0, max_bisect=0)
-        assert (cfg.max_expand, cfg.max_bisect) == (0, 0)
+
+class TestSearchLimit:
+    """MAX_BISECT stops a search that has not yet narrowed its bracket."""
+
+    GAMMA = make_kernel(FamilySpec("gamma_shape", {"lambda": 2.0}))
+
+    def test_max_iterations(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_BISECT", 5)
+        res = solve_sign_change(self.GAMMA, WeightedSample.uniform([0.5, 1.5, 3.0]))
+        assert res.status == "MaxIterations"
+        assert not res.converged
+        assert res.bracket_lo < res.theta < res.bracket_hi
+        with pytest.raises(SolverError, match="MaxIterations"):
+            theta1(self.GAMMA, 1.5)
+
+    def test_limit_counts_bisection_steps(self, monkeypatch):
+        sample = WeightedSample.uniform([1.5])
+        monkeypatch.setattr(solver, "MAX_BISECT", 0)
+        seed_and_expansion = solve_sign_change(self.GAMMA, sample).iterations
+        monkeypatch.setattr(solver, "MAX_BISECT", 5)
+        assert solve_sign_change(self.GAMMA, sample).iterations == seed_and_expansion + 5
 
 
 class TestSolveSignChange:
+    def test_one_weighted_sum_per_iteration(self, monkeypatch):
+        # the search evaluates the sum once per counted step and nowhere else
+        calls = []
+
+        def counting(kernel, sample, t):
+            calls.append(t)
+            return weighted_sum(kernel, sample, t)
+
+        monkeypatch.setattr(solver, "weighted_sum", counting)
+        res = solve(FamilySpec("gamma_shape", {"lambda": 2.0}), [0.5, 1.5, 3.0])
+        assert len(calls) == res.iterations
+
     def test_expectile_mean(self):
         res = solve(FamilySpec("expectile", {"alpha": 0.5}), [1, 2, 3])
         assert abs(res.theta - 2.0) <= 1e-10
