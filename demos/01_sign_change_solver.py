@@ -1,8 +1,9 @@
 """Solving weighted estimating equations by bracketed sign change.
 
-The solver looks only at the sign of t -> sum_i w_i psi(x_i, t): it expands a
-bracket until the left end is positive and the right end is non-positive, then
-bisects.  No derivatives, no magnitude information, so it works unchanged for
+The solver keeps its bracket by the sign of t -> sum_i w_i psi(x_i, t): it
+expands a bracket until the left end is positive and the right end is
+non-positive, then narrows it with ITP steps.  The sum's values only choose
+where to look next, and no derivatives are needed, so it works unchanged for
 kinked or discontinuous kernels.
 """
 

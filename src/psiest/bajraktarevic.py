@@ -179,7 +179,7 @@ def schwarzian(
     if abs(d1) < 1e-8:
         raise DegenerateDerivative(f"|h'({s!r})| below threshold")
     d2 = (hp1 - 2.0 * h0 + hm1) / (e * e)
-    d3 = (hp2 - 2.0 * hp1 + 2.0 * hm1 - hm2) / (2.0 * e ** 3)
+    d3 = (hp2 - 2.0 * hp1 + 2.0 * hm1 - hm2) / (2.0 * e * e * e)
     r = d2 / d1
     return d3 / d1 - 1.5 * r * r
 

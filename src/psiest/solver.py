@@ -2,8 +2,13 @@
 
 The estimator is the point of sign change (decreasing type) of
 t -> sum_i lambda_i * psi(x_i, t).  The kernel need not be continuous, so
-everything here works on signs only: geometric bracket expansion inside the
-open interval, then bisection on the predicate "sum > 0".
+the bracket is kept by sign only: geometric bracket expansion inside the
+open interval, then ITP refinement (interpolate, truncate, project) on the
+predicate "sum > 0".  The sum's values only choose where to look next: each
+step starts at the regula-falsi point of the bracket and is projected into
+a ball around the midpoint, so narrowing the bracket to a given width takes
+at most one step more than bisection (and MAX_BISECT caps the refinement as
+it capped bisection), and a jump or kink costs speed, not correctness.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import InvalidArgument, OutOfRange, SolverError
-from .kernel import OpenInterval, PsiKernel, WeightedSample, weighted_sum
+from .kernel import _CAP, OpenInterval, PsiKernel, WeightedSample, weighted_sum
 
 CONVERGED = "Converged"
 NO_POSITIVE_PART = "NoPositivePart"
@@ -21,9 +26,21 @@ NO_NEGATIVE_PART = "NoNegativePart"
 MAX_ITERATIONS = "MaxIterations"
 NON_FINITE_SUM = "NonFiniteSum"
 
-# Steps allowed in each phase of a search: bracket expansion, then bisection.
+# Why a search stopped (SignChangeResult.stop).
+STOP_WIDTH = "WidthReached"
+STOP_EXHAUSTED = "BracketExhausted"
+STOP_LIMIT = "IterationLimit"
+STOP_NO_SIGN_CHANGE = "NoSignChange"
+STOP_NAN = "NaNSum"
+
+# Steps allowed in each phase of a search: bracket expansion, then ITP
+# refinement, which needs at most _ITP_N0 steps more than bisection would,
+# so MAX_BISECT bounds it as it bounded bisection.
 MAX_EXPAND = 200
 MAX_BISECT = 200
+# ITP truncation scale kappa1 * (b0 - a0), and n0, its slack over bisection.
+_ITP_K1 = 0.2
+_ITP_N0 = 1
 
 
 @dataclass(frozen=True)
@@ -43,19 +60,30 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SignChangeResult:
-    """Unless converged, theta is the last bisection midpoint (MaxIterations),
-    the first t whose weighted sum was NaN (NonFiniteSum), or NaN.
+    """Unless converged, theta is the midpoint of the last bracket
+    (MaxIterations), the first t whose weighted sum was NaN (NonFiniteSum),
+    or NaN.
 
     iterations counts every evaluation of the predicate: the seed, each
-    expansion step and each bisection step.  So a search whose first
-    expansion step finds the flip and that then hits the MAX_BISECT limit
-    reports 1 + 1 + 200 = 202."""
+    expansion step and each ITP refinement step; phase_evals splits it into
+    those three, (seed, expand, refine).  So a search whose first expansion
+    step finds the flip and that then hits the MAX_BISECT limit reports
+    1 + 1 + 200 = 202, as (1, 1, 200).
+
+    stop says why the search ended.  Under status Converged it is
+    WidthReached (the bracket is narrow enough) or BracketExhausted (no
+    double lies strictly between its ends, as with a tol below the spacing
+    of doubles at theta); otherwise IterationLimit (MaxIterations),
+    NoSignChange (NoPositivePart, NoNegativePart) or NaNSum (NonFiniteSum).
+    """
 
     theta: float
     bracket_lo: float
     bracket_hi: float
     iterations: int
     status: str
+    stop: str
+    phase_evals: tuple
 
     @property
     def converged(self) -> bool:
@@ -78,65 +106,133 @@ def _solve_predicate(
     positive: Callable[[float], bool],
     theta: OpenInterval,
     cfg: SolverConfig,
+    level: float = 0.0,
 ) -> SignChangeResult:
     """Locate the boundary where a decreasing-type predicate flips True->False.
 
     positive(value(t)) must be True strictly below the target and False
-    strictly above it.  A NaN value has no side: the search goes on with
-    whatever positive() says, and the result is NonFiniteSum at the first t
-    where value(t) was NaN.
+    strictly above it; level is the value at which it flips, and the
+    refinement steps interpolate on value(t) - level.  A NaN value has no
+    side: the search goes on with whatever positive() says, and the result
+    is NonFiniteSum at the first t where value(t) was NaN.
     """
     nan_at = []
 
-    def pred(t: float) -> bool:
+    def probe(t: float) -> float:
         v = value(t)
         if math.isnan(v):
             nan_at.append(t)
-        return positive(v)
+        return v
 
     seed = theta.midpoint_seed()
 
     # Step away from the seed, toward the side where the flip lies, until the
     # predicate flips: near is the last t on the seed's side, far the first
     # beyond the flip.
-    up = pred(seed)
+    v_near = probe(seed)
+    up = positive(v_near)
     endpoint = theta.hi if up else theta.lo
     near, far = seed, None
     t, delta = seed, max(1.0, abs(seed))
-    evals = 1
+    expand = 0
     for _ in range(MAX_EXPAND):
         t = _step_toward(t, endpoint, delta)
         delta *= 2.0
-        evals += 1
-        if pred(t) != up:
-            far = t
+        expand += 1
+        v = probe(t)
+        if positive(v) != up:
+            far, v_far = t, v
             break
-        near = t
+        near, v_near = t, v
 
+    refine = 0
     if far is None:
         status = NO_NEGATIVE_PART if up else NO_POSITIVE_PART
+        stop = STOP_NO_SIGN_CHANGE
         a, b = (near, math.nan) if up else (math.nan, near)
-        res = SignChangeResult(math.nan, a, b, evals, status)
+        theta_hat = math.nan
     else:
         a, b = (near, far) if up else (far, near)
-        iterations, status = 0, CONVERGED
+        ga, gb = v_near - level, v_far - level
+        if not up:
+            ga, gb = gb, ga
+        status, stop = CONVERGED, STOP_WIDTH
+        itp = _Itp(a, b, cfg)
         while b - a > cfg.width_tol(0.5 * (a + b)):
-            if iterations >= MAX_BISECT:
-                status = MAX_ITERATIONS
+            if refine >= MAX_BISECT:
+                status, stop = MAX_ITERATIONS, STOP_LIMIT
                 break
             mid = 0.5 * (a + b)
             if not (a < mid < b):
-                break  # bracket exhausted at double precision
-            if pred(mid):
-                a = mid
+                stop = STOP_EXHAUSTED  # no double strictly inside
+                break
+            t = itp.point(a, b, ga, gb, mid)
+            v = probe(t)
+            if positive(v):
+                a, ga = t, v - level
             else:
-                b = mid
-            iterations += 1
-        res = SignChangeResult(0.5 * (a + b), a, b, evals + iterations, status)
+                b, gb = t, v - level
+            refine += 1
+        theta_hat = 0.5 * (a + b)
+    phases = (1, expand, refine)
     if nan_at:
-        return SignChangeResult(nan_at[0], math.nan, math.nan, res.iterations,
-                                NON_FINITE_SUM)
-    return res
+        return SignChangeResult(nan_at[0], math.nan, math.nan, sum(phases),
+                                NON_FINITE_SUM, STOP_NAN, phases)
+    return SignChangeResult(theta_hat, a, b, sum(phases), status, stop, phases)
+
+
+class _Itp:
+    """ITP steps (interpolate, truncate, project) on one bracket [a0, b0]:
+    Oliveira & Takahashi, "An enhancement of the bisection method average
+    performance preserving minmax optimality", ACM TOMS 47(1), 2021.
+
+    kappa1 = _ITP_K1 / (b0 - a0), kappa2 = 2, n0 = _ITP_N0, and epsilon is
+    half the smallest width_tol on [a0, b0], so the stop b - a <=
+    width_tol(mid) holds once b - a <= 2 epsilon.  The projection keeps the
+    bracket after j steps at most 2**(n_max - j) * 2 epsilon wide, with n_max
+    = n_half + n0 and n_half the steps bisection needs to reach 2 epsilon.
+    """
+
+    __slots__ = ("eps", "k1", "reach")
+
+    def __init__(self, a: float, b: float, cfg: SolverConfig):
+        w0 = b - a
+        two_eps = cfg.width_tol(0.0 if a < 0.0 < b else min(abs(a), abs(b)))
+        self.eps = 0.5 * two_eps
+        if 0.0 < w0 < math.inf:
+            self.k1 = _ITP_K1 / w0
+            # log2 of (b0 - a0) / (2 epsilon) as a difference: the quotient
+            # overflows on brackets like (0, 5e299)
+            n_half = math.ceil(math.log2(w0) - math.log2(two_eps))
+            # epsilon * 2**(n_max - j - 1) for step j = 0; below b0 - a0, so
+            # it does not overflow
+            self.reach = math.ldexp(two_eps, n_half + _ITP_N0 - 2)
+        else:  # wider than a double: the midpoint only
+            self.k1, self.reach = 0.0, 0.0
+
+    def point(self, a: float, b: float, ga: float, gb: float, mid: float) -> float:
+        """The next point strictly inside (a, b), given the end values ga and
+        gb (of opposite signs, or 0 at one end).  It is mid when an end value
+        is NaN, infinite or at the kernel's clamp (no slope to interpolate),
+        or when the regula-falsi point is not in [a, b]."""
+        w = b - a
+        r = max(0.0, 2.0 * (self.reach - 0.25 * w))  # epsilon * 2**(n_max - j) - w/2
+        self.reach *= 0.5
+        if not (abs(ga) < _CAP and abs(gb) < _CAP):
+            return mid
+        t = a + w * (ga / (ga - gb))
+        if not (a <= t <= b):
+            return mid
+        # Truncate: move toward mid by kappa1 * w**2, multiplied in an order
+        # that cannot overflow, and by at least epsilon, since the product
+        # falls below one ulp once w is ~1e-8 and t would stay on an end.
+        d = mid - t
+        delta = max(self.k1 * w * w, self.eps)
+        t = t + math.copysign(delta, d) if delta <= abs(d) else mid
+        # Project into the ball of radius r around mid.
+        if abs(t - mid) > r:
+            t = mid - math.copysign(r, d)
+        return t if a < t < b else mid
 
 
 def solve_sign_change(
@@ -148,10 +244,10 @@ def solve_sign_change(
 
     A non-converged status means the required sign was never observed
     (the kernel violates the sign-change premise numerically, or Theta is
-    mis-specified), bisection stalled, or the weighted sum was NaN, which
-    has no sign, at some evaluated t (NonFiniteSum).  Convergence is judged
-    by bracket width alone, never by the size of the sum, since the kernel
-    may jump across zero.
+    mis-specified), the refinement reached MAX_BISECT steps, or the weighted
+    sum was NaN, which has no sign, at some evaluated t (NonFiniteSum).
+    Convergence is judged by bracket width alone, never by the size of the
+    sum, since the kernel may jump across zero.
     """
     sample.check(kernel)
 
@@ -198,12 +294,14 @@ def generalized_left_inverse(
     """Monotone extension of the inverse of a strictly increasing f.
 
     For y in f(Theta) this returns the preimage; for y inside a jump gap
-    [f(t0-), f(t0+)] it returns t0.  Computed by bisection on the predicate
-    f(t) < y, which needs no continuity.  Raises OutOfRange when y falls
-    outside the convex hull of f(Theta) beyond 1e-9 * (1 + |y|), and
-    SolverError naming the first t where f(t) was NaN.
+    [f(t0-), f(t0+)] it returns t0.  Computed by the same search as
+    solve_sign_change, on the predicate f(t) < y and interpolating on
+    y - f(t); the bracket is kept by sign, so no continuity is needed.
+    Raises OutOfRange when y falls outside the convex hull of f(Theta)
+    beyond 1e-9 * (1 + |y|), and SolverError naming the first t where f(t)
+    was NaN.
     """
-    res = _solve_predicate(f, lambda v: v < y, theta, cfg)
+    res = _solve_predicate(f, lambda v: v < y, theta, cfg, level=y)
     if res.status == NON_FINITE_SUM:
         raise SolverError(f"f({res.theta!r}) is NaN", res)
     slack = 1e-9 * (1.0 + abs(y))
@@ -219,5 +317,5 @@ def generalized_left_inverse(
             return t_high
         raise OutOfRange(f"{y!r} above the range of f")
     if not res.converged:
-        raise SolverError(f"left-inverse bisection stalled at y={y!r}", res)
+        raise SolverError(f"left-inverse search stalled at y={y!r}", res)
     return res.theta

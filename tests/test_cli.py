@@ -166,6 +166,28 @@ class TestExitCodes:
         assert report["determinant"]["max_rel"] == "nan"
         assert report["status"] == "NoFit"
 
+    def test_mobius_huge_schwarzian_step(self, capsys):
+        # the Schwarzian's step is ~1e198 here; its cube used to raise
+        # OverflowError (a traceback) where a product gives inf
+        code = main(["mobius-test", "--f", "t", "--g", "2*t", "--theta", "0,1e200"])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code == 0:
+            assert json.loads(captured.out)["command"] == "mobius-test"
+        else:
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+
+    def test_huge_interval_converges(self, capsys):
+        # the bracket (0, 5e299) needs ~1035 bisection steps, beyond
+        # MAX_BISECT; the ITP steps find theta = 1 well within it
+        code = main(["estimate", "--psi", "x - t", "--theta=-1e300,1e300",
+                     "--data", "[1]"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["status"] == "Converged"
+        assert abs(report["theta"] - 1.0) <= 2 * solver.SolverConfig().width_tol(1.0)
+
     def test_max_abs_keeps_nan(self):
         assert _max_abs([1.0, -3.0, 2.0]) == 3.0
         assert math.isnan(_max_abs([1.0, math.nan, -2.0]))

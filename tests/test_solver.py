@@ -4,6 +4,8 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psiest import (
     FamilySpec,
@@ -14,13 +16,66 @@ from psiest import (
     SolverConfig,
     SolverError,
     WeightedSample,
+    compile_expr,
     generalized_left_inverse,
     make_kernel,
+    parse,
     solve_sign_change,
     solver,
     theta1,
     weighted_sum,
 )
+
+
+def reference_bisection(value, positive, theta, cfg):
+    """Reference search: the solver's bracket expansion, then plain bisection.
+    Returns (theta, bracket_lo, bracket_hi, iterations, status)."""
+    nan_at = []
+
+    def pred(t):
+        v = value(t)
+        if math.isnan(v):
+            nan_at.append(t)
+        return positive(v)
+
+    seed = theta.midpoint_seed()
+    up = pred(seed)
+    endpoint = theta.hi if up else theta.lo
+    near, far = seed, None
+    t, delta = seed, max(1.0, abs(seed))
+    evals = 1
+    for _ in range(solver.MAX_EXPAND):
+        t = solver._step_toward(t, endpoint, delta)
+        delta *= 2.0
+        evals += 1
+        if pred(t) != up:
+            far = t
+            break
+        near = t
+
+    if far is None:
+        status = "NoNegativePart" if up else "NoPositivePart"
+        a, b = (near, math.nan) if up else (math.nan, near)
+        res = (math.nan, a, b, evals, status)
+    else:
+        a, b = (near, far) if up else (far, near)
+        iterations, status = 0, "Converged"
+        while b - a > cfg.width_tol(0.5 * (a + b)):
+            if iterations >= solver.MAX_BISECT:
+                status = "MaxIterations"
+                break
+            mid = 0.5 * (a + b)
+            if not (a < mid < b):
+                break
+            if pred(mid):
+                a = mid
+            else:
+                b = mid
+            iterations += 1
+        res = (0.5 * (a + b), a, b, evals + iterations, status)
+    if nan_at:
+        return (nan_at[0], math.nan, math.nan, res[3], "NonFiniteSum")
+    return res
 
 
 def solve(spec_or_kernel, xs, weights=None, cfg=SolverConfig()):
@@ -58,6 +113,7 @@ class TestSearchLimit:
         monkeypatch.setattr(solver, "MAX_BISECT", 5)
         res = solve_sign_change(self.GAMMA, WeightedSample.uniform([0.5, 1.5, 3.0]))
         assert res.status == "MaxIterations"
+        assert res.stop == "IterationLimit"
         assert not res.converged
         assert res.bracket_lo < res.theta < res.bracket_hi
         with pytest.raises(SolverError, match="MaxIterations"):
@@ -68,7 +124,9 @@ class TestSearchLimit:
         monkeypatch.setattr(solver, "MAX_BISECT", 0)
         seed_and_expansion = solve_sign_change(self.GAMMA, sample).iterations
         monkeypatch.setattr(solver, "MAX_BISECT", 5)
-        assert solve_sign_change(self.GAMMA, sample).iterations == seed_and_expansion + 5
+        res = solve_sign_change(self.GAMMA, sample)
+        assert res.iterations == seed_and_expansion + 5
+        assert res.phase_evals == (1, seed_and_expansion - 1, 5)
 
 
 class TestSolveSignChange:
@@ -82,7 +140,9 @@ class TestSolveSignChange:
 
         monkeypatch.setattr(solver, "weighted_sum", counting)
         res = solve(FamilySpec("gamma_shape", {"lambda": 2.0}), [0.5, 1.5, 3.0])
-        assert len(calls) == res.iterations
+        assert len(calls) == res.iterations == sum(res.phase_evals)
+        assert res.phase_evals[0] == 1
+        assert res.stop == "WidthReached"
 
     def test_expectile_mean(self):
         res = solve(FamilySpec("expectile", {"alpha": 0.5}), [1, 2, 3])
@@ -114,6 +174,8 @@ class TestSolveSignChange:
         k = PsiKernel(OpenInterval(-math.inf, math.inf), lambda x, t: 1.0)
         res = solve_sign_change(k, WeightedSample((0.0,), (1.0,)))
         assert res.status == "NoNegativePart"
+        assert res.stop == "NoSignChange"
+        assert res.phase_evals == (1, solver.MAX_EXPAND, 0)
         assert math.isnan(res.theta)
 
     def test_no_positive_part(self):
@@ -128,6 +190,7 @@ class TestSolveSignChange:
                       lambda x, t: x - t if t < 5.0 else math.nan)
         res = solve_sign_change(k, WeightedSample.uniform((7.0, 8.0)))
         assert res.status == "NonFiniteSum"
+        assert res.stop == "NaNSum"
         assert not res.converged
         assert res.theta >= 5.0
         assert math.isnan(k.eval(7.0, res.theta))
@@ -146,6 +209,24 @@ class TestSolveSignChange:
         assert res.converged
         assert abs(res.theta - 2.0) <= 1e-10
 
+    def test_bracket_exhausted_is_converged(self):
+        # width_tol(1) = 1e-300 is far below the spacing of doubles near 1,
+        # so the search stops once no double lies strictly inside
+        k = PsiKernel(OpenInterval(-math.inf, math.inf), lambda x, t: x - t)
+        res = solve(k, [1.0], cfg=SolverConfig(tol=1e-300))
+        assert res.stop == "BracketExhausted"
+        assert math.nextafter(res.bracket_lo, math.inf) == res.bracket_hi
+
+    @pytest.mark.parametrize("lo,hi", [(-1e300, 1e300), (-1.7e308, 1.79e308)])
+    def test_huge_interval(self, lo, hi):
+        # plain bisection needs over 1000 steps on these brackets, beyond
+        # MAX_BISECT; the second bracket straddles 0, so ITP's epsilon must
+        # be width_tol(0), not width_tol at an end of the bracket
+        k = PsiKernel(OpenInterval(lo, hi), lambda x, t: x - t)
+        res = solve(k, [1.0])
+        assert res.stop == "WidthReached"
+        assert abs(res.theta - 1.0) <= 2 * SolverConfig().width_tol(1.0)
+
     def test_degenerate_sample_equals_theta1(self):
         spec = FamilySpec("lomax_shape_alpha", {"lambda": 1.0})
         k = make_kernel(spec)
@@ -157,6 +238,66 @@ class TestSolveSignChange:
         a = solve(spec, [0, 1, 5], [1, 2, 1]).theta
         b = solve(spec, [0, 1, 5], [10, 20, 10]).theta
         assert abs(a - b) <= 2e-12 * max(1.0, abs(a))
+
+
+def _step(u):
+    return u + math.floor(u)
+
+
+def _sign(x, t):
+    return float((x > t) - (x < t))
+
+
+_LINE = OpenInterval(-math.inf, math.inf)
+_POSITIVE = OpenInterval(0.0, math.inf)
+# (kernel, observation range): all 11 families, two DSL kernels, and
+# kernels that jump across zero
+REFERENCE_CASES = [
+    (make_kernel(FamilySpec("expectile", {"alpha": 0.3})), (-10.0, 10.0)),
+    (make_kernel(FamilySpec("mathieu", {}, f=lambda u: u ** 3)), (-10.0, 10.0)),
+    (make_kernel(FamilySpec("normal_var", {"m": 0.0})), (0.1, 10.0)),
+    (make_kernel(FamilySpec("beta_alpha", {"beta": 2.0})), (0.05, 0.95)),
+    (make_kernel(FamilySpec("beta_beta", {"alpha": 2.0})), (0.05, 0.95)),
+    (make_kernel(FamilySpec("gamma_shape", {"lambda": 1.0})), (0.1, 10.0)),
+    (make_kernel(FamilySpec("gamma_rate", {"p": 2.0})), (0.1, 10.0)),
+    (make_kernel(FamilySpec("lomax_rate_lambda", {"alpha": 2.0})), (0.1, 10.0)),
+    (make_kernel(FamilySpec("lomax_shape_alpha", {"lambda": 2.0})), (0.1, 10.0)),
+    (make_kernel(FamilySpec("lognormal_mu", {"sigma2": 1.0})), (0.1, 10.0)),
+    (make_kernel(FamilySpec("laplace_scale", {"mu": 0.0})), (0.1, 10.0)),
+    (PsiKernel(_POSITIVE, compile_expr(parse("abs(x)/(t*t) - 1/t"))), (0.1, 10.0)),
+    (PsiKernel(_POSITIVE, compile_expr(parse("(x^2 - t)/(2*t*t)"))), (0.1, 10.0)),
+    (PsiKernel(_LINE, _sign), (-10.0, 10.0)),
+    (PsiKernel(_LINE, lambda x, t: (x - t) + _sign(x, t)), (-10.0, 10.0)),
+    (make_kernel(FamilySpec("mathieu", {}, f=_step)), (-10.0, 10.0)),
+]
+
+
+@st.composite
+def reference_samples(draw):
+    kernel, (lo, hi) = draw(st.sampled_from(REFERENCE_CASES))
+    n = draw(st.integers(1, 50))
+    xs = draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+    ws = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    return kernel, WeightedSample(tuple(xs), tuple(ws))
+
+
+class TestAgainstBisection:
+    """ITP refinement finds bisection's answer, at most n0 + 1 = 2
+    evaluations later: ITP's epsilon is set at a bracket end, while the
+    search stops on width_tol at the midpoint."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(reference_samples())
+    def test_matches_reference(self, case):
+        kernel, sample = case
+        cfg = SolverConfig()
+        res = solve_sign_change(kernel, sample, cfg)
+        ref_theta, _, _, ref_iterations, ref_status = reference_bisection(
+            lambda t: weighted_sum(kernel, sample, t), lambda v: v > 0.0,
+            kernel.theta, cfg)
+        assert res.status == ref_status
+        assert abs(res.theta - ref_theta) <= 2 * cfg.width_tol(ref_theta)
+        assert res.iterations <= ref_iterations + 2
 
 
 class TestTheta1:
