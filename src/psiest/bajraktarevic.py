@@ -170,10 +170,12 @@ def schwarzian(
 ) -> float:
     """Finite-difference Schwarzian  h'''/h' - (3/2)(h''/h')^2  at s.
 
-    Central stencils of width 5; default step max(1e-2, 1e-2 |s|).  Raises
-    DegenerateDerivative when the first derivative estimate is below 1e-8.
+    Central stencils of width 5; default step max(1e-2, 2^-20 |s|): fixed
+    up to |s| ~ 1e4, then growing only to stay well above the float spacing
+    at s.  Raises DegenerateDerivative when the first derivative estimate is
+    below 1e-8.
     """
-    e = step if step is not None else max(1e-2, 1e-2 * abs(s))
+    e = step if step is not None else max(1e-2, 2.0 ** -20 * abs(s))
     hm2, hm1, h0, hp1, hp2 = h(s - 2 * e), h(s - e), h(s), h(s + e), h(s + 2 * e)
     d1 = (hp1 - hm1) / (2.0 * e)
     if abs(d1) < 1e-8:

@@ -7,10 +7,16 @@ unary minus.  Mathematically undefined points (ln or sqrt out of domain,
 division by zero, 0^negative, negative^non-integer) raise DomainError.
 Overflow gives a signed inf, and inf - inf, 0 * inf or inf / inf then give
 NaN, which evaluation returns as it is.
+
+compile_expr turns a tree into one generated Python function of (x, t), so
+a term costs one call, not one per node.  Expressions nest at most
+MAX_DEPTH levels deep; parse and compile_expr reject deeper ones with an
+ExprSyntaxError that carries an offset.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
@@ -22,6 +28,10 @@ from .kernel import OpenInterval
 
 FUNCTIONS = ("ln", "exp", "abs", "sign", "sqrt")
 VARIABLES = ("x", "t")
+# The deepest nesting parse and compile_expr accept: tree levels, and source
+# nesting of parentheses, calls, unary minus and exponents.
+MAX_DEPTH = 100
+_TOO_DEEP = f"at most {MAX_DEPTH} levels of nesting"
 
 
 @dataclass(frozen=True)
@@ -77,12 +87,8 @@ def _tokenize(source: str):
                 break
             bad = len(source) - len(stripped)
             raise ExprSyntaxError(bad, "a token")
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("eof", "", len(source)))
     return tokens
@@ -92,6 +98,7 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -133,10 +140,16 @@ class _Parser:
         return left
 
     def unary(self) -> Expr:
+        self.depth += 1  # every recursion of the parser passes through here
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(self.peek()[2], _TOO_DEEP)
         if self.at_op("-"):
             _, _, off = self.advance()
-            return Neg(self.unary(), off)
-        return self.power()
+            e = Neg(self.unary(), off)
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
@@ -169,102 +182,109 @@ class _Parser:
 
 
 def parse(source: str) -> Expr:
-    """Parse a DSL expression; syntax errors carry byte offsets."""
+    """Parse a DSL expression; syntax errors carry byte offsets.  Nesting
+    deeper than MAX_DEPTH, in the source or in the tree, is a syntax error."""
     if not source.strip():
         raise ExprSyntaxError(0, "a nonempty expression")
-    return _Parser(source).parse()
+    e = _Parser(source).parse()
+    _source(e)  # the tree-depth check, shared with compile_expr
+    return e
 
 
 def _domain(offset: int, message: str):
     raise DomainError(f"at offset {offset}: {message}")
 
 
-def compile_expr(e: Expr) -> Callable[[float, float], float]:
-    """The expression as a function of (x, t), built in one walk of the tree.
+# The helpers that generated code calls; each takes its node's offset last.
+def _div(a, b, offset):
+    if b == 0.0:
+        _domain(offset, "division by zero")
+    return a / b
 
-    Evaluation is in IEEE doubles, left operand before right; undefined
-    points raise DomainError at the offset of the failing node, not NaN.
-    """
+
+def _pow(a, b, offset):
+    if a == 0.0 and b < 0.0:
+        _domain(offset, "zero base with negative exponent")
+    if a < 0.0 and not float(b).is_integer():
+        _domain(offset, "negative base with non-integer exponent")
+    try:
+        return math.pow(a, b)
+    except OverflowError:
+        return -math.inf if a < 0.0 and b % 2.0 == 1.0 else math.inf
+
+
+def _ln(v, offset):
+    if v <= 0.0:
+        _domain(offset, f"ln of nonpositive value {v!r}")
+    return math.log(v)
+
+
+def _exp(v, offset):
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _sign(v, offset):
+    if v > 0.0:
+        return 1.0
+    if v < 0.0:
+        return -1.0
+    return 0.0
+
+
+def _sqrt(v, offset):
+    if v < 0.0:
+        _domain(offset, f"sqrt of negative value {v!r}")
+    return math.sqrt(v)
+
+
+# Everything generated code can name; no builtins.
+_SCOPE = {"__builtins__": {}, "abs": abs, "inf": math.inf, "_div": _div,
+          "_pow": _pow, "_ln": _ln, "_exp": _exp, "_sign": _sign, "_sqrt": _sqrt}
+_HELPERS = {"/": "_div", "^": "_pow"}
+
+
+def _source(e: Expr, room: int = MAX_DEPTH) -> str:
+    """Python source for e over x and t, every operation parenthesised."""
+    if room == 0:
+        raise ExprSyntaxError(e.offset, _TOO_DEEP)
     if isinstance(e, Num):
-        value = e.value
-        return lambda x, t: value
+        return f"({e.value!r})"
     if isinstance(e, Var):
-        return (lambda x, t: x) if e.name == "x" else (lambda x, t: t)
+        return e.name
     if isinstance(e, Neg):
-        operand = compile_expr(e.operand)
-        return lambda x, t: -operand(x, t)
+        return f"(-{_source(e.operand, room - 1)})"
     if isinstance(e, Fn):
-        return _compile_fn(e.name, compile_expr(e.arg), e.offset)
+        arg = _source(e.arg, room - 1)
+        return f"abs({arg})" if e.name == "abs" else f"_{e.name}({arg}, {e.offset})"
     if isinstance(e, Bin):
-        return _compile_bin(e.op, compile_expr(e.left), compile_expr(e.right), e.offset)
+        a, b = _source(e.left, room - 1), _source(e.right, room - 1)
+        if e.op in _HELPERS:
+            return f"{_HELPERS[e.op]}({a}, {b}, {e.offset})"
+        return f"({a} {e.op} {b})"
     raise AssertionError(type(e))
 
 
-def _compile_fn(name: str, arg, offset: int):
-    if name == "ln":
-        def ln(x, t):
-            v = arg(x, t)
-            if v <= 0.0:
-                _domain(offset, f"ln of nonpositive value {v!r}")
-            return math.log(v)
-        return ln
-    if name == "exp":
-        def exp(x, t):
-            try:
-                return math.exp(arg(x, t))
-            except OverflowError:
-                return math.inf
-        return exp
-    if name == "abs":
-        return lambda x, t: abs(arg(x, t))
-    if name == "sign":
-        def sign(x, t):
-            v = arg(x, t)
-            if v > 0.0:
-                return 1.0
-            if v < 0.0:
-                return -1.0
-            return 0.0
-        return sign
-    if name == "sqrt":
-        def sqrt(x, t):
-            v = arg(x, t)
-            if v < 0.0:
-                _domain(offset, f"sqrt of negative value {v!r}")
-            return math.sqrt(v)
-        return sqrt
-    raise AssertionError(name)
+@functools.lru_cache(maxsize=256)
+def _compile_source(source: str) -> Callable[[float, float], float]:
+    return eval(f"lambda x, t: {source}", _SCOPE)
 
 
-def _compile_bin(op: str, left, right, offset: int):
-    if op == "+":
-        return lambda x, t: left(x, t) + right(x, t)
-    if op == "-":
-        return lambda x, t: left(x, t) - right(x, t)
-    if op == "*":
-        return lambda x, t: left(x, t) * right(x, t)
-    if op == "/":
-        def div(x, t):
-            a = left(x, t)
-            b = right(x, t)
-            if b == 0.0:
-                _domain(offset, "division by zero")
-            return a / b
-        return div
-    if op == "^":
-        def power(x, t):
-            a = left(x, t)
-            b = right(x, t)
-            if a == 0.0 and b < 0.0:
-                _domain(offset, "zero base with negative exponent")
-            if a < 0.0 and not float(b).is_integer():
-                _domain(offset, "negative base with non-integer exponent")
-            try:
-                return math.pow(a, b)
-            except OverflowError:
-                return -math.inf if a < 0.0 and b % 2.0 == 1.0 else math.inf
-        return power
-    raise AssertionError(op)
+def compile_expr(e: Expr) -> Callable[[float, float], float]:
+    """The expression as one generated function of (x, t).
+
+    One walk of the tree writes the source of a single `lambda x, t: ...`:
+    + - * unary minus and abs inline, the other operations as calls to
+    this module's helpers with the node's offset.  The source holds only
+    x, t, numbers and those names, so no user text reaches `compile`;
+    compiled functions are cached by source.  Evaluation is in IEEE
+    doubles, left operand before right; undefined points raise DomainError
+    at the offset of the failing node, not NaN.  A tree deeper than
+    MAX_DEPTH raises ExprSyntaxError.
+    """
+    return _compile_source(_source(e))
 
 
 def eval_expr(e: Expr, x: float = 0.0, t: float = 0.0) -> float:
@@ -272,26 +292,17 @@ def eval_expr(e: Expr, x: float = 0.0, t: float = 0.0) -> float:
     return compile_expr(e)(x, t)
 
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, Bin):
-        if e.op in "+-":
-            return _PREC_ADD
-        if e.op in "*/":
-            return _PREC_MUL
-        return _PREC_POW
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    return _PREC_ATOM
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW = 1, 2, 3, 4
+_BIN_PREC = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL,
+             "^": _PREC_POW}
 
 
 def _render(e: Expr, min_prec: int) -> str:
     if isinstance(e, Num):
         v = e.value
-        s = str(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
-        return s
+        if math.isinf(v):
+            return "1e999" if v > 0 else "-1e999"
+        return str(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Fn):
@@ -300,7 +311,7 @@ def _render(e: Expr, min_prec: int) -> str:
         body = "-" + _render(e.operand, _PREC_NEG)
         return body if _PREC_NEG >= min_prec else f"({body})"
     if isinstance(e, Bin):
-        prec = _prec(e)
+        prec = _BIN_PREC[e.op]
         if e.op == "^":
             body = _render(e.left, prec + 1) + " ^ " + _render(e.right, _PREC_NEG)
         else:

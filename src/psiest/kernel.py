@@ -41,10 +41,11 @@ class OpenInterval:
         """A reasonable interior starting point for bracket searches."""
         if self.bounded:
             return 0.5 * (self.lo + self.hi)
+        # 1.0 in, or one ulp where 1.0 is below the float spacing (past 2^53)
         if math.isfinite(self.lo):
-            return self.lo + 1.0
+            return self.lo + max(1.0, math.ulp(self.lo))
         if math.isfinite(self.hi):
-            return self.hi - 1.0
+            return self.hi - max(1.0, math.ulp(self.hi))
         return 0.0
 
     def probe_window(self) -> tuple[float, float]:

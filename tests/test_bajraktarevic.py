@@ -171,6 +171,11 @@ class TestSchwarzian:
         s = schwarzian(math.exp, 0.0, step=1e-3)
         assert abs(s + 0.5) <= 1e-5
 
+    @pytest.mark.parametrize("s", [5.0, 300.0, 700.0])
+    def test_exponential_default_step_far_out(self, s):
+        # S(exp) = -1/2 everywhere; a step growing with |s| drifted off it
+        assert abs(schwarzian(math.exp, s) + 0.5) <= 1e-3
+
     def test_identity(self):
         assert abs(schwarzian(lambda s: s, 5.0)) <= 1e-12
 

@@ -178,6 +178,33 @@ class TestExitCodes:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("theta,x", [("1e20,inf", 1e21), ("-inf,-1e20", -1e21)])
+    def test_far_half_line_converges(self, theta, x, capsys):
+        # the seed lo + 1.0 used to round back to lo = 1e20, outside Theta
+        code = main(["estimate", "--psi", "x - t", f"--theta={theta}",
+                     "--data", f"[{x!r}]"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["status"] == "Converged"
+        assert abs(report["theta"] - x) <= 2 * solver.SolverConfig().width_tol(x)
+
+    @pytest.mark.parametrize("theta", ["0,5", "0,300", "0,700"])
+    def test_mobius_schwarzian_of_exp(self, theta, capsys):
+        # |S(exp)| = 1/2 on every interval; the old step drifted to 17 on 0,700
+        code = main(["mobius-test", "--f", "t", "--g", "exp(t)", "--theta", theta])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert abs(report["schwarzian_max_abs"] - 0.5) <= 1e-3
+
+    def test_mobius_infinite_literal_rendered(self, capsys):
+        # pretty() used to call int(inf) on the literal, an OverflowError
+        code = main(["mobius-test", "--f", "t", "--g", "t + exp(0-1e999)",
+                     "--theta", "0,10"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["g"] == "t + exp(0 - 1e999)"
+        assert report["status"] == "Fit"
+
     def test_huge_interval_converges(self, capsys):
         # the bracket (0, 5e299) needs ~1035 bisection steps, beyond
         # MAX_BISECT; the ITP steps find theta = 1 well within it
@@ -246,6 +273,22 @@ class TestRejectedInput:
         argv = ["mobius-test", "--f", "t", "--g", "2*t + 1", "--theta", "0,1",
                 "--probes", probes]
         self.assert_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("psi", [
+        "+".join(["x"] * 2000) + " - t",
+        "-" * 2000 + "x - t",
+        "(" * 2000 + "x" + ")" * 2000 + " - t",
+        "abs(" * 2000 + "x" + ")" * 2000 + " - t",
+        "x^" * 2000 + "x - t",
+    ], ids=["sum", "minus", "parens", "calls", "power"])
+    def test_deep_expression(self, psi, capsys):
+        # these used to end in a RecursionError traceback
+        argv = ["estimate", "--psi", psi, "--theta=-inf,inf", "--data", "[1,2]"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: syntax error at offset ")
+        assert captured.err.endswith("levels of nesting\n")
 
     def test_two_point_needs_distinct_observations(self, capsys):
         argv = self.REVERSED[:-1] + ["[2,2]", "--condition", "two-point"]

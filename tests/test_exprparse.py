@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from psiest import (
     DomainError,
+    ExprError,
     ExprSyntaxError,
     OpenInterval,
     UnknownIdentifier,
@@ -15,7 +16,16 @@ from psiest import (
     pretty,
     validate_monotone,
 )
-from psiest.exprparse import Bin, Fn, Neg, Num, Var
+from psiest.exprparse import MAX_DEPTH, Bin, Fn, Neg, Num, Var
+
+# Sources nested `levels` deep, in the tree or (for parens) in the source.
+DEEP_SHAPES = {
+    "sum": lambda levels: "+".join(["x"] * levels),
+    "minus": lambda levels: "-" * (levels - 1) + "x",
+    "parens": lambda levels: "(" * (levels - 1) + "x" + ")" * (levels - 1),
+    "calls": lambda levels: "abs(" * (levels - 1) + "x" + ")" * (levels - 1),
+    "power": lambda levels: "x^" * (levels - 1) + "x",
+}
 
 
 class TestParse:
@@ -61,6 +71,28 @@ class TestParse:
         with pytest.raises(ExprSyntaxError) as exc:
             parse("1 + @")
         assert exc.value.offset <= 5
+
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_nesting_at_limit_evaluates(self, shape):
+        f = compile_expr(parse(DEEP_SHAPES[shape](MAX_DEPTH)))
+        assert math.isfinite(f(0.5, 0.0))
+
+    @pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 2000])
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_nesting_past_limit(self, shape, levels):
+        src = DEEP_SHAPES[shape](levels)
+        with pytest.raises(ExprSyntaxError, match="levels of nesting") as exc:
+            parse(src)
+        assert 0 <= exc.value.offset <= len(src)
+
+    def test_compile_checks_depth(self):
+        e = Var("x", 7)
+        for _ in range(MAX_DEPTH - 1):
+            e = Neg(e, 3)
+        assert compile_expr(e)(2.0, 0.0) == (2.0 if MAX_DEPTH % 2 else -2.0)
+        with pytest.raises(ExprSyntaxError) as exc:
+            compile_expr(Neg(e, 3))
+        assert exc.value.offset == 7  # the leaf, one level past the limit
 
 
 class TestEval:
@@ -120,6 +152,11 @@ class TestEval:
         with pytest.raises(DomainError, match="negative base with non-integer exponent"):
             eval_expr(parse("(0-2)^x"), x=x)
 
+    def test_signed_zero_literals_compiled_apart(self):
+        # Num(0.0) == Num(-0.0), so the compile cache must key on the source
+        assert math.copysign(1.0, compile_expr(Num(0.0))(0.0, 0.0)) == 1.0
+        assert math.copysign(1.0, compile_expr(Num(-0.0))(0.0, 0.0)) == -1.0
+
     def test_nan_is_returned(self):
         assert math.isnan(eval_expr(parse("exp(x) - exp(x)"), x=1000.0))
 
@@ -170,7 +207,7 @@ ROUND_TRIP_CORPUS = [
     "x ^ 0.5", "t ^ 3 + t", "abs(t - x) ^ 2", "sign(t) + sign(x)",
     "sqrt(abs(t))", "1 + 2 * 3", "(1 + 2) * 3", "2 - -x", "x * -t",
     "ln(t + 1) - ln(t)", "exp(t) / (1 + exp(t))", "x ^ (t + 1)",
-    "((x))", "abs(-x)", "t / (t + 1) / (t + 2)",
+    "((x))", "abs(-x)", "t / (t + 1) / (t + 2)", "exp(0 - 1e999)",
 ]
 
 
@@ -193,26 +230,6 @@ class TestPretty:
                     eval_expr(e2, x=x, t=t)
                 continue
             assert eval_expr(e2, x=x, t=t) == v1
-
-
-class TestFuzz:
-    @pytest.mark.parametrize("src", ROUND_TRIP_CORPUS)
-    def test_truncations_never_crash(self, src):
-        for cut in range(len(src)):
-            prefix = src[:cut]
-            try:
-                parse(prefix)
-            except (ExprSyntaxError, UnknownIdentifier) as exc:
-                off = getattr(exc, "offset", 0)
-                assert 0 <= off <= len(prefix)
-
-    @given(st.text(alphabet="xt0123456789+-*/^().lnexpabsqr ", max_size=30))
-    @settings(max_examples=200, deadline=None)
-    def test_random_soup_never_crashes(self, src):
-        try:
-            parse(src)
-        except (ExprSyntaxError, UnknownIdentifier):
-            pass
 
 
 def tree_walk(e, x=0.0, t=0.0):
@@ -316,3 +333,43 @@ class TestCompiled:
     def test_left_error_reported_first(self, src):
         with pytest.raises(DomainError, match="^at offset 0: ln of nonpositive value -1.0$"):
             compile_expr(parse(src))(0.0, 1.0)
+
+
+# What generated code may name: the helpers, abs and inf.
+HELPER_NAMES = {"abs", "inf", "_div", "_pow", "_ln", "_exp", "_sign", "_sqrt"}
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("src", ROUND_TRIP_CORPUS)
+    def test_truncations_never_crash(self, src):
+        for cut in range(len(src)):
+            prefix = src[:cut]
+            try:
+                parse(prefix)
+            except (ExprSyntaxError, UnknownIdentifier) as exc:
+                off = getattr(exc, "offset", 0)
+                assert 0 <= off <= len(prefix)
+
+    @given(st.text(alphabet="xt0123456789+-*/^().lnexpabsqr ", max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_random_soup_never_crashes(self, src):
+        try:
+            compile_expr(parse(src))(0.5, 1.5)
+        except (ExprError, DomainError):
+            pass
+
+    @pytest.mark.parametrize("levels", [MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, 2000])
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_deep_shapes_never_crash(self, shape, levels):
+        try:
+            compile_expr(parse(DEEP_SHAPES[shape](levels)))(0.5, 1.5)
+        except (ExprError, DomainError):
+            pass
+
+    @given(TREES)
+    @settings(max_examples=200, deadline=None)
+    def test_generated_code_names(self, e):
+        # one function of (x, t) that names nothing but the helpers
+        code = compile_expr(e).__code__
+        assert code.co_varnames == ("x", "t")
+        assert set(code.co_names) <= HELPER_NAMES

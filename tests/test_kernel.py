@@ -59,6 +59,20 @@ class TestOpenInterval:
         assert all(iv.contains(t) for t in grid)
         assert grid == sorted(grid)
 
+    @pytest.mark.parametrize("lo,hi,seed", [
+        (0.0, math.inf, 1.0),
+        (-math.inf, 3.0, 2.0),
+        (2.0 ** 53 - 1.0, math.inf, 2.0 ** 53),
+        (1e20, math.inf, math.nextafter(1e20, math.inf)),
+        (-math.inf, -1e20, math.nextafter(-1e20, -math.inf)),
+        (-math.inf, 1e300, math.nextafter(1e300, -math.inf)),
+    ])
+    def test_midpoint_seed_half_line(self, lo, hi, seed):
+        # 1.0 from the finite end, or one ulp where 1.0 would round away
+        got = OpenInterval(lo, hi).midpoint_seed()
+        assert got == seed
+        assert OpenInterval(lo, hi).contains(got)
+
     @pytest.mark.parametrize("n", [1, 0, -1])
     def test_probe_grid_needs_two_points(self, n):
         with pytest.raises(InvalidArgument):
