@@ -129,8 +129,11 @@ def _parse_params(pairs: Sequence[str]) -> dict:
         if "=" not in pair:
             raise InvalidArgument(f"expected k=v, got {pair!r}")
         k, v = pair.split("=", 1)
+        k = k.strip()
+        if k in out:
+            raise InvalidArgument(f"parameter {k!r} given twice")
         try:
-            out[k.strip()] = float(v)
+            out[k] = float(v)
         except ValueError:
             raise InvalidArgument(f"bad value in {pair!r}") from None
     return out
@@ -156,17 +159,30 @@ def _build_kernel(args, suffix: str = ""):
     family = getattr(args, "family" + suffix, None)
     psi = getattr(args, "psi" + suffix, None)
     params = _parse_params(getattr(args, "param" + suffix, None) or [])
+    flags = (("--family-phi", "--phi", "--param-phi") if suffix
+             else ("--family", "--psi", "--param"))
     if family is not None:
+        if psi is not None:
+            raise InvalidArgument(f"{flags[0]} and {flags[1]} are exclusive")
         spec = families.FamilySpec(family, params)
         echo = {"family": family, "params": dict(sorted(params.items()))}
         return families.make_kernel(spec), echo, spec
     if psi is None:
-        raise InvalidArgument("supply --family or --psi")
+        raise InvalidArgument(f"supply {flags[0]} or {flags[1]}")
+    if params:
+        raise InvalidArgument(f"{flags[2]} applies only to {flags[0]}")
     if getattr(args, "theta", None) is None:
-        raise InvalidArgument("--psi requires --theta lo,hi")
+        raise InvalidArgument(f"{flags[1]} requires --theta lo,hi")
     theta = _parse_theta(args.theta)
     echo = {"psi": psi, "interval": [theta.lo, theta.hi]}
     return _expr_kernel(psi, theta, "psi"), echo, None
+
+
+def _check_theta_used(args, *specs) -> None:
+    """--theta is the interval of the expression kernels: reject it when
+    every kernel is a family."""
+    if args.theta is not None and all(spec is not None for spec in specs):
+        raise InvalidArgument("--theta applies only to an expression kernel")
 
 
 def _seed(args) -> int:
@@ -183,6 +199,7 @@ def _cfg(args) -> SolverConfig:
 
 def cmd_estimate(args) -> int:
     kernel, echo, spec = _build_kernel(args)
+    _check_theta_used(args, spec)
     sample = read_data(args.data, args.weights)
     cfg = _cfg(args)
     weighted = len(set(sample.weights)) > 1
@@ -212,8 +229,9 @@ _CONDITIONS = ("direct", "two-point", "ratio", "derivative", "equality")
 
 
 def cmd_compare(args) -> int:
-    kpsi, echo_psi, _ = _build_kernel(args, "")
-    kphi, echo_phi, _ = _build_kernel(args, "_phi")
+    kpsi, echo_psi, spec_psi = _build_kernel(args, "")
+    kphi, echo_phi, spec_phi = _build_kernel(args, "_phi")
+    _check_theta_used(args, spec_psi, spec_phi)
     sample = read_data(args.data)
     obs = sample.xs
     seed = _seed(args)

@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
-from .errors import DegenerateDerivative, EmptyLowerSet, InvalidArgument, PsiEstError
+from .errors import (DegenerateDerivative, DomainError, EmptyLowerSet, InvalidArgument,
+                     PsiEstError)
 from .kernel import PsiKernel, WeightedSample, weighted_sum
 from .solver import SolverConfig, empirical_theta1_hull, solve_sign_change, theta1
 
@@ -88,12 +90,6 @@ def _slack(lhs: float, rhs: float, rel: float) -> float:
     return rel * max(abs(lhs), abs(rhs), 1.0)
 
 
-def _non_finite(lhs: float, rhs: float) -> bool:
-    """A side of lhs <= rhs is inf or NaN: an overflowed product has lost its
-    size, and the slack test then always passes (inf - inf is NaN)."""
-    return not (math.isfinite(lhs) and math.isfinite(rhs))
-
-
 def _pair_tol(cfg: SolverConfig, ta: float, tb: float) -> float:
     return 10.0 * cfg.width_tol(max(abs(ta), abs(tb)))
 
@@ -135,25 +131,75 @@ def _sign_witness(kpsi, kphi, sample: WeightedSample, grid) -> Optional[dict]:
     return None
 
 
+def _verdict(condition: str, findings, meta: dict) -> ComparisonVerdict:
+    """The one verdict rule over a stream of (status, witness) findings:
+    Counterexample at the first Counterexample finding, else Inconclusive at
+    the first Inconclusive finding, else NoCounterexample.  The stream is
+    read no further than its first Counterexample."""
+    status, witness = NO_COUNTEREXAMPLE, None
+    for found in findings:
+        if found[0] == COUNTEREXAMPLE:
+            status, witness = found
+            break
+        if status == NO_COUNTEREXAMPLE:
+            status, witness = found
+    return ComparisonVerdict(status, condition, witness, meta)
+
+
 def _scan(kpsi, kphi, cases, cfg: SolverConfig, equal_on=None):
-    """(status, witness) of solving both estimators on each (head, sample,
-    tail) case: Inconclusive at the first solver failure, Counterexample at
-    the first case with theta_psi above theta_phi or, given a grid equal_on,
-    with the two apart or their sums of opposite sign on the grid."""
+    """Findings of solving both estimators on each (head, sample, tail) case:
+    Counterexample for each case with theta_psi above theta_phi or, given a
+    grid equal_on, with the two apart or their sums of opposite sign on the
+    grid.  At the first solver failure: Inconclusive, and the scan ends."""
     for head, sample, tail in cases:
         try:
             tp = _solve(kpsi, sample, cfg)
             tq = _solve(kphi, sample, cfg)
         except PsiEstError as exc:
-            return INCONCLUSIVE, {**head, "error": str(exc), **tail}
+            yield INCONCLUSIVE, {**head, "error": str(exc), **tail}
+            return
         tol = _pair_tol(cfg, tp, tq)
         if (abs(tp - tq) > tol) if equal_on is not None else (tp > tq + tol):
-            return COUNTEREXAMPLE, {**head, "theta_psi": tp, "theta_phi": tq, **tail}
-        if equal_on is not None:
+            yield COUNTEREXAMPLE, {**head, "theta_psi": tp, "theta_phi": tq, **tail}
+        elif equal_on is not None:
             found = _sign_witness(kpsi, kphi, sample, equal_on)
             if found is not None:
-                return COUNTEREXAMPLE, {**head, **found, **tail}
-    return NO_COUNTEREXAMPLE, None
+                yield COUNTEREXAMPLE, {**head, **found, **tail}
+
+
+def _pointwise(instances, keys, rel: float):
+    """Findings of the inequalities lhs <= rhs given as tuples
+    (values..., lhs, rhs), witnesses keyed by keys: Counterexample where lhs
+    is above rhs beyond the slack, else Inconclusive where a side is inf or
+    NaN (an overflowed product has lost its size, and the slack test then
+    always passes, inf - inf being NaN)."""
+    for inst in instances:
+        lhs, rhs = inst[-2], inst[-1]
+        if lhs > rhs + _slack(lhs, rhs, rel):
+            yield COUNTEREXAMPLE, dict(zip(keys, inst))
+        elif not (math.isfinite(lhs) and math.isfinite(rhs)):
+            yield INCONCLUSIVE, dict(zip(keys, inst))
+
+
+def _theta1_pairs(kpsi, kphi, ws: WitnessSet, cfg: SolverConfig):
+    """(x, theta1_psi(x), theta1_phi(x)) for each witness observation, each
+    computed only when asked for."""
+    for x in ws.observations:
+        yield x, theta1(kpsi, x, cfg), theta1(kphi, x, cfg)
+
+
+def _on_shared_theta1(kpsi, kphi, ws: WitnessSet, cfg: SolverConfig, then):
+    """Findings: Inconclusive at the first witness observation where the
+    kernels' theta1 differ, computing no further theta1; else those of
+    then([(x, common theta1), ...])."""
+    common = []
+    for x, a, b in _theta1_pairs(kpsi, kphi, ws, cfg):
+        if abs(a - b) > 1e-8 * (1.0 + max(abs(a), abs(b))):
+            yield INCONCLUSIVE, {"reason": "theta1 values differ", "x": x,
+                                 "theta1_psi": a, "theta1_phi": b}
+            return
+        common.append((x, 0.5 * (a + b)))
+    yield from then(common)
 
 
 def check_direct(
@@ -168,8 +214,7 @@ def check_direct(
     the witness observations, sizes 1..max_n."""
     cases = _random_cases(ws, max_n, trials)
     meta = {"max_n": max_n, "trials": trials, "seed": ws.random_seed}
-    status, witness = _scan(kpsi, kphi, cases, cfg)
-    return ComparisonVerdict(status, "direct", witness, meta)
+    return _verdict("direct", _scan(kpsi, kphi, cases, cfg), meta)
 
 
 def check_two_point(
@@ -187,8 +232,7 @@ def check_two_point(
     _require_count("max_km", max_km, 2)
     cases = (({"k": k, "m": m}, WeightedSample((x, y), (float(k), float(m))), {})
              for k in range(1, max_km) for m in range(1, max_km - k + 1))
-    status, witness = _scan(kpsi, kphi, cases, cfg)
-    return ComparisonVerdict(status, "two-point", witness, {"max_km": max_km})
+    return _verdict("two-point", _scan(kpsi, kphi, cases, cfg), {"max_km": max_km})
 
 
 def check_ratio_condition(
@@ -203,35 +247,16 @@ def check_ratio_condition(
     estimates straddle each grid t.  Without a counterexample, the first
     cross instance with a side inf or NaN makes the verdict Inconclusive."""
     meta = {"grid_size": len(ws.parameter_grid), "seed": ws.random_seed}
-    t1_psi = {x: theta1(kpsi, x, cfg) for x in ws.observations}
-    t1_phi = {x: theta1(kphi, x, cfg) for x in ws.observations}
-    for x in ws.observations:
-        a, b = t1_psi[x], t1_phi[x]
-        if a > b + _pair_tol(cfg, a, b):
-            return ComparisonVerdict(
-                COUNTEREXAMPLE, "ratio",
-                {"stage": "theta1", "x": x, "theta1_psi": a, "theta1_phi": b},
-                meta)
-    unsure = None
-    for x in ws.observations:
-        for y in ws.observations:
-            if not t1_phi[x] < t1_phi[y]:
-                continue
-            for t in ws.parameter_grid:
-                if not (t1_phi[x] < t < t1_phi[y]):
-                    continue
-                lhs = kpsi.eval(x, t) * kphi.eval(y, t)
-                rhs = kpsi.eval(y, t) * kphi.eval(x, t)
-                bad = lhs > rhs + _slack(lhs, rhs, 1e-10)
-                if bad or (unsure is None and _non_finite(lhs, rhs)):
-                    witness = {"stage": "cross", "x": x, "y": y, "t": t,
-                               "lhs": lhs, "rhs": rhs}
-                    if bad:
-                        return ComparisonVerdict(COUNTEREXAMPLE, "ratio", witness, meta)
-                    unsure = witness
-    if unsure is not None:
-        return ComparisonVerdict(INCONCLUSIVE, "ratio", unsure, meta)
-    return ComparisonVerdict(NO_COUNTEREXAMPLE, "ratio", None, meta)
+    t1 = list(_theta1_pairs(kpsi, kphi, ws, cfg))
+    stage1 = ((COUNTEREXAMPLE, {"stage": "theta1", "x": x,
+                                "theta1_psi": a, "theta1_phi": b})
+              for x, a, b in t1 if a > b + _pair_tol(cfg, a, b))
+    cross = (("cross", x, y, t, kpsi.eval(x, t) * kphi.eval(y, t),
+              kpsi.eval(y, t) * kphi.eval(x, t))
+             for x, _, bx in t1 for y, _, by in t1 if bx < by
+             for t in ws.parameter_grid if bx < t < by)
+    keys = ("stage", "x", "y", "t", "lhs", "rhs")
+    return _verdict("ratio", chain(stage1, _pointwise(cross, keys, 1e-10)), meta)
 
 
 def construct_multiplier(
@@ -243,11 +268,15 @@ def construct_multiplier(
 ) -> float:
     """Finite-witness infimum of psi(x,t)/phi(x,t) over witnesses whose phi
     estimate lies below t.  When the ratio condition holds, this multiplier
-    satisfies psi(z,t) <= p(t) phi(z,t) for every witness z."""
+    satisfies psi(z,t) <= p(t) phi(z,t) for every witness z.  A witness with
+    phi(x,t) = 0 leaves the ratio undefined: DomainError."""
     ratios = []
     for x in ws.observations:
         if theta1(kphi, x, cfg) < t:
-            ratios.append(kpsi.eval(x, t) / kphi.eval(x, t))
+            p, q = kpsi.eval(x, t), kphi.eval(x, t)
+            if q == 0.0:
+                raise DomainError(f"phi({x!r}, {t!r}) is 0, so psi/phi is undefined")
+            ratios.append(p / q)
     if not ratios:
         raise EmptyLowerSet(f"no witness has a phi-estimate below {t!r}")
     return min(ratios)
@@ -257,21 +286,6 @@ def _d2(kernel: PsiKernel, x: float, t: float) -> float:
     if kernel.d2 is not None:
         return kernel.d2(x, t)
     return (kernel.eval(x, t + _FD_STEP) - kernel.eval(x, t - _FD_STEP)) / (2.0 * _FD_STEP)
-
-
-def _shared_theta1(kpsi, kphi, ws: WitnessSet, cfg: SolverConfig):
-    """The kernels' common theta1 on each witness observation, as
-    ({x: midpoint}, None), or (None, witness) for the first observation
-    where the two differ."""
-    t1s = {}
-    for x in ws.observations:
-        a = theta1(kpsi, x, cfg)
-        b = theta1(kphi, x, cfg)
-        if abs(a - b) > 1e-8 * (1.0 + max(abs(a), abs(b))):
-            return None, {"reason": "theta1 values differ", "x": x,
-                          "theta1_psi": a, "theta1_phi": b}
-        t1s[x] = 0.5 * (a + b)
-    return t1s, None
 
 
 def check_derivative_condition(
@@ -286,32 +300,23 @@ def check_derivative_condition(
     (else Inconclusive) and nonvanishing parameter derivatives.  Without a
     counterexample, the first instance with a side inf or NaN makes the
     verdict Inconclusive."""
-    meta = {"fd_step": _FD_STEP}
-    t1s, differ = _shared_theta1(kpsi, kphi, ws, cfg)
-    if differ is not None:
-        return ComparisonVerdict(INCONCLUSIVE, "derivative", differ, meta)
-    unsure = None
-    for x in ws.observations:
-        t0 = t1s[x]
-        if not (kpsi.theta.contains(t0) and kphi.theta.contains(t0)):
-            continue
-        dp = _d2(kpsi, x, t0)
-        dq = _d2(kphi, x, t0)
-        if abs(dp) < 1e-8 or abs(dq) < 1e-8:
-            raise DegenerateDerivative(
-                f"parameter derivative vanishes at theta1({x!r})")
-        for y in ws.observations:
-            lhs = -kpsi.eval(y, t0) / dp
-            rhs = -kphi.eval(y, t0) / dq
-            bad = lhs > rhs + _slack(lhs, rhs, 1e-8)
-            if bad or (unsure is None and _non_finite(lhs, rhs)):
-                witness = {"x": x, "y": y, "t0": t0, "lhs": lhs, "rhs": rhs}
-                if bad:
-                    return ComparisonVerdict(COUNTEREXAMPLE, "derivative", witness, meta)
-                unsure = witness
-    if unsure is not None:
-        return ComparisonVerdict(INCONCLUSIVE, "derivative", unsure, meta)
-    return ComparisonVerdict(NO_COUNTEREXAMPLE, "derivative", None, meta)
+
+    def slopes(common):
+        for x, t0 in common:
+            if not (kpsi.theta.contains(t0) and kphi.theta.contains(t0)):
+                continue
+            dp = _d2(kpsi, x, t0)
+            dq = _d2(kphi, x, t0)
+            if abs(dp) < 1e-8 or abs(dq) < 1e-8:
+                raise DegenerateDerivative(
+                    f"parameter derivative vanishes at theta1({x!r})")
+            for y in ws.observations:
+                yield x, y, t0, -kpsi.eval(y, t0) / dp, -kphi.eval(y, t0) / dq
+
+    keys = ("x", "y", "t0", "lhs", "rhs")
+    findings = _on_shared_theta1(
+        kpsi, kphi, ws, cfg, lambda common: _pointwise(slopes(common), keys, 1e-8))
+    return _verdict("derivative", findings, {"fd_step": _FD_STEP})
 
 
 def check_equality(
@@ -327,9 +332,6 @@ def check_equality(
     cases = _random_cases(ws, max_n, trials)
     meta = {"max_n": max_n, "trials": trials, "seed": ws.random_seed,
             "grid_size": len(ws.parameter_grid)}
-    _, differ = _shared_theta1(kpsi, kphi, ws, cfg)
-    if differ is not None:
-        return ComparisonVerdict(INCONCLUSIVE, "equality", differ, meta)
-
-    status, witness = _scan(kpsi, kphi, cases, cfg, equal_on=ws.parameter_grid)
-    return ComparisonVerdict(status, "equality", witness, meta)
+    scan = _scan(kpsi, kphi, cases, cfg, equal_on=ws.parameter_grid)
+    findings = _on_shared_theta1(kpsi, kphi, ws, cfg, lambda _: scan)
+    return _verdict("equality", findings, meta)

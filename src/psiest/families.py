@@ -23,7 +23,7 @@ _POSITIVE = OpenInterval(0.0, math.inf)
 class FamilySpec:
     """A family identifier plus its fixed (known) parameters.
 
-    params keys by family:
+    params keys by family (any other key is rejected):
       expectile: alpha in (0,1)
       mathieu: none (supply f, an increasing function with f(0)=0)
       normal_var: m (known mean)
@@ -46,6 +46,9 @@ class FamilySpec:
         if row is None:
             raise InvalidParameter(f"unknown family {self.family!r}")
         object.__setattr__(self, "params", dict(self.params))
+        for key in self.params:
+            if key != row.key:
+                raise InvalidParameter(f"{self.family} has no parameter {key!r}")
         if row.key is None:
             _validate_increasing(self)
             return

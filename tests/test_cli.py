@@ -294,6 +294,42 @@ class TestRejectedInput:
         argv = self.REVERSED[:-1] + ["[2,2]", "--condition", "two-point"]
         self.assert_usage_error(argv, capsys)
 
+    @pytest.mark.parametrize("argv,message", [
+        (["estimate", "--family", "gamma_rate", "--param", "p=2", "--param", "q=5",
+          "--data", "[1,2]"], "error: gamma_rate has no parameter 'q'\n"),
+        (["estimate", "--family", "expectile", "--param", "alpha=0.3",
+          "--param", "alpha=0.9", "--data", "[1,2]"],
+         "error: parameter 'alpha' given twice\n"),
+    ], ids=["unknown_key", "repeated_key"])
+    def test_bad_parameter_keys(self, argv, message, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--psi", "x-t", "--family", "expectile", "--param", "alpha=0.3",
+         "--theta=0,1", "--data", "[0.5]"],
+        REVERSED[:5] + ["--family-phi", "expectile", "--param-phi", "alpha=0.3",
+                        "--phi", "x-t", "--theta=0,9", "--data", "[0,1,2,5]"],
+        ["estimate", "--psi", "x-t", "--theta=0,9", "--param", "a=1", "--data", "[1]"],
+        ["compare", "--psi", "x-t", "--theta=0,9", "--param", "a=1",
+         "--family-phi", "expectile", "--param-phi", "alpha=0.3", "--data", "[1,2]"],
+        ["compare", "--family", "expectile", "--param", "alpha=0.3", "--phi", "x-t",
+         "--theta=-9,9", "--param-phi", "a=1", "--data", "[1,2]"],
+        LAPLACE + ["--theta=0,1", "--data", "[1,-2,3]"],
+        REVERSED + ["--theta=0,1", "--condition", "direct"],
+    ], ids=["psi_beside_family", "phi_beside_family_phi", "param_beside_psi",
+            "compare_param_beside_psi", "param_phi_beside_phi", "estimate_unused_theta",
+            "compare_unused_theta"])
+    def test_unused_kernel_flags(self, argv, capsys):
+        # each of these used to exit 0, the flag silently dropped
+        self.assert_usage_error(argv, capsys)
+
+    def test_theta_for_one_expression_kernel(self, capsys):
+        argv = ["compare", "--family", "expectile", "--param", "alpha=0.3",
+                "--phi", "x-t", "--theta=-9,9", "--data", "[1,2]", "--condition", "direct"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["kernel_phi"]["interval"] == [-9, 9]
+
     def test_reversed_ordering_found_by_default(self, capsys):
         assert main(self.REVERSED + ["--condition", "direct"]) == 3
         capsys.readouterr()

@@ -1,11 +1,17 @@
+import collections
+import dataclasses
 import json
 import math
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gen
 from psiest import (
+    DegenerateDerivative,
+    DomainError,
     EmptyLowerSet,
     InvalidArgument,
     FamilySpec,
@@ -26,8 +32,23 @@ from psiest import (
     make_kernel,
     parse,
     solve_sign_change,
+    theta1,
 )
-from psiest.comparison import WitnessSet
+from psiest.comparison import (
+    _FD_STEP,
+    COUNTEREXAMPLE,
+    INCONCLUSIVE,
+    NO_COUNTEREXAMPLE,
+    ComparisonVerdict,
+    WitnessSet,
+    _d2,
+    _pair_tol,
+    _random_cases,
+    _require_count,
+    _sign_witness,
+    _slack,
+    _solve,
+)
 
 LINE = OpenInterval(-math.inf, math.inf)
 
@@ -135,6 +156,16 @@ class TestConstructMultiplier:
         ws = ws_for(kq, (5.0, 10.0))
         with pytest.raises(EmptyLowerSet):
             construct_multiplier(kp, kq, ws, 1.0)
+
+    def test_phi_zero_is_a_domain_error(self):
+        # phi(0, 0.5) = sign(-0.5) + sign(0.5) = 0 with theta1_phi(0) = 0 below
+        # t = 0.5: the ratio is undefined (it raised ZeroDivisionError)
+        kp = PsiKernel(LINE, compile_expr(parse("x - t")), theta1=lambda x: x,
+                       name="psi")
+        kq = PsiKernel(LINE, compile_expr(parse("sign(x - t) + sign(x - t + 1)")),
+                       theta1=lambda x: x, name="phi")
+        with pytest.raises(DomainError, match=r"phi\(0\.0, 0\.5\) is 0"):
+            construct_multiplier(kp, kq, WitnessSet((0.0, 3.0), (1.0, 2.0)), 0.5)
 
     def test_sandwich_on_passing_pair(self):
         kp, kq = expectile(0.3), expectile(0.7)
@@ -443,6 +474,302 @@ class TestVerdictPins:
             pins = json.load(fh)
         got = json.dumps(_verdict_record(kp, kq, obs))
         assert got == json.dumps(pins[name])
+
+
+# --------------------------------------------------------------------------
+# The comparison checks as they were before the one verdict rule, copied
+# verbatim apart from their names: each check kept its own verdict
+# bookkeeping.  TestAgainstReference holds the checks to them.
+
+
+def _non_finite(lhs: float, rhs: float) -> bool:
+    """A side of lhs <= rhs is inf or NaN: an overflowed product has lost its
+    size, and the slack test then always passes (inf - inf is NaN)."""
+    return not (math.isfinite(lhs) and math.isfinite(rhs))
+
+
+def reference_scan(kpsi, kphi, cases, cfg: SolverConfig, equal_on=None):
+    """(status, witness) of solving both estimators on each (head, sample,
+    tail) case: Inconclusive at the first solver failure, Counterexample at
+    the first case with theta_psi above theta_phi or, given a grid equal_on,
+    with the two apart or their sums of opposite sign on the grid."""
+    for head, sample, tail in cases:
+        try:
+            tp = _solve(kpsi, sample, cfg)
+            tq = _solve(kphi, sample, cfg)
+        except PsiEstError as exc:
+            return INCONCLUSIVE, {**head, "error": str(exc), **tail}
+        tol = _pair_tol(cfg, tp, tq)
+        if (abs(tp - tq) > tol) if equal_on is not None else (tp > tq + tol):
+            return COUNTEREXAMPLE, {**head, "theta_psi": tp, "theta_phi": tq, **tail}
+        if equal_on is not None:
+            found = _sign_witness(kpsi, kphi, sample, equal_on)
+            if found is not None:
+                return COUNTEREXAMPLE, {**head, **found, **tail}
+    return NO_COUNTEREXAMPLE, None
+
+
+def reference_direct(
+    kpsi: PsiKernel,
+    kphi: PsiKernel,
+    ws: WitnessSet,
+    max_n: int = 6,
+    trials: int = 200,
+    cfg: SolverConfig = SolverConfig(),
+) -> ComparisonVerdict:
+    """Estimator ordering theta_psi <= theta_phi on random samples drawn from
+    the witness observations, sizes 1..max_n."""
+    cases = _random_cases(ws, max_n, trials)
+    meta = {"max_n": max_n, "trials": trials, "seed": ws.random_seed}
+    status, witness = reference_scan(kpsi, kphi, cases, cfg)
+    return ComparisonVerdict(status, "direct", witness, meta)
+
+
+def reference_two_point(
+    kpsi: PsiKernel,
+    kphi: PsiKernel,
+    x: float,
+    y: float,
+    max_km: int = 20,
+    cfg: SolverConfig = SolverConfig(),
+) -> ComparisonVerdict:
+    """Ordering on all replicated two-point samples (x taken k times, y taken
+    m times, k+m <= max_km), realized as weights (k, m) on (x, y)."""
+    if x == y:
+        raise InvalidArgument("two-point check needs distinct observations")
+    _require_count("max_km", max_km, 2)
+    cases = (({"k": k, "m": m}, WeightedSample((x, y), (float(k), float(m))), {})
+             for k in range(1, max_km) for m in range(1, max_km - k + 1))
+    status, witness = reference_scan(kpsi, kphi, cases, cfg)
+    return ComparisonVerdict(status, "two-point", witness, {"max_km": max_km})
+
+
+def reference_ratio(
+    kpsi: PsiKernel,
+    kphi: PsiKernel,
+    ws: WitnessSet,
+    cfg: SolverConfig = SolverConfig(),
+) -> ComparisonVerdict:
+    """Two-stage pointwise condition: single-observation ordering on every
+    witness, then the cross-product inequality
+    psi(x,t) phi(y,t) <= psi(y,t) phi(x,t) for witness pairs whose phi
+    estimates straddle each grid t.  Without a counterexample, the first
+    cross instance with a side inf or NaN makes the verdict Inconclusive."""
+    meta = {"grid_size": len(ws.parameter_grid), "seed": ws.random_seed}
+    t1_psi = {x: theta1(kpsi, x, cfg) for x in ws.observations}
+    t1_phi = {x: theta1(kphi, x, cfg) for x in ws.observations}
+    for x in ws.observations:
+        a, b = t1_psi[x], t1_phi[x]
+        if a > b + _pair_tol(cfg, a, b):
+            return ComparisonVerdict(
+                COUNTEREXAMPLE, "ratio",
+                {"stage": "theta1", "x": x, "theta1_psi": a, "theta1_phi": b},
+                meta)
+    unsure = None
+    for x in ws.observations:
+        for y in ws.observations:
+            if not t1_phi[x] < t1_phi[y]:
+                continue
+            for t in ws.parameter_grid:
+                if not (t1_phi[x] < t < t1_phi[y]):
+                    continue
+                lhs = kpsi.eval(x, t) * kphi.eval(y, t)
+                rhs = kpsi.eval(y, t) * kphi.eval(x, t)
+                bad = lhs > rhs + _slack(lhs, rhs, 1e-10)
+                if bad or (unsure is None and _non_finite(lhs, rhs)):
+                    witness = {"stage": "cross", "x": x, "y": y, "t": t,
+                               "lhs": lhs, "rhs": rhs}
+                    if bad:
+                        return ComparisonVerdict(COUNTEREXAMPLE, "ratio", witness, meta)
+                    unsure = witness
+    if unsure is not None:
+        return ComparisonVerdict(INCONCLUSIVE, "ratio", unsure, meta)
+    return ComparisonVerdict(NO_COUNTEREXAMPLE, "ratio", None, meta)
+
+
+def reference_shared_theta1(kpsi, kphi, ws: WitnessSet, cfg: SolverConfig):
+    """The kernels' common theta1 on each witness observation, as
+    ({x: midpoint}, None), or (None, witness) for the first observation
+    where the two differ."""
+    t1s = {}
+    for x in ws.observations:
+        a = theta1(kpsi, x, cfg)
+        b = theta1(kphi, x, cfg)
+        if abs(a - b) > 1e-8 * (1.0 + max(abs(a), abs(b))):
+            return None, {"reason": "theta1 values differ", "x": x,
+                          "theta1_psi": a, "theta1_phi": b}
+        t1s[x] = 0.5 * (a + b)
+    return t1s, None
+
+
+def reference_derivative(
+    kpsi: PsiKernel,
+    kphi: PsiKernel,
+    ws: WitnessSet,
+    cfg: SolverConfig = SolverConfig(),
+) -> ComparisonVerdict:
+    """Pointwise slope condition at shared single-observation estimates:
+    -psi(y, t0)/d2_psi(x, t0) <= -phi(y, t0)/d2_phi(x, t0) with
+    t0 = theta1(x).  Requires both kernels to share theta1 on the witnesses
+    (else Inconclusive) and nonvanishing parameter derivatives.  Without a
+    counterexample, the first instance with a side inf or NaN makes the
+    verdict Inconclusive."""
+    meta = {"fd_step": _FD_STEP}
+    t1s, differ = reference_shared_theta1(kpsi, kphi, ws, cfg)
+    if differ is not None:
+        return ComparisonVerdict(INCONCLUSIVE, "derivative", differ, meta)
+    unsure = None
+    for x in ws.observations:
+        t0 = t1s[x]
+        if not (kpsi.theta.contains(t0) and kphi.theta.contains(t0)):
+            continue
+        dp = _d2(kpsi, x, t0)
+        dq = _d2(kphi, x, t0)
+        if abs(dp) < 1e-8 or abs(dq) < 1e-8:
+            raise DegenerateDerivative(
+                f"parameter derivative vanishes at theta1({x!r})")
+        for y in ws.observations:
+            lhs = -kpsi.eval(y, t0) / dp
+            rhs = -kphi.eval(y, t0) / dq
+            bad = lhs > rhs + _slack(lhs, rhs, 1e-8)
+            if bad or (unsure is None and _non_finite(lhs, rhs)):
+                witness = {"x": x, "y": y, "t0": t0, "lhs": lhs, "rhs": rhs}
+                if bad:
+                    return ComparisonVerdict(COUNTEREXAMPLE, "derivative", witness, meta)
+                unsure = witness
+    if unsure is not None:
+        return ComparisonVerdict(INCONCLUSIVE, "derivative", unsure, meta)
+    return ComparisonVerdict(NO_COUNTEREXAMPLE, "derivative", None, meta)
+
+
+def reference_equality(
+    kpsi: PsiKernel,
+    kphi: PsiKernel,
+    ws: WitnessSet,
+    max_n: int = 6,
+    trials: int = 200,
+    cfg: SolverConfig = SolverConfig(),
+) -> ComparisonVerdict:
+    """Estimator equality: ordering in both directions on random samples,
+    plus sign agreement of the two weighted sums on the parameter grid."""
+    cases = _random_cases(ws, max_n, trials)
+    meta = {"max_n": max_n, "trials": trials, "seed": ws.random_seed,
+            "grid_size": len(ws.parameter_grid)}
+    _, differ = reference_shared_theta1(kpsi, kphi, ws, cfg)
+    if differ is not None:
+        return ComparisonVerdict(INCONCLUSIVE, "equality", differ, meta)
+
+    status, witness = reference_scan(kpsi, kphi, cases, cfg, equal_on=ws.parameter_grid)
+    return ComparisonVerdict(status, "equality", witness, meta)
+
+
+def _counted(kernel, counts):
+    """The kernel with its eval and d2 calls counted in counts."""
+    ev, d2 = kernel.eval, kernel.d2
+
+    def counted_eval(x, t):
+        counts["eval"] += 1
+        return ev(x, t)
+
+    def counted_d2(x, t):
+        counts["d2"] += 1
+        return d2(x, t)
+
+    return dataclasses.replace(kernel, eval=counted_eval,
+                               d2=None if d2 is None else counted_d2)
+
+
+def _checks(args):
+    """(name, check, reference) for each check with the keyword arguments
+    drawn in args."""
+    max_n, trials, max_km = args["max_n"], args["trials"], args["max_km"]
+    return [
+        ("direct", lambda kp, kq, ws: check_direct(kp, kq, ws, max_n, trials),
+         lambda kp, kq, ws: reference_direct(kp, kq, ws, max_n, trials)),
+        ("two-point",
+         lambda kp, kq, ws: check_two_point(kp, kq, min(ws.observations),
+                                            max(ws.observations), max_km),
+         lambda kp, kq, ws: reference_two_point(kp, kq, min(ws.observations),
+                                                max(ws.observations), max_km)),
+        ("ratio", check_ratio_condition, reference_ratio),
+        ("derivative", check_derivative_condition, reference_derivative),
+        ("equality", lambda kp, kq, ws: check_equality(kp, kq, ws, max_n, trials),
+         lambda kp, kq, ws: reference_equality(kp, kq, ws, max_n, trials)),
+    ]
+
+
+def _run_counted(check, kp, kq, ws):
+    """The check's outcome as JSON text (status, witness in key order, grid
+    meta, or the error raised) and the kernel calls it made."""
+    counts = collections.Counter()
+    outcome = _outcome(lambda: check(_counted(kp, counts), _counted(kq, counts), ws))
+    return json.dumps(outcome), dict(counts)
+
+
+def _exp_above(x, t):
+    # x - t up to t = x, e^(x-t) - 1 beyond, inf where e^(x-t) overflows
+    if x <= t:
+        return x - t
+    return math.inf if x - t > 700.0 else math.expm1(x - t)
+
+
+# (name, kernel psi, kernel phi, observation range): the regression corpus,
+# a kernel whose solves fail on some samples, and two pairs whose ratio and
+# slope sides overflow; the second has no counterexample where all its
+# observations are far apart, so its overflows give Inconclusive.
+_ORACLE_RANGES = {"expectile": (-2.0, 6.0), "beta_alpha": (0.05, 0.95),
+                  "gamma_shape": (0.2, 5.0), "lomax_lambda": (0.2, 5.0),
+                  "lomax_alpha": (0.2, 5.0)}
+ORACLE_PAIRS = [(name, kp, kq, _ORACLE_RANGES[name.rsplit("_", 1)[0]])
+                for name, kp, kq, _, _ in gen.comparison_corpus()] + [
+    ("stalling", STALLING, expectile(0.5), (-1.0, 6.0)),
+    ("overflow", PsiKernel(LINE, compile_expr(parse("exp(x-t)-1")), name="psi"),
+     PsiKernel(LINE, compile_expr(parse("x-t")), name="phi"), (-10.0, 4000.0)),
+    ("overflow_above", PsiKernel(LINE, _exp_above, theta1=lambda x: x,
+                                 d2=lambda x, t: -1.0, name="psi"),
+     PsiKernel(LINE, lambda x, t: x - t, theta1=lambda x: x,
+               d2=lambda x, t: -1.0, name="phi"), (-10.0, 4000.0)),
+]
+
+
+def _oracle_example(name, obs):
+    """A case as oracle_cases draws it, for the named pair and observations."""
+    _, kp, kq, _ = next(p for p in ORACLE_PAIRS if p[0] == name)
+    ws = build_witness_set(kq, obs, seed=0, grid_points=5, random_points=3)
+    return name, kp, kq, ws, {"max_n": 4, "trials": 10, "max_km": 5}
+
+
+@st.composite
+def oracle_cases(draw):
+    name, kp, kq, (lo, hi) = draw(st.sampled_from(ORACLE_PAIRS))
+    # observations on a lattice, so ties and empty hulls occur; on the coarse
+    # one the overflowing pairs' observations are all far apart
+    steps = draw(st.sampled_from((4, 40)))
+    obs = tuple(lo + (hi - lo) * i / steps for i in
+                draw(st.lists(st.integers(1, steps - 1), min_size=1, max_size=8)))
+    ws = build_witness_set(kq, obs, seed=draw(st.integers(0, 5)),
+                           grid_points=draw(st.integers(2, 9)),
+                           random_points=draw(st.integers(0, 6)))
+    args = {"max_n": draw(st.integers(1, 6)), "trials": draw(st.integers(1, 20)),
+            "max_km": draw(st.integers(2, 8))}
+    return name, kp, kq, ws, args
+
+
+class TestAgainstReference:
+    """Every check gives the reference's status, witness (in key order) and
+    grid meta, or raises its error, with the same kernel calls."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_cases())
+    # a solver failure ends the scan; several slope sides overflow
+    @example(_oracle_example("stalling", (0.0, 1.0, 5.0)))
+    @example(_oracle_example("overflow_above", (0.0, 1000.0, 2000.0)))
+    def test_same_verdicts_and_work(self, case):
+        name, kp, kq, ws, args = case
+        for check_name, check, reference in _checks(args):
+            got = _run_counted(check, kp, kq, ws)
+            want = _run_counted(reference, kp, kq, ws)
+            assert got == want, (name, check_name, ws)
 
 
 if __name__ == "__main__":

@@ -62,6 +62,15 @@ class TestValidation:
         with pytest.raises(InvalidParameter):
             FamilySpec(family, params)
 
+    @pytest.mark.parametrize("family,params,f", [
+        ("gamma_rate", {"p": 2.0, "q": 5.0}, None),
+        ("expectile", {"alpha": 0.3, "beta": 1.0}, None),
+        ("mathieu", {"p": 2.0}, lambda u: u),
+    ])
+    def test_unknown_parameter_key(self, family, params, f):
+        with pytest.raises(InvalidParameter, match="has no parameter"):
+            FamilySpec(family, params, f=f)
+
     def test_mathieu_requires_f(self):
         with pytest.raises(InvalidParameter):
             FamilySpec("mathieu", {})
