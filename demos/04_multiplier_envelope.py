@@ -5,6 +5,10 @@ psi/phi over the witnesses whose single-point estimate lies below t.  The
 resulting p(t) satisfies psi(x, t) <= p(t) * phi(x, t) on the witness set.
 For two log-normal location kernels that differ only in variance, the
 multiplier is exactly the variance ratio.
+
+p(t) comes from comparison._ratio_bounds, the helper with which
+check_ratio_condition certifies its cross stage: there the largest psi/phi
+above t must not exceed p(t).
 """
 
 import math

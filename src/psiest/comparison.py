@@ -24,7 +24,9 @@ NO_COUNTEREXAMPLE = "NoCounterexample"
 COUNTEREXAMPLE = "Counterexample"
 INCONCLUSIVE = "Inconclusive"
 
-# Central-difference step for a kernel without a closed-form d2.
+# Central-difference step for a kernel without a closed-form d2, relative:
+# at t the step is _FD_STEP * max(1, |t|), so the rounding of t +- step stays
+# far below the derivative check's slack however large |t| is.
 _FD_STEP = 1e-6
 
 
@@ -235,6 +237,57 @@ def check_two_point(
     return _verdict("two-point", _scan(kpsi, kphi, cases, cfg), {"max_km": max_km})
 
 
+def _ratio_bounds(kpsi, kphi, t: float, below, above):
+    """(least r over below, greatest r over above, sound) for
+    r(x) = psi(x, t)/phi(x, t), each extreme None where its side has no x and
+    the least taken in the order of below as min() takes it.  sound says each
+    product test psi(x,t) phi(y,t) <= psi(y,t) phi(x,t), x below and y above,
+    follows from greatest <= least within a few ulps: phi < 0 below and > 0
+    above, every psi, phi and r finite, and the largest |psi| times the
+    largest |phi| finite, so no product is inf or NaN.  A phi(x, t) of 0
+    leaves r undefined: DomainError."""
+    least = greatest = None
+    sound = True
+    top_psi = top_phi = 0.0
+    for sign, xs in ((-1.0, below), (1.0, above)):
+        for x in xs:
+            p, q = kpsi.eval(x, t), kphi.eval(x, t)
+            if q == 0.0:
+                raise DomainError(f"phi({x!r}, {t!r}) is 0, so psi/phi is undefined")
+            r = p / q
+            if sign < 0.0:
+                least = r if least is None or r < least else least
+            else:
+                greatest = r if greatest is None or r > greatest else greatest
+            sound = (sound and sign * q > 0.0 and math.isfinite(p)
+                     and math.isfinite(q) and math.isfinite(r))
+            top_psi, top_phi = max(top_psi, abs(p)), max(top_phi, abs(q))
+    return least, greatest, sound and math.isfinite(top_psi * top_phi)
+
+
+def _multiplier_certifies(kpsi, kphi, t1, grid) -> bool:
+    """Whether every cross instance of the ratio check holds, read off the
+    paper's multiplier at each grid t that some pair straddles: t in both
+    kernels' Theta and, by _ratio_bounds, the witnesses above t bounded by
+    those below.  Never raises: an error, a phi of 0 or a t outside Theta
+    only means the instances are left to the pairwise scan."""
+    for t in grid:
+        below = [x for x, _, b in t1 if b < t]
+        above = [y for y, _, b in t1 if t < b]
+        if not (below and above):
+            continue
+        if not (kpsi.theta.contains(t) and kphi.theta.contains(t)):
+            return False
+        try:
+            least, greatest, sound = _ratio_bounds(kpsi, kphi, t, below, above)
+        except Exception:
+            # left to the scan, which raises it unless a counterexample comes first
+            return False
+        if not (sound and greatest <= least):
+            return False
+    return True
+
+
 def check_ratio_condition(
     kpsi: PsiKernel,
     kphi: PsiKernel,
@@ -244,19 +297,33 @@ def check_ratio_condition(
     """Two-stage pointwise condition: single-observation ordering on every
     witness, then the cross-product inequality
     psi(x,t) phi(y,t) <= psi(y,t) phi(x,t) for witness pairs whose phi
-    estimates straddle each grid t.  Without a counterexample, the first
-    cross instance with a side inf or NaN makes the verdict Inconclusive."""
+    estimates straddle each grid t.
+
+    The cross stage is first decided through the paper's multiplier, in
+    O(|obs| |grid|) kernel calls: where phi < 0 below t and > 0 above, every
+    pair at t holds iff the largest psi/phi above is at most the smallest
+    below, p(t).  When that certificate holds at every grid t (all values
+    finite, see _ratio_bounds), no instance can fail.  Otherwise every pair
+    is tested at every t, in x, y, t order, and the first failing instance
+    is the witness; without a counterexample, the first instance with a side
+    inf or NaN makes the verdict Inconclusive."""
     meta = {"grid_size": len(ws.parameter_grid), "seed": ws.random_seed}
     t1 = list(_theta1_pairs(kpsi, kphi, ws, cfg))
     stage1 = ((COUNTEREXAMPLE, {"stage": "theta1", "x": x,
                                 "theta1_psi": a, "theta1_phi": b})
               for x, a, b in t1 if a > b + _pair_tol(cfg, a, b))
-    cross = (("cross", x, y, t, kpsi.eval(x, t) * kphi.eval(y, t),
-              kpsi.eval(y, t) * kphi.eval(x, t))
-             for x, _, bx in t1 for y, _, by in t1 if bx < by
-             for t in ws.parameter_grid if bx < t < by)
-    keys = ("stage", "x", "y", "t", "lhs", "rhs")
-    return _verdict("ratio", chain(stage1, _pointwise(cross, keys, 1e-10)), meta)
+
+    def cross():
+        if _multiplier_certifies(kpsi, kphi, t1, ws.parameter_grid):
+            return
+        instances = (("cross", x, y, t, kpsi.eval(x, t) * kphi.eval(y, t),
+                      kpsi.eval(y, t) * kphi.eval(x, t))
+                     for x, _, bx in t1 for y, _, by in t1 if bx < by
+                     for t in ws.parameter_grid if bx < t < by)
+        keys = ("stage", "x", "y", "t", "lhs", "rhs")
+        yield from _pointwise(instances, keys, 1e-10)
+
+    return _verdict("ratio", chain(stage1, cross()), meta)
 
 
 def construct_multiplier(
@@ -270,22 +337,18 @@ def construct_multiplier(
     estimate lies below t.  When the ratio condition holds, this multiplier
     satisfies psi(z,t) <= p(t) phi(z,t) for every witness z.  A witness with
     phi(x,t) = 0 leaves the ratio undefined: DomainError."""
-    ratios = []
-    for x in ws.observations:
-        if theta1(kphi, x, cfg) < t:
-            p, q = kpsi.eval(x, t), kphi.eval(x, t)
-            if q == 0.0:
-                raise DomainError(f"phi({x!r}, {t!r}) is 0, so psi/phi is undefined")
-            ratios.append(p / q)
-    if not ratios:
+    below = (x for x in ws.observations if theta1(kphi, x, cfg) < t)
+    least, _, _ = _ratio_bounds(kpsi, kphi, t, below, ())
+    if least is None:
         raise EmptyLowerSet(f"no witness has a phi-estimate below {t!r}")
-    return min(ratios)
+    return least
 
 
 def _d2(kernel: PsiKernel, x: float, t: float) -> float:
     if kernel.d2 is not None:
         return kernel.d2(x, t)
-    return (kernel.eval(x, t + _FD_STEP) - kernel.eval(x, t - _FD_STEP)) / (2.0 * _FD_STEP)
+    h = _FD_STEP * max(1.0, abs(t))
+    return (kernel.eval(x, t + h) - kernel.eval(x, t - h)) / (2.0 * h)
 
 
 def check_derivative_condition(
@@ -297,9 +360,10 @@ def check_derivative_condition(
     """Pointwise slope condition at shared single-observation estimates:
     -psi(y, t0)/d2_psi(x, t0) <= -phi(y, t0)/d2_phi(x, t0) with
     t0 = theta1(x).  Requires both kernels to share theta1 on the witnesses
-    (else Inconclusive) and nonvanishing parameter derivatives.  Without a
-    counterexample, the first instance with a side inf or NaN makes the
-    verdict Inconclusive."""
+    (else Inconclusive) and nonvanishing parameter derivatives; a kernel
+    without d2 takes a central difference with the relative step
+    _FD_STEP * max(1, |t0|).  Without a counterexample, the first instance
+    with a side inf or NaN makes the verdict Inconclusive."""
 
     def slopes(common):
         for x, t0 in common:

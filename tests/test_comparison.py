@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gen
+from strategies import family_pairs
 from psiest import (
     DegenerateDerivative,
     DomainError,
@@ -166,6 +167,11 @@ class TestConstructMultiplier:
                        theta1=lambda x: x, name="phi")
         with pytest.raises(DomainError, match=r"phi\(0\.0, 0\.5\) is 0"):
             construct_multiplier(kp, kq, WitnessSet((0.0, 3.0), (1.0, 2.0)), 0.5)
+        # witnesses are taken in order: the zero at x = 0 comes before the
+        # theta1 of x = 3, which phi's domain rejects
+        kq = dataclasses.replace(kq, domain_check=lambda x: x < 3.0)
+        with pytest.raises(DomainError, match=r"phi\(0\.0, 0\.5\) is 0"):
+            construct_multiplier(kp, kq, WitnessSet((0.0, 3.0), (1.0, 2.0)), 0.5)
 
     def test_sandwich_on_passing_pair(self):
         kp, kq = expectile(0.3), expectile(0.7)
@@ -209,6 +215,19 @@ class TestDerivativeCondition:
         kq = make_kernel(FamilySpec("gamma_rate", {"p": 2.0}))
         v = check_derivative_condition(kp, kq, ws_for(kq, (1.0, 2.0)))
         assert v.status == "Inconclusive"
+
+    @pytest.mark.parametrize("obs", [(1000.0, 1500.0), (1e4, 2e4)])
+    def test_difference_step_scales_with_t0(self, obs):
+        # x - t with its exact d2 against itself by central difference: an
+        # absolute step of 1e-6 at |t0| >= 1e3 rounds beyond the 1e-8 slack
+        exact = PsiKernel(LINE, lambda x, t: x - t, theta1=lambda x: x,
+                          d2=lambda x, t: -1.0, name="exact")
+        diff = PsiKernel(LINE, lambda x, t: x - t, theta1=lambda x: x, name="diff")
+        ws = WitnessSet(obs, (1.0,))
+        for kp, kq in ((exact, diff), (diff, exact)):
+            v = check_derivative_condition(kp, kq, ws)
+            assert (v.status, v.grid) == ("NoCounterexample", {"fd_step": _FD_STEP})
+        assert abs(_d2(diff, obs[1], obs[1]) + 1.0) <= 1e-9
 
 
 class TestCheckEquality:
@@ -739,14 +758,18 @@ def _oracle_example(name, obs):
     return name, kp, kq, ws, {"max_n": 4, "trials": 10, "max_km": 5}
 
 
-@st.composite
-def oracle_cases(draw):
-    name, kp, kq, (lo, hi) = draw(st.sampled_from(ORACLE_PAIRS))
+def _lattice_obs(draw, lo, hi):
     # observations on a lattice, so ties and empty hulls occur; on the coarse
     # one the overflowing pairs' observations are all far apart
     steps = draw(st.sampled_from((4, 40)))
-    obs = tuple(lo + (hi - lo) * i / steps for i in
-                draw(st.lists(st.integers(1, steps - 1), min_size=1, max_size=8)))
+    return tuple(lo + (hi - lo) * i / steps for i in
+                 draw(st.lists(st.integers(1, steps - 1), min_size=1, max_size=8)))
+
+
+@st.composite
+def oracle_cases(draw):
+    name, kp, kq, (lo, hi) = draw(st.sampled_from(ORACLE_PAIRS))
+    obs = _lattice_obs(draw, lo, hi)
     ws = build_witness_set(kq, obs, seed=draw(st.integers(0, 5)),
                            grid_points=draw(st.integers(2, 9)),
                            random_points=draw(st.integers(0, 6)))
@@ -757,7 +780,10 @@ def oracle_cases(draw):
 
 class TestAgainstReference:
     """Every check gives the reference's status, witness (in key order) and
-    grid meta, or raises its error, with the same kernel calls."""
+    grid meta, or raises its error.  Four make the same kernel calls.  The
+    ratio check first tries the multiplier certificate, at most two calls
+    per witness and grid point, and scans the pairs only when it fails, so
+    its calls are bounded by the reference's plus 2 |obs| |grid|."""
 
     @settings(max_examples=150, deadline=None)
     @given(oracle_cases())
@@ -766,10 +792,96 @@ class TestAgainstReference:
     @example(_oracle_example("overflow_above", (0.0, 1000.0, 2000.0)))
     def test_same_verdicts_and_work(self, case):
         name, kp, kq, ws, args = case
+        extra = 2 * len(ws.observations) * len(ws.parameter_grid)
         for check_name, check, reference in _checks(args):
-            got = _run_counted(check, kp, kq, ws)
-            want = _run_counted(reference, kp, kq, ws)
+            (got, got_calls), (want, want_calls) = (
+                _run_counted(check, kp, kq, ws), _run_counted(reference, kp, kq, ws))
             assert got == want, (name, check_name, ws)
+            if check_name == "ratio":
+                assert got_calls.keys() <= {"eval"}, (name, ws)
+                assert got_calls.get("eval", 0) <= want_calls.get("eval", 0) + extra, \
+                    (name, ws)
+            else:
+                assert got_calls == want_calls, (name, check_name, ws)
+
+    def test_certificate_saves_kernel_calls(self):
+        # forward gamma_shape pair: the multiplier certifies every grid
+        # point, at 2 calls per witness where the scan makes 4 per pair
+        _, kp, kq, ws, _ = _oracle_example("gamma_shape_forward",
+                                           (0.5, 1.0, 2.0, 3.0, 4.0))
+        got, got_calls = _run_counted(check_ratio_condition, kp, kq, ws)
+        want, want_calls = _run_counted(reference_ratio, kp, kq, ws)
+        assert got == want
+        assert json.loads(got)["status"] == NO_COUNTEREXAMPLE
+        assert got_calls["eval"] < want_calls["eval"]
+
+
+_SPECIAL_PAIRS = [p for p in ORACLE_PAIRS
+                  if p[0] in ("stalling", "overflow", "overflow_above")]
+
+
+@st.composite
+def ratio_cases(draw):
+    """(name, kernel psi, kernel phi, witness set): a family-row pair, or a
+    pair whose solves fail or whose products overflow, on drawn points."""
+    if draw(st.booleans()):
+        name, kp, kq, obs = draw(family_pairs(max_obs=8))
+    else:
+        name, kp, kq, (lo, hi) = draw(st.sampled_from(_SPECIAL_PAIRS))
+        obs = _lattice_obs(draw, lo, hi)
+    ws = build_witness_set(kq, obs, seed=draw(st.integers(0, 5)),
+                           grid_points=draw(st.integers(2, 17)),
+                           random_points=draw(st.integers(0, 16)))
+    return name, kp, kq, ws
+
+
+def _expectile_upto4(x, t):
+    # expectile 0.7, undefined beyond x = 4
+    if x > 4.0:
+        raise DomainError(f"observation {x!r} beyond 4")
+    return (0.7 if x > t else 0.3) * (x - t)
+
+
+class TestCertificateAgreesWithScan:
+    """The ratio check, certified through the multiplier where it can be,
+    gives the full pairwise scan's status, witness, grid meta or error."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(ratio_cases())
+    # a product overflows: Inconclusive
+    @example(("overflow", PsiKernel(LINE, compile_expr(parse("exp(x-t)-1"))),
+              PsiKernel(LINE, compile_expr(parse("x-t"))),
+              WitnessSet((0.0, 1000.0), (1.0, 2.0, 100.0))))
+    # phi(0, 0.5) = 0
+    @example(("phi_zero", MEAN, PsiKernel(
+        LINE, compile_expr(parse("sign(x - t) + sign(x - t + 1)")), theta1=lambda x: x),
+        WitnessSet((0.0, 3.0), (0.5, 2.0))))
+    # the grid point -1 lies outside Theta = (0, inf)
+    @example(("outside_theta", MEAN,
+              PsiKernel(OpenInterval(0.0, math.inf), lambda x, t: x - t,
+                        theta1=lambda x: x),
+              WitnessSet((-2.0, 2.0), (-1.0, 1.0))))
+    # phi > 0 on both sides: the ratios alone would vouch for a failing pair
+    @example(("phi_positive", PsiKernel(LINE, lambda x, t: t - x, theta1=lambda x: x),
+              PsiKernel(LINE, lambda x, t: 1.0, theta1=lambda x: x),
+              WitnessSet((0.0, 2.0), (1.0,))))
+    # every value finite, every ratio 1, but the products overflow
+    @example(("products_overflow",
+              PsiKernel(LINE, lambda x, t: 1e200 * (x - t), theta1=lambda x: x),
+              PsiKernel(LINE, lambda x, t: 1e200 * (x - t), theta1=lambda x: x),
+              WitnessSet((0.0, 2.0), (1.0,))))
+    # ratios 4e-4 apart: a counterexample, if only just
+    @example(("expectile_close", expectile(0.5001), expectile(0.5),
+              WitnessSet((0.0, 1.0), (0.5,))))
+    # psi raises at x = 5, which the scan never reaches: it fails at x = 0
+    @example(("raises_after_counterexample",
+              PsiKernel(LINE, _expectile_upto4, theta1=lambda x: x), expectile(0.3),
+              WitnessSet((0.0, 1.0, 5.0), (0.5, 2.0))))
+    def test_same_verdict(self, case):
+        name, kp, kq, ws = case
+        got = _outcome(lambda: check_ratio_condition(kp, kq, ws))
+        want = _outcome(lambda: reference_ratio(kp, kq, ws))
+        assert json.dumps(got) == json.dumps(want), (name, ws)
 
 
 if __name__ == "__main__":
