@@ -20,7 +20,7 @@ from .errors import (
     InvalidArgument,
     SignViolation,
 )
-from .kernel import OpenInterval, PsiKernel, WeightedSample
+from .kernel import OpenInterval, PsiKernel, WeightedSample, rises
 from .solver import SolverConfig, generalized_left_inverse
 
 
@@ -43,16 +43,10 @@ class BajraktarevicSpec:
     def __post_init__(self):
         # validated by sampling; tolerate flat stretches from rounding (e.g.
         # Mobius transforms saturating at double precision) but reject any
-        # decrease and overall constancy
-        probes = self.theta.probe_grid(33)
-        vals = [self.f(t) for t in probes]
-        for t, v in zip(probes, vals):
-            if math.isnan(v):
-                raise InvalidArgument(f"f({t!r}) is NaN")
-        if vals[-1] <= vals[0] or any(
-            b < a - 1e-13 * max(1.0, abs(a)) for a, b in zip(vals, vals[1:])
-        ):
-            raise InvalidArgument("f must be strictly increasing on theta")
+        # decrease, overall constancy and NaN
+        if not rises(self.f, self.theta.probe_grid(33), flat=1e-13):
+            raise InvalidArgument(
+                "f must be strictly increasing and not NaN on theta")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ from .errors import (
     NegativeWeight,
     PsiEstError,
 )
-from .kernel import OpenInterval, PsiKernel, WeightedSample, weighted_sum
+from .kernel import (
+    OpenInterval, PsiKernel, WeightedSample, validate_monotone, weighted_sum)
 from .solver import SolverConfig, solve_sign_change
 
 EXIT_OK = 0
@@ -294,7 +295,7 @@ def cmd_mobius_test(args) -> int:
     f = functools.partial(exprparse.compile_expr(f_ast), 0.0)
     g = functools.partial(exprparse.compile_expr(g_ast), 0.0)
 
-    if not exprparse.validate_monotone(f_ast, theta):
+    if not validate_monotone(f, theta):
         raise DomainError("f must be strictly increasing on theta")
 
     probes = theta.probe_grid(args.probes)
@@ -348,17 +349,13 @@ def cmd_bounds(args) -> int:
     lower, upper = families.beta_alpha_bounds(args.alpha, sample)
     spec = families.FamilySpec("beta_beta", {"alpha": args.alpha})
     res = solve_sign_change(families.make_kernel(spec), sample, cfg)
-    if not res.converged:
-        emit({"command": "bounds", "alpha": args.alpha, "n": len(sample),
-              "lower": lower, "upper": upper, "estimate": None,
-              "inside": False, "status": res.status})
-        return EXIT_FAILURE
     pad = 1e-9 * (1.0 + abs(upper))
-    inside = (lower - pad) <= res.theta <= (upper + pad)
     emit({"command": "bounds", "alpha": args.alpha, "n": len(sample),
-          "lower": lower, "upper": upper, "estimate": res.theta,
-          "inside": inside, "status": res.status})
-    return EXIT_OK
+          "lower": lower, "upper": upper,
+          "estimate": res.theta if res.converged else None,
+          "inside": res.converged and (lower - pad) <= res.theta <= (upper + pad),
+          "status": res.status})
+    return EXIT_OK if res.converged else EXIT_FAILURE
 
 
 def build_parser() -> argparse.ArgumentParser:

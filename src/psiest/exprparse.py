@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
-from .kernel import OpenInterval
 
 FUNCTIONS = ("ln", "exp", "abs", "sign", "sqrt")
 VARIABLES = ("x", "t")
@@ -328,27 +326,3 @@ def pretty(e: Expr) -> str:
     """Canonical rendering; pretty(parse(pretty(e))) == pretty(e)."""
     return _render(e, _PREC_ADD)
 
-
-def validate_monotone(e: Expr, theta: OpenInterval) -> bool:
-    """True iff the expression, as a function of t, is strictly increasing on
-    513 equispaced points inside theta plus 100 random pairs (seed 0).
-
-    Grid and pairs span theta.probe_window().  A NaN value reads as not
-    increasing.  DomainError propagates if evaluation fails on the grid.
-    """
-    f = compile_expr(e)
-    vals = [f(0.0, t) for t in theta.probe_grid(513)]
-    if not all(a < b for a, b in zip(vals, vals[1:])):
-        return False
-
-    lo, hi = theta.probe_window()
-    rng = random.Random(0)
-    for _ in range(100):
-        s = rng.uniform(lo, hi)
-        u = rng.uniform(lo, hi)
-        if s == u:
-            continue
-        s, u = (s, u) if s < u else (u, s)
-        if not f(0.0, s) < f(0.0, u):
-            return False
-    return True

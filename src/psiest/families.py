@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from .errors import DomainError, InvalidParameter, MissingClosedForm
-from .kernel import OpenInterval, PsiKernel, WeightedSample
+from .kernel import OpenInterval, PsiKernel, WeightedSample, rises
 
 _REAL_LINE = OpenInterval(-math.inf, math.inf)
 _POSITIVE = OpenInterval(0.0, math.inf)
@@ -25,7 +25,8 @@ class FamilySpec:
 
     params keys by family (any other key is rejected):
       expectile: alpha in (0,1)
-      mathieu: none (supply f, an increasing function with f(0)=0)
+      mathieu: none (supply f with f(0)=0, strictly increasing and never
+        NaN on [0, 10])
       normal_var: m (known mean)
       beta_alpha: beta > 0
       beta_beta: alpha > 0
@@ -67,11 +68,9 @@ def _validate_increasing(spec: FamilySpec) -> None:
     if f is None:
         raise InvalidParameter(
             f"{spec.family} requires an increasing function f with f(0)=0")
-    if abs(f(0.0)) > 1e-12:
+    if not abs(f(0.0)) <= 1e-12:
         raise InvalidParameter(f"{spec.family}: f(0) must be 0")
-    grid = [0.05 * k for k in range(0, 201)]
-    vals = [f(u) for u in grid]
-    if any(b <= a for a, b in zip(vals, vals[1:])):
+    if not rises(f, [0.05 * k for k in range(201)]):
         raise InvalidParameter(
             f"{spec.family}: f must be strictly increasing on [0, 10]")
 

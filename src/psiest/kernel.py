@@ -9,6 +9,7 @@ the point of sign change of t -> sum_i lambda_i * psi(x_i, t).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -177,3 +178,38 @@ def weighted_sum(kernel: PsiKernel, sample: WeightedSample, t: float) -> float:
             v = -_CAP
         total += v
     return _clamp(total)
+
+
+def rises(f: Callable[[float], float], points: Sequence[float],
+          flat: float = 0.0) -> bool:
+    """True iff f(points[0]) < f(points[-1]) and every step a -> b between
+    successive values rises: a < b, or with flat > 0, b >= a or
+    b >= a - flat*max(1, |a|), so a flat stretch from rounding passes.
+
+    f is evaluated once per point.  Each test is the condition that must
+    hold, so a NaN anywhere fails it.  This is the one monotonicity check
+    for a user-supplied f (BajraktarevicSpec, the mathieu family,
+    validate_monotone).
+    """
+    vals = [f(t) for t in points]
+    if not vals[0] < vals[-1]:
+        return False
+    if flat > 0.0:
+        return all(b >= a or b >= a - flat * max(1.0, abs(a))
+                   for a, b in zip(vals, vals[1:]))
+    return all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def validate_monotone(f: Callable[[float], float], theta: OpenInterval) -> bool:
+    """True iff f is strictly increasing (rises) on theta.probe_grid(513)
+    and on each of 100 random sorted pairs (seed 0) from theta.probe_window().
+
+    A pair whose two draws coincide is skipped.  A NaN value reads as not
+    increasing.  An exception from f (a DomainError, say) propagates.
+    """
+    lo, hi = theta.probe_window()
+    rng = random.Random(0)
+    pairs = (sorted((rng.uniform(lo, hi), rng.uniform(lo, hi)))
+             for _ in range(100))
+    return rises(f, theta.probe_grid(513)) and all(
+        rises(f, pair) for pair in pairs if pair[0] < pair[1])

@@ -52,10 +52,21 @@ class TestSpecValidation:
             BajraktarevicSpec(lambda t: -t, lambda x: 1.0, lambda x: x, LINE)
 
     def test_nan_f_rejected(self):
-        # NaN compares False, so the monotonicity probe alone lets it pass
+        # every comparison with NaN is False; the check must read that as failure
         with pytest.raises(InvalidArgument, match="NaN"):
             BajraktarevicSpec(lambda t: t if t < 5.0 else math.nan,
                               lambda x: 1.0, lambda x: x, LINE)
+
+    def test_fall_from_inf_rejected(self):
+        # inf at the probe near 0, then finite: inf - 1e-13*inf is NaN, so a
+        # "b < a - tol" test missed this fall
+        with pytest.raises(InvalidArgument, match="strictly increasing"):
+            BajraktarevicSpec(lambda t: math.inf if -1.0 < t < 1.0 else t,
+                              lambda x: 1.0, lambda x: x, LINE)
+
+    def test_saturating_at_inf_accepted(self):
+        BajraktarevicSpec(lambda t: math.inf if t > 50.0 else t,
+                          lambda x: 1.0, lambda x: x, LINE)
 
     def test_mobius_zero_determinant_rejected(self):
         with pytest.raises(InvalidArgument):

@@ -5,7 +5,7 @@ import os
 import pytest
 
 import golden_cases
-from psiest import DataParseError, EmptyData, NegativeWeight, solver
+from psiest import DataParseError, EmptyData, NegativeWeight, cli, solver
 from psiest.cli import _max_abs, main, read_data
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -227,6 +227,21 @@ class TestExitCodes:
         assert code == 2
         assert '"status":"MaxIterations"' in out
         assert '"residual":"nan"' in out
+
+    def test_bounds_not_converged(self, monkeypatch, capsys):
+        res = solver.SignChangeResult(
+            1.25, 1.0, 1.5, 202, solver.MAX_ITERATIONS, solver.STOP_LIMIT,
+            (1, 1, 200))
+        monkeypatch.setattr(cli, "solve_sign_change", lambda *a, **k: res)
+        code = main(golden_cases.CASES["bounds_alpha_two"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert '"estimate":null' in out
+        assert '"inside":false' in out
+        assert list(json.loads(out)) == [
+            "command", "alpha", "n", "lower", "upper", "estimate", "inside",
+            "status"]
+        assert json.loads(out)["status"] == "MaxIterations"
 
     def test_counterexample_exit(self, capsys):
         code = main(golden_cases.CASES["compare_expectile_reversed"])

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -173,27 +174,33 @@ class TestEval:
             assert not math.isnan(v)
 
 
+def of_t(src):
+    """The expression as a function of t alone, at x = 0, as mobius-test
+    builds f."""
+    return functools.partial(compile_expr(parse(src)), 0.0)
+
+
 class TestValidateMonotone:
     def test_cube_on_line(self):
-        assert validate_monotone(parse("t^3"), OpenInterval(-math.inf, math.inf))
+        assert validate_monotone(of_t("t^3"), OpenInterval(-math.inf, math.inf))
 
     def test_negation_fails(self):
-        assert not validate_monotone(parse("0 - t"), OpenInterval(-math.inf, math.inf))
+        assert not validate_monotone(of_t("0 - t"), OpenInterval(-math.inf, math.inf))
 
     def test_ln_on_positives(self):
-        assert validate_monotone(parse("ln(t)"), OpenInterval(0.0, math.inf))
+        assert validate_monotone(of_t("ln(t)"), OpenInterval(0.0, math.inf))
 
     def test_constant_fails(self):
-        assert not validate_monotone(parse("5"), OpenInterval(0.0, 1.0))
+        assert not validate_monotone(of_t("5"), OpenInterval(0.0, 1.0))
 
     def test_nan_is_not_increasing(self):
         # exp(t) - exp(t) is NaN beyond t ~ 709.78
-        assert not validate_monotone(parse("t + (exp(t) - exp(t))"),
+        assert not validate_monotone(of_t("t + (exp(t) - exp(t))"),
                                      OpenInterval(0.0, 1000.0))
 
     def test_eval_failure_propagates(self):
         with pytest.raises(DomainError):
-            validate_monotone(parse("ln(t)"), OpenInterval(-1.0, 1.0))
+            validate_monotone(of_t("ln(t)"), OpenInterval(-1.0, 1.0))
 
 
 ROUND_TRIP_CORPUS = [

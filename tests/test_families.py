@@ -83,6 +83,26 @@ class TestValidation:
         with pytest.raises(InvalidParameter):
             FamilySpec("mathieu", {}, f=lambda u: -u)
 
+    def test_mathieu_rejects_nan_everywhere(self):
+        # abs(NaN) > 1e-12 and NaN <= NaN are both False, so a check written
+        # as the failure to look for lets it through
+        with pytest.raises(InvalidParameter):
+            FamilySpec("mathieu", {}, f=lambda u: math.nan)
+
+    def test_mathieu_rejects_nan_at_origin(self):
+        with pytest.raises(InvalidParameter, match="f\\(0\\)"):
+            FamilySpec("mathieu", {}, f=lambda u: math.nan if u == 0.0 else u)
+
+    def test_mathieu_rejects_fall_hidden_by_nan(self):
+        # f rises to 4.95, is NaN at the grid point 5, then restarts at 1.05
+        def f(u):
+            if 4.99 < u < 5.01:
+                return math.nan
+            return u - 4.0 if u >= 5.01 else u
+
+        with pytest.raises(InvalidParameter, match="strictly increasing"):
+            FamilySpec("mathieu", {}, f=f)
+
 
 class TestKernelEvaluation:
     def test_expectile_upper_branch(self):

@@ -1,13 +1,17 @@
 import math
+import random
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psiest import (
+    BajraktarevicSpec,
     DomainError,
     FamilySpec,
     InvalidArgument,
+    InvalidParameter,
     OpenInterval,
     PsiKernel,
     WeightedSample,
@@ -16,8 +20,10 @@ from psiest import (
     make_kernel,
     solve_sign_change,
     theta1,
+    validate_monotone,
     weighted_sum,
 )
+from psiest.kernel import rises
 
 
 def expectile(alpha):
@@ -271,8 +277,6 @@ class TestZeroAtTheta1:
     @pytest.mark.parametrize("spec,draw", CASES,
                              ids=[c[0].family for c in CASES])
     def test_residual_at_theta1(self, spec, draw):
-        import random
-
         rng = random.Random(7)
         k = make_kernel(spec)
         for _ in range(1000):
@@ -282,3 +286,203 @@ class TestZeroAtTheta1:
                 continue
             val = k.eval(x, t1)
             assert abs(val) <= 1e-10 * (1.0 + abs(t1))
+
+
+# The three monotonicity validators that kernel.rises replaced, kept verbatim
+# as references (validate_monotone takes the compiled f(x, t) in place of
+# the expression it used to compile; the first line of its body is dropped).
+
+def reference_spec_check(f, theta):
+    """BajraktarevicSpec.__post_init__, with f and theta for self.f and
+    self.theta."""
+    probes = theta.probe_grid(33)
+    vals = [f(t) for t in probes]
+    for t, v in zip(probes, vals):
+        if math.isnan(v):
+            raise InvalidArgument(f"f({t!r}) is NaN")
+    if vals[-1] <= vals[0] or any(
+        b < a - 1e-13 * max(1.0, abs(a)) for a, b in zip(vals, vals[1:])
+    ):
+        raise InvalidArgument("f must be strictly increasing on theta")
+
+
+def reference_validate_increasing(spec):
+    """families._validate_increasing (mathieu)."""
+    f = spec.f
+    if f is None:
+        raise InvalidParameter(
+            f"{spec.family} requires an increasing function f with f(0)=0")
+    if abs(f(0.0)) > 1e-12:
+        raise InvalidParameter(f"{spec.family}: f(0) must be 0")
+    grid = [0.05 * k for k in range(0, 201)]
+    vals = [f(u) for u in grid]
+    if any(b <= a for a, b in zip(vals, vals[1:])):
+        raise InvalidParameter(
+            f"{spec.family}: f must be strictly increasing on [0, 10]")
+
+
+def reference_validate_monotone(f, theta):
+    """exprparse.validate_monotone(e, theta) with f = compile_expr(e)."""
+    vals = [f(0.0, t) for t in theta.probe_grid(513)]
+    if not all(a < b for a, b in zip(vals, vals[1:])):
+        return False
+
+    lo, hi = theta.probe_window()
+    rng = random.Random(0)
+    for _ in range(100):
+        s = rng.uniform(lo, hi)
+        u = rng.uniform(lo, hi)
+        if s == u:
+            continue
+        s, u = (s, u) if s < u else (u, s)
+        if not f(0.0, s) < f(0.0, u):
+            return False
+    return True
+
+
+def outcome(call):
+    """What call() returns, or the type of the exception it raises."""
+    try:
+        return call()
+    except Exception as exc:  # compared by type with the reference
+        return type(exc)
+
+
+def nan_probed(f, points):
+    """Whether f is NaN at one of points before the first that raises."""
+    for u in points:
+        try:
+            if math.isnan(f(u)):
+                return True
+        except Exception:
+            return False
+    return False
+
+
+MATHIEU_PROBES = [0.0] + [0.05 * k for k in range(201)]
+
+
+@st.composite
+def user_functions(draw):
+    """An f of t: slope*t + amp*atan((t - c)/w), strictly increasing, then
+    reshaped by one of: nothing, a flat stretch dipping up to 2e-13
+    relative, negation, a floor step, a NaN hole (optionally hiding a fall),
+    +inf beyond a point, or a DomainError beyond a point."""
+    slope = draw(st.sampled_from([0.0, 1e-3, 1.0, 7.5]))
+    amp = draw(st.sampled_from([0.0, 1.0, 50.0])) if slope else 1.0
+    c = draw(st.floats(-30.0, 30.0))
+    w = draw(st.floats(0.1, 50.0))
+
+    def base(t):
+        return slope * t + amp * math.atan((t - c) / w)
+
+    kind = draw(st.sampled_from(
+        ["increasing", "flat", "decreasing", "step", "nan_hole", "saturates",
+         "raises"]))
+    if kind == "increasing":
+        return kind, base
+    if kind == "decreasing":
+        return kind, lambda t: -base(t)
+    if kind == "step":
+        h = draw(st.floats(0.01, 20.0))
+        return kind, lambda t: base(math.floor(t / h) * h)
+    if kind == "flat":
+        d = c + draw(st.floats(0.0, 60.0))
+        dip = draw(st.floats(0.0, 2.0)) * 1e-13 * max(1.0, abs(base(c)))
+
+        def flat(t):
+            if t < c:
+                return base(t)
+            if t < d:
+                return base(c) - dip
+            return base(t) - base(d) + base(c)
+        return kind, flat
+    if kind == "nan_hole":
+        r = draw(st.floats(1e-3, 5.0))
+        drop = draw(st.sampled_from([0.0, 0.5, 1e3]))
+        return kind, lambda t: (math.nan if abs(t - c) < r
+                                else base(t) - (drop if t > c else 0.0))
+    if kind == "saturates":
+        return kind, lambda t: math.inf if t > c else base(t)
+
+    def raises(t):
+        if t > c:
+            raise DomainError(f"f({t!r}) undefined")
+        return base(t)
+    return kind, raises
+
+
+@st.composite
+def thetas(draw):
+    """Bounded, half-line and whole-line intervals."""
+    lo = draw(st.floats(-50.0, 50.0))
+    hi = lo + draw(st.floats(1e-3, 100.0))
+    shape = draw(st.sampled_from(["bounded", "left", "right", "line"]))
+    if shape == "left":
+        lo = -math.inf
+    elif shape == "right":
+        hi = math.inf
+    elif shape == "line":
+        lo, hi = -math.inf, math.inf
+    return OpenInterval(lo, hi)
+
+
+class TestRises:
+    """kernel.rises is the one monotonicity check; each caller keeps its
+    points and tolerance, so it agrees with the validator it replaced."""
+
+    @pytest.mark.parametrize("vals", [
+        [math.nan, 1.0, 2.0], [0.0, math.nan, 2.0], [0.0, 1.0, math.nan],
+        [math.nan, math.nan]])
+    @pytest.mark.parametrize("flat", [0.0, 1e-13])
+    def test_nan_anywhere_fails(self, vals, flat):
+        assert not rises(vals.__getitem__, range(len(vals)), flat)
+
+    def test_strict_and_flat(self):
+        vals = [0.0, 1.0, 1.0 - 5e-14, 2.0]
+        assert not rises(vals.__getitem__, range(4))
+        assert rises(vals.__getitem__, range(4), flat=1e-13)
+        assert not rises(vals.__getitem__, range(4), flat=1e-14)
+
+    def test_overall_rise_needed(self):
+        assert not rises([1.0, 1.0].__getitem__, range(2), flat=1e-13)
+
+    def test_saturating_at_inf(self):
+        vals = [0.0, 1.0, math.inf, math.inf]
+        assert rises(vals.__getitem__, range(4), flat=1e-13)
+        assert not rises(vals.__getitem__, range(4))
+
+    def test_fall_from_inf_fails(self):
+        vals = [0.0, math.inf, 1.0, 2.0]
+        assert not rises(vals.__getitem__, range(4), flat=1e-13)
+
+    def test_one_evaluation_per_point(self):
+        seen = []
+        rises(lambda t: seen.append(t) or t, [3.0, 1.0, 2.0])
+        assert seen == [3.0, 1.0, 2.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(user_functions(), thetas())
+    def test_callers_match_references(self, drawn, theta):
+        kind, f = drawn
+        # BajraktarevicSpec: same verdict and exception type
+        new = outcome(lambda: BajraktarevicSpec(
+            f, lambda x: 1.0, lambda x: x, theta) and None)
+        assert new == outcome(lambda: reference_spec_check(f, theta)), kind
+
+        # validate_monotone: same verdict and exception type
+        assert outcome(lambda: validate_monotone(f, theta)) == outcome(
+            lambda: reference_validate_monotone(lambda x, t: f(t), theta)), kind
+
+        # mathieu, on f and on f shifted to f(0) = 0: the same unless a
+        # probed value is NaN, which is now rejected
+        f0 = outcome(lambda: f(0.0))
+        shifted = (lambda u: f(u) - f0) if isinstance(f0, float) else f
+        for g in (f, shifted):
+            new = outcome(lambda: FamilySpec("mathieu", {}, f=g) and None)
+            if nan_probed(g, MATHIEU_PROBES):
+                assert new is InvalidParameter, kind
+            else:
+                spec = types.SimpleNamespace(family="mathieu", f=g)
+                assert new == outcome(
+                    lambda: reference_validate_increasing(spec)), kind
