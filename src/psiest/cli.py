@@ -17,7 +17,9 @@ import random
 import sys
 from typing import Optional, Sequence
 
-from . import bajraktarevic, comparison, exprparse, families
+# comparison, bajraktarevic and exprparse are imported by the subcommands
+# that use them, so a process loads only what it runs.
+from . import families
 from .errors import (
     DataParseError,
     DomainError,
@@ -151,6 +153,8 @@ def _parse_theta(text: str) -> OpenInterval:
 
 
 def _expr_kernel(source: str, theta: OpenInterval, name: str) -> PsiKernel:
+    from . import exprparse
+
     ev = exprparse.compile_expr(exprparse.parse(source))
     return PsiKernel(theta, ev, domain_check=math.isfinite, name=name)
 
@@ -190,7 +194,12 @@ def _seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("PSIEST_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidArgument(f"PSIEST_SEED must be an integer, got {env!r}") from None
 
 
 def _cfg(args) -> SolverConfig:
@@ -230,6 +239,8 @@ _CONDITIONS = ("direct", "two-point", "ratio", "derivative", "equality")
 
 
 def cmd_compare(args) -> int:
+    from . import comparison
+
     kpsi, echo_psi, spec_psi = _build_kernel(args, "")
     kphi, echo_phi, spec_phi = _build_kernel(args, "_phi")
     _check_theta_used(args, spec_psi, spec_phi)
@@ -283,6 +294,8 @@ def _max_abs(values) -> float:
 
 
 def cmd_mobius_test(args) -> int:
+    from . import bajraktarevic, exprparse
+
     theta = _parse_theta(args.theta)
     if args.probes < 4:
         raise InvalidArgument(f"--probes={args.probes} must be >= 4")

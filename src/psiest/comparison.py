@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .errors import (DegenerateDerivative, DomainError, EmptyLowerSet, InvalidArgument,
                      PsiEstError)
-from .kernel import PsiKernel, WeightedSample, weighted_sum
+from .kernel import PsiKernel, WeightedSample, _clamp, _column_sums, weighted_sum
 from .solver import SolverConfig, empirical_theta1_hull, solve_sign_change, theta1
 
 NO_COUNTEREXAMPLE = "NoCounterexample"
@@ -120,16 +120,67 @@ def _random_cases(ws: WitnessSet, max_n: int, trials: int):
     return cases()
 
 
-def _sign_witness(kpsi, kphi, sample: WeightedSample, grid) -> Optional[dict]:
-    """The first grid t where the two weighted sums have opposite signs,
-    both clear of zero, or None."""
+def _column(kernel: PsiKernel, x: float, grid) -> list:
+    """psi(x, t) along the grid, each value clamped to +-1e300 as
+    weighted_sum clamps a term, up to the first t outside the kernel's Theta
+    or where psi raises."""
+    col = []
     for t in grid:
-        sp = weighted_sum(kpsi, sample, t)
-        sq = weighted_sum(kphi, sample, t)
-        zp = abs(sp) <= _slack(sp, sq, 1e-9)
-        zq = abs(sq) <= _slack(sp, sq, 1e-9)
-        if not (zp or zq) and (sp > 0) != (sq > 0):
-            return {"t": t, "sum_psi": sp, "sum_phi": sq}
+        if not kernel.theta.contains(t):
+            break
+        try:
+            v = kernel.eval(x, t)
+        except Exception:
+            # weighted_sum raises it again at this t, past the columns' prefix
+            break
+        col.append(_clamp(v))
+    return col
+
+
+def _grid_sums(kpsi, kphi, sample: WeightedSample, grid, columns):
+    """(t, weighted_sum(kpsi, sample, t), weighted_sum(kphi, sample, t)) for
+    each grid t in order, each sum the same float weighted_sum returns.
+
+    columns is a pair of dicts, one per kernel, caching each observation's
+    _column for the whole check, so psi(x, t) is evaluated once per kernel,
+    x and t.  Over the grid's prefix where every column of the sample is
+    defined, the sums are added from the columns; past it, weighted_sum
+    runs at each t, so an error is raised at the same t as without the
+    columns.  The checks weighted_sum makes at the first t come first, in
+    its order: t in Theta, then the sample's domain, for psi, then phi."""
+    n = len(grid)
+    terms = []
+    for kernel, cols in zip((kpsi, kphi), columns):
+        if not (n and kernel.theta.contains(grid[0])):
+            n = 0
+            break
+        sample.check(kernel)
+        kernel_terms = []
+        for x in sample._live_xs:
+            key = (x, math.copysign(1.0, x))  # psi may tell -0.0 from 0.0
+            if key not in cols:
+                cols[key] = _column(kernel, x, grid)
+            kernel_terms.append(cols[key])
+            n = min(n, len(cols[key]))
+        terms.append(kernel_terms)
+    if n:
+        yield from zip(grid, *(_column_sums(ts, sample._live_weights, n)
+                               for ts in terms))
+    for t in grid[n:]:
+        yield t, weighted_sum(kpsi, sample, t), weighted_sum(kphi, sample, t)
+
+
+def _sign_witness(kpsi, kphi, sample: WeightedSample, grid, columns) -> Optional[dict]:
+    """The first grid t where the two weighted sums have opposite signs,
+    both clear of zero, or None.  The sums are added from psi columns where
+    the columns are defined and come from weighted_sum past them
+    (_grid_sums), so the witness and any error are those of calling
+    weighted_sum at every t."""
+    for t, sp, sq in _grid_sums(kpsi, kphi, sample, grid, columns):
+        if (sp > 0) != (sq > 0):
+            slack = _slack(sp, sq, 1e-9)
+            if not (abs(sp) <= slack or abs(sq) <= slack):
+                return {"t": t, "sum_psi": sp, "sum_phi": sq}
     return None
 
 
@@ -152,7 +203,9 @@ def _scan(kpsi, kphi, cases, cfg: SolverConfig, equal_on=None):
     """Findings of solving both estimators on each (head, sample, tail) case:
     Counterexample for each case with theta_psi above theta_phi or, given a
     grid equal_on, with the two apart or their sums of opposite sign on the
-    grid.  At the first solver failure: Inconclusive, and the scan ends."""
+    grid.  At the first solver failure: Inconclusive, and the scan ends.
+    The sign test's psi columns are shared by all cases (_grid_sums)."""
+    columns = ({}, {})
     for head, sample, tail in cases:
         try:
             tp = _solve(kpsi, sample, cfg)
@@ -164,7 +217,7 @@ def _scan(kpsi, kphi, cases, cfg: SolverConfig, equal_on=None):
         if (abs(tp - tq) > tol) if equal_on is not None else (tp > tq + tol):
             yield COUNTEREXAMPLE, {**head, "theta_psi": tp, "theta_phi": tq, **tail}
         elif equal_on is not None:
-            found = _sign_witness(kpsi, kphi, sample, equal_on)
+            found = _sign_witness(kpsi, kphi, sample, equal_on, columns)
             if found is not None:
                 yield COUNTEREXAMPLE, {**head, **found, **tail}
 
@@ -392,7 +445,14 @@ def check_equality(
     cfg: SolverConfig = SolverConfig(),
 ) -> ComparisonVerdict:
     """Estimator equality: ordering in both directions on random samples,
-    plus sign agreement of the two weighted sums on the parameter grid."""
+    plus sign agreement of the two weighted sums on the parameter grid.
+
+    The sign scan evaluates psi(x, t) once per kernel, witness observation
+    and grid t, as a column along the grid, and adds each sample's sums from
+    the columns in weighted_sum's order and clamps, so every sum is the same
+    float.  Where a column stops (t outside Theta, or psi raising), the scan
+    falls back to weighted_sum at each t from there on, so an error is
+    raised at the same sample and t as by weighted_sum alone."""
     cases = _random_cases(ws, max_n, trials)
     meta = {"max_n": max_n, "trials": trials, "seed": ws.random_seed,
             "grid_size": len(ws.parameter_grid)}

@@ -180,6 +180,20 @@ def weighted_sum(kernel: PsiKernel, sample: WeightedSample, t: float) -> float:
     return _clamp(total)
 
 
+def _column_sums(columns, weights, n: int) -> list:
+    """weighted_sum's total at each of the first n points of a grid, given
+    for each positive-weight term, in the sample's order, its weight and its
+    column: psi(x, t) along the grid, already clamped to +-1e300.  Each term
+    is weighted, clamped and added left to right as weighted_sum does it,
+    so each total is the same float."""
+    acc = [0.0] * n
+    for col, w in zip(columns, weights):
+        if w != 1.0:  # else v * w is v, already clamped
+            col = [_clamp(v * w) for v in col[:n]]
+        acc = [a + v for a, v in zip(acc, col)]
+    return [_clamp(a) for a in acc]
+
+
 def rises(f: Callable[[float], float], points: Sequence[float],
           flat: float = 0.0) -> bool:
     """True iff f(points[0]) < f(points[-1]) and every step a -> b between

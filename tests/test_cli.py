@@ -267,6 +267,13 @@ class TestRejectedInput:
         argv = self.LAPLACE + ["--data", "[1,-2,3]", "--tol", tol]
         self.assert_usage_error(argv, capsys)
 
+    def test_seed_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("PSIEST_SEED", "abc")
+        assert main(self.REVERSED) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: PSIEST_SEED must be an integer, got 'abc'\n"
+
     @pytest.mark.parametrize("weight", ["nan", "inf"])
     def test_nonfinite_weight(self, weight, tmp_path, capsys):
         p = tmp_path / "d.txt"

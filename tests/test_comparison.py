@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +35,7 @@ from psiest import (
     parse,
     solve_sign_change,
     theta1,
+    weighted_sum,
 )
 from psiest.comparison import (
     _FD_STEP,
@@ -498,13 +500,28 @@ class TestVerdictPins:
 # --------------------------------------------------------------------------
 # The comparison checks as they were before the one verdict rule, copied
 # verbatim apart from their names: each check kept its own verdict
-# bookkeeping.  TestAgainstReference holds the checks to them.
+# bookkeeping.  The equality check's sign test is the one from before the
+# psi columns, calling weighted_sum at every grid t.  TestAgainstReference
+# holds the checks to them.
 
 
 def _non_finite(lhs: float, rhs: float) -> bool:
     """A side of lhs <= rhs is inf or NaN: an overflowed product has lost its
     size, and the slack test then always passes (inf - inf is NaN)."""
     return not (math.isfinite(lhs) and math.isfinite(rhs))
+
+
+def reference_sign_witness(kpsi, kphi, sample: WeightedSample, grid) -> Optional[dict]:
+    """The first grid t where the two weighted sums have opposite signs,
+    both clear of zero, or None."""
+    for t in grid:
+        sp = weighted_sum(kpsi, sample, t)
+        sq = weighted_sum(kphi, sample, t)
+        zp = abs(sp) <= _slack(sp, sq, 1e-9)
+        zq = abs(sq) <= _slack(sp, sq, 1e-9)
+        if not (zp or zq) and (sp > 0) != (sq > 0):
+            return {"t": t, "sum_psi": sp, "sum_phi": sq}
+    return None
 
 
 def reference_scan(kpsi, kphi, cases, cfg: SolverConfig, equal_on=None):
@@ -522,7 +539,7 @@ def reference_scan(kpsi, kphi, cases, cfg: SolverConfig, equal_on=None):
         if (abs(tp - tq) > tol) if equal_on is not None else (tp > tq + tol):
             return COUNTEREXAMPLE, {**head, "theta_psi": tp, "theta_phi": tq, **tail}
         if equal_on is not None:
-            found = _sign_witness(kpsi, kphi, sample, equal_on)
+            found = reference_sign_witness(kpsi, kphi, sample, equal_on)
             if found is not None:
                 return COUNTEREXAMPLE, {**head, **found, **tail}
     return NO_COUNTEREXAMPLE, None
@@ -780,10 +797,13 @@ def oracle_cases(draw):
 
 class TestAgainstReference:
     """Every check gives the reference's status, witness (in key order) and
-    grid meta, or raises its error.  Four make the same kernel calls.  The
+    grid meta, or raises its error.  Three make the same kernel calls.  The
     ratio check first tries the multiplier certificate, at most two calls
-    per witness and grid point, and scans the pairs only when it fails, so
-    its calls are bounded by the reference's plus 2 |obs| |grid|."""
+    per witness and grid point, and scans the pairs only when it fails; the
+    equality check evaluates psi once per kernel, witness and grid point
+    for its sign test, and calls weighted_sum only past where a column
+    stops.  So the calls of both are bounded by the reference's plus
+    2 |obs| |grid|."""
 
     @settings(max_examples=150, deadline=None)
     @given(oracle_cases())
@@ -797,10 +817,10 @@ class TestAgainstReference:
             (got, got_calls), (want, want_calls) = (
                 _run_counted(check, kp, kq, ws), _run_counted(reference, kp, kq, ws))
             assert got == want, (name, check_name, ws)
-            if check_name == "ratio":
-                assert got_calls.keys() <= {"eval"}, (name, ws)
+            if check_name in ("ratio", "equality"):
+                assert got_calls.keys() <= {"eval"}, (name, check_name, ws)
                 assert got_calls.get("eval", 0) <= want_calls.get("eval", 0) + extra, \
-                    (name, ws)
+                    (name, check_name, ws)
             else:
                 assert got_calls == want_calls, (name, check_name, ws)
 
@@ -814,6 +834,114 @@ class TestAgainstReference:
         assert got == want
         assert json.loads(got)["status"] == NO_COUNTEREXAMPLE
         assert got_calls["eval"] < want_calls["eval"]
+
+
+def _flipped_upto50(x, t):
+    if t > 50.0:
+        raise DomainError(f"parameter {t!r} beyond 50")
+    return FLIPPED.eval(x, t)
+
+
+def _nan_at(x, t):
+    # NaN at one observation and one grid point only
+    return math.nan if (x == 1.0 and t == 0.3) else x - t
+
+
+def _huge_flip(x, t):
+    # the mean's kernel, but +-inf beyond its window's sign flip
+    return 1e308 * (t - x) if 4.0 < t < 4.5 else x - t
+
+
+def _infinite_apart(x, t):
+    # the mean's kernel, but +inf below x = 1.5 and -inf above on a window
+    if 4.0 < t < 4.5:
+        return math.inf if x < 1.5 else -math.inf
+    return x - t
+
+
+def _negative_zero_apart(x, t):
+    # tells the observation -0.0 from 0.0, on one window of t
+    if x == 0.0 and math.copysign(1.0, x) < 0.0 and 30.0 < t < 31.0:
+        return 1000.0
+    return x - t
+
+
+def _mean_kernel(ev, theta=LINE):
+    return PsiKernel(theta, ev, theta1=lambda x: x)
+
+
+# (name, kernel psi, kernel phi, witness set, max_n, trials, expected
+# outcome): the equality check's sign test where its psi columns stop
+# short of the grid, hold NaN or clamped values, or are reused
+EQUALITY_CASES = [
+    # the grid's top lies outside psi's Theta, with no witness below it
+    ("theta_excludes_top", _mean_kernel(lambda x, t: x - t, OpenInterval(-math.inf, 4.0)),
+     MEAN, WitnessSet((0.0, 1.0, 2.0), (0.5, 1.5, 4.5)), 3, 20,
+     {"raises": "DomainError", "message": "parameter 4.5 outside Theta for kernel"}),
+    # psi raises at t = 60, after the witness at 4.25
+    ("raises_after_witness", _mean_kernel(_flipped_upto50), MEAN,
+     WitnessSet((0.0, 1.0, 2.0), (1.0, 4.25, 60.0)), 3, 20,
+     {"status": COUNTEREXAMPLE, "t": 4.25, "trial": 0}),
+    # the first sample holding x = 1 has a NaN psi sum at t = 0.3
+    ("nan_term", _mean_kernel(_nan_at), MEAN,
+     WitnessSet((1.0, 2.0, 3.0), (0.3, 1.5, 2.5), 1), 3, 20,
+     {"status": COUNTEREXAMPLE, "t": 0.3, "trial": 4}),
+    # every term clamped to +-1e300, and the totals of two or more too
+    ("clamped_term", _mean_kernel(_huge_flip), _mean_kernel(lambda x, t: 1e300 * (x - t)),
+     WitnessSet((0.0, 1.0, 2.0), (1.0, 4.25)), 3, 20,
+     {"status": COUNTEREXAMPLE, "sum_psi": 1e300, "sum_phi": -1e300}),
+    # +-inf terms clamped to +-1e300 cancel to 0 where unclamped they give
+    # NaN; a 1e300 sum is no witness against a small one of opposite sign
+    ("opposite_infinite_terms", _mean_kernel(_infinite_apart), FLIPPED,
+     WitnessSet((0.0, 2.0), (1.0, 4.25)), 3, 20,
+     {"status": NO_COUNTEREXAMPLE}),
+    # samples repeat over 30 trials: the columns are evaluated once
+    ("repeated_sample", expectile(0.5), MEAN,
+     WitnessSet((0.0, 1.0), (0.25, 0.5, 0.75)), 2, 30,
+     {"status": NO_COUNTEREXAMPLE}),
+    # trial 0 draws 0.0, and its column must not stand in for -0.0's
+    ("negative_zero", _mean_kernel(_negative_zero_apart), MEAN,
+     WitnessSet((0.0, -0.0, 1.0), (0.5, 2.0, 30.5), 2), 3, 20,
+     {"status": COUNTEREXAMPLE, "t": 30.5, "trial": 1}),
+]
+
+
+class TestEqualityColumns:
+    """The equality check's sign test on psi columns gives the reference's
+    outcome, raised error or witness, at the same trial, on cases pinned
+    where a column stops or holds an unusual value, within the kernel-call
+    bound of TestAgainstReference."""
+
+    @pytest.mark.parametrize("name,kp,kq,ws,max_n,trials,expected", EQUALITY_CASES,
+                             ids=[c[0] for c in EQUALITY_CASES])
+    def test_same_outcome(self, name, kp, kq, ws, max_n, trials, expected):
+        got, got_calls = _run_counted(
+            lambda a, b, w: check_equality(a, b, w, max_n, trials), kp, kq, ws)
+        want, want_calls = _run_counted(
+            lambda a, b, w: reference_equality(a, b, w, max_n, trials), kp, kq, ws)
+        assert got == want
+        outcome = json.loads(got)
+        found = {**outcome, **(outcome.get("witness") or {})}
+        assert {k: found.get(k) for k in expected} == expected
+        extra = 2 * len(ws.observations) * len(ws.parameter_grid)
+        assert got_calls["eval"] <= want_calls["eval"] + extra
+        if name == "repeated_sample":
+            assert got_calls["eval"] < want_calls["eval"]
+
+    @pytest.mark.parametrize("grid,message", [
+        ((5.0, 0.5), "parameter 5.0 outside Theta for psi"),
+        ((0.5, 5.0), "observation -1.0 outside X for psi")])
+    def test_checks_in_weighted_sum_order(self, grid, message):
+        # on a sample no solve has checked: t = 5 lies outside psi's Theta
+        # and x = -1 outside X, each raised where weighted_sum raises it
+        kp = PsiKernel(OpenInterval(-math.inf, 4.0), lambda x, t: x - t,
+                       domain_check=lambda x: x >= 0.0, name="psi")
+        kq = PsiKernel(LINE, lambda x, t: t - x, domain_check=lambda x: x >= 0.0,
+                       name="phi")
+        sample = WeightedSample.uniform((1.0, -1.0))
+        got = _outcome(lambda: _sign_witness(kp, kq, sample, grid, ({}, {})))
+        want = _outcome(lambda: reference_sign_witness(kp, kq, sample, grid))
+        assert got == want == {"raises": "DomainError", "message": message}
 
 
 _SPECIAL_PAIRS = [p for p in ORACLE_PAIRS

@@ -23,7 +23,7 @@ from psiest import (
     validate_monotone,
     weighted_sum,
 )
-from psiest.kernel import rises
+from psiest.kernel import _clamp, _column_sums, rises
 
 
 def expectile(alpha):
@@ -183,6 +183,25 @@ class TestWeightedSum:
             lhs = weighted_sum(k, both, t)
             rhs = weighted_sum(k, s1, t) + weighted_sum(k, s2, t)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_column_sums_are_weighted_sum(self, data):
+        # psi(i, j) from a drawn table: term i's values along a grid 0..n-1
+        n = data.draw(st.integers(1, 5))
+        terms = data.draw(st.integers(1, 5))
+        value = st.one_of(st.floats(), st.sampled_from((1e300, -1e300, 1e308, -0.0)))
+        table = [data.draw(st.lists(value, min_size=n, max_size=n)) for _ in range(terms)]
+        weights = data.draw(st.lists(
+            st.sampled_from((0.0, 1.0, 0.5, 3.0, 1e10, 1e300)), min_size=terms,
+            max_size=terms).filter(any))
+        k = PsiKernel(OpenInterval(-1.0, math.inf), lambda x, t: table[int(x)][int(t)])
+        sample = WeightedSample(tuple(range(terms)), tuple(weights))
+        live = [i for i, w in enumerate(weights) if w > 0.0]
+        columns = [[_clamp(v) for v in table[i]] for i in live]
+        got = _column_sums(columns, [weights[i] for i in live], n)
+        want = [weighted_sum(k, sample, float(j)) for j in range(n)]
+        assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
 class TestValidateOnce:
