@@ -61,63 +61,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BajraktarevicSpec",
-    "CLOSED_FORM_IDS",
-    "ComparisonVerdict",
-    "DataParseError",
-    "DegenerateDerivative",
-    "DegenerateProbes",
-    "DomainError",
-    "EmptyData",
-    "EmptyLowerSet",
-    "ExprError",
-    "ExprSyntaxError",
-    "FAMILY_IDS",
-    "FamilySpec",
-    "InvalidArgument",
-    "InvalidParameter",
-    "MissingClosedForm",
-    "MobiusCoefficients",
-    "NegativeWeight",
-    "OpenInterval",
-    "OutOfRange",
-    "PsiEstError",
-    "PsiKernel",
-    "SignChangeResult",
-    "SignViolation",
-    "SolverConfig",
-    "SolverError",
-    "UnknownIdentifier",
-    "WeightedSample",
-    "WitnessSet",
-    "apply_mobius",
-    "as_kernel",
-    "beta_alpha_bounds",
-    "build_witness_set",
-    "check_derivative_condition",
-    "check_direct",
-    "check_equality",
-    "check_ratio_condition",
-    "check_two_point",
-    "closed_form_estimate",
-    "compile_expr",
-    "construct_multiplier",
-    "determinant_scale",
-    "determinant_test",
-    "digamma",
-    "empirical_theta1_hull",
-    "estimate",
-    "eval_expr",
-    "generalized_left_inverse",
-    "make_kernel",
-    "mobius_fit",
-    "parse",
-    "pretty",
-    "schwarzian",
-    "solve_sign_change",
-    "theta1",
-    "theta_psi_empty",
-    "validate_monotone",
-    "weighted_sum",
-]
+__all__ = sorted(_HOME)

@@ -270,20 +270,12 @@ def cmd_compare(args) -> int:
         verdicts.append({"condition": v.condition, "status": v.status,
                          "witness": v.witness, "grid": v.grid})
 
-    statuses = [v["status"] for v in verdicts]
-    if comparison.COUNTEREXAMPLE in statuses:
-        overall = comparison.COUNTEREXAMPLE
-        code = EXIT_COUNTEREXAMPLE
-    elif comparison.INCONCLUSIVE in statuses:
-        overall = comparison.INCONCLUSIVE
-        code = EXIT_FAILURE
-    else:
-        overall = comparison.NO_COUNTEREXAMPLE
-        code = EXIT_OK
+    overall, _ = comparison._fold((v["status"], None) for v in verdicts)
     emit({"command": "compare", "kernel_psi": echo_psi, "kernel_phi": echo_phi,
           "observations": list(obs), "seed": seed, "verdicts": verdicts,
           "status": overall})
-    return code
+    return {comparison.COUNTEREXAMPLE: EXIT_COUNTEREXAMPLE,
+            comparison.INCONCLUSIVE: EXIT_FAILURE}.get(overall, EXIT_OK)
 
 
 def _max_abs(values) -> float:

@@ -184,18 +184,22 @@ def _sign_witness(kpsi, kphi, sample: WeightedSample, grid, columns) -> Optional
     return None
 
 
-def _verdict(condition: str, findings, meta: dict) -> ComparisonVerdict:
+def _fold(findings) -> tuple:
     """The one verdict rule over a stream of (status, witness) findings:
-    Counterexample at the first Counterexample finding, else Inconclusive at
-    the first Inconclusive finding, else NoCounterexample.  The stream is
-    read no further than its first Counterexample."""
+    (Counterexample, its witness) at the first Counterexample finding, else
+    the first Inconclusive finding, else (NoCounterexample, None).  The
+    stream is read no further than its first Counterexample."""
     status, witness = NO_COUNTEREXAMPLE, None
     for found in findings:
         if found[0] == COUNTEREXAMPLE:
-            status, witness = found
-            break
+            return found
         if status == NO_COUNTEREXAMPLE:
             status, witness = found
+    return status, witness
+
+
+def _verdict(condition: str, findings, meta: dict) -> ComparisonVerdict:
+    status, witness = _fold(findings)
     return ComparisonVerdict(status, condition, witness, meta)
 
 

@@ -168,9 +168,18 @@ def _mathieu(f):
     return ev, None, _finite
 
 
+def _pow(u: float, k: int) -> float:
+    """u ** k for a whole k, or the inf of its sign where it overflows: a
+    float ** raises OverflowError there, where * gives inf."""
+    try:
+        return u ** k
+    except OverflowError:
+        return math.copysign(math.inf, u) if k % 2 else math.inf
+
+
 def _normal_var(m):
-    return ((lambda x, t: ((x - m) ** 2 - t) / (2.0 * t * t)),
-            (lambda x, t: (t - 2.0 * (x - m) ** 2) / (2.0 * t ** 3)),
+    return ((lambda x, t: (_pow(x - m, 2) - t) / (2.0 * t * t)),
+            (lambda x, t: (t - 2.0 * _pow(x - m, 2)) / (2.0 * _pow(t, 3))),
             (lambda x: _finite(x) and x != m))
 
 
@@ -224,7 +233,7 @@ def _lognormal_mu(sigma2):
 
 def _laplace_scale(mu):
     return ((lambda x, t: abs(x - mu) / (t * t) - 1.0 / t),
-            (lambda x, t: -2.0 * abs(x - mu) / t ** 3 + 1.0 / (t * t)),
+            (lambda x, t: -2.0 * abs(x - mu) / _pow(t, 3) + 1.0 / (t * t)),
             (lambda x: _finite(x) and x != mu))
 
 
@@ -256,7 +265,7 @@ _FAMILIES = {
                          theta1=_first),
     "mathieu": _Family(None, None, None, _REAL_LINE, _mathieu, theta1=_first),
     "normal_var": _Family("m", _any, "finite", _POSITIVE, _normal_var,
-                          F=lambda x, m: (x - m) ** 2, F_inv=_first),
+                          F=lambda x, m: _pow(x - m, 2), F_inv=_first),
     "beta_alpha": _Family("beta", _positive, "> 0", _POSITIVE, _beta_alpha,
                           F=_ln_one_minus_pow, F_inv=lambda y, beta: -1.0 / y),
     "beta_beta": _Family("alpha", _positive, "> 0", _POSITIVE, _beta_beta),
@@ -321,8 +330,10 @@ def closed_form_estimate(spec: FamilySpec, sample: WeightedSample) -> float:
 
     With nonuniform weights this returns the weighted generalization
     (weighted averages in place of 1/n sums); callers that care should flag
-    that in their reports.  Raises MissingClosedForm for families whose
-    estimating equation has no elementary solution.
+    that in their reports.  The mean runs over the positive-weight terms,
+    as weighted_sum does.  Raises MissingClosedForm for families whose
+    estimating equation has no elementary solution, and DomainError when
+    the weighted mean of F(x) is not finite.
     """
     sample.check(make_kernel(spec))
     row = _FAMILIES[spec.family]
@@ -330,7 +341,10 @@ def closed_form_estimate(spec: FamilySpec, sample: WeightedSample) -> float:
         raise MissingClosedForm(f"{spec.family} has no elementary estimator formula")
     v = _known(spec, row)
     F = row.F
-    return row.F_inv(_weighted_mean([F(x, v) for x in sample.xs], sample.weights), v)
+    mean = _weighted_mean([F(x, v) for x in sample._live_xs], sample._live_weights)
+    if not math.isfinite(mean):
+        raise DomainError(f"{spec.family}: weighted mean of F(x) is {mean!r}")
+    return row.F_inv(mean, v)
 
 
 def beta_alpha_bounds(alpha: float, sample: WeightedSample) -> tuple[float, float]:

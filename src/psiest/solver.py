@@ -9,6 +9,8 @@ step starts at the regula-falsi point of the bracket and is projected into
 a ball around the midpoint, so narrowing the bracket to a given width takes
 at most one step more than bisection (and MAX_BISECT caps the refinement as
 it capped bisection), and a jump or kink costs speed, not correctness.
+A NaN sum has no sign, so the search stops at the first one.  The
+generalized left inverse f^-1(y) is the same search on t -> y - f(t).
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SignChangeResult:
     """Unless converged, theta is the midpoint of the last bracket
-    (MaxIterations), the first t whose weighted sum was NaN (NonFiniteSum),
-    or NaN.
+    (MaxIterations), the first t whose weighted sum was NaN, where the
+    search stopped (NonFiniteSum), or NaN.
 
     iterations counts every evaluation of the predicate: the seed, each
     expansion step and each ITP refinement step; phase_evals splits it into
@@ -102,50 +104,45 @@ def _step_toward(t: float, endpoint: float, delta: float) -> float:
 
 
 def _solve_predicate(
-    value: Callable[[float], float],
-    positive: Callable[[float], bool],
-    theta: OpenInterval,
-    cfg: SolverConfig,
-    level: float = 0.0,
+    value: Callable[[float], float], theta: OpenInterval, cfg: SolverConfig
 ) -> SignChangeResult:
-    """Locate the boundary where a decreasing-type predicate flips True->False.
+    """Locate where value(t) > 0 flips to not > 0 (decreasing type).
 
-    positive(value(t)) must be True strictly below the target and False
-    strictly above it; level is the value at which it flips, and the
-    refinement steps interpolate on value(t) - level.  A NaN value has no
-    side: the search goes on with whatever positive() says, and the result
-    is NonFiniteSum at the first t where value(t) was NaN.
+    value(t) must be > 0 strictly below the target and not > 0 strictly
+    above it; the refinement steps interpolate on value(t).  A NaN value has
+    no side, so the search stops at the first t where value(t) is NaN, with
+    status NonFiniteSum and theta that t.
     """
-    nan_at = []
+    expand = refine = 0
 
-    def probe(t: float) -> float:
-        v = value(t)
-        if math.isnan(v):
-            nan_at.append(t)
-        return v
-
-    seed = theta.midpoint_seed()
+    def nan_at(t: float) -> SignChangeResult:
+        phases = (1, expand, refine)
+        return SignChangeResult(t, math.nan, math.nan, sum(phases),
+                                NON_FINITE_SUM, STOP_NAN, phases)
 
     # Step away from the seed, toward the side where the flip lies, until the
-    # predicate flips: near is the last t on the seed's side, far the first
+    # sign flips: near is the last t on the seed's side, far the first
     # beyond the flip.
-    v_near = probe(seed)
-    up = positive(v_near)
+    seed = theta.midpoint_seed()
+    v_near = value(seed)
+    if math.isnan(v_near):
+        return nan_at(seed)
+    up = v_near > 0.0
     endpoint = theta.hi if up else theta.lo
     near, far = seed, None
     t, delta = seed, max(1.0, abs(seed))
-    expand = 0
     for _ in range(MAX_EXPAND):
         t = _step_toward(t, endpoint, delta)
         delta *= 2.0
         expand += 1
-        v = probe(t)
-        if positive(v) != up:
+        v = value(t)
+        if math.isnan(v):
+            return nan_at(t)
+        if (v > 0.0) != up:
             far, v_far = t, v
             break
         near, v_near = t, v
 
-    refine = 0
     if far is None:
         status = NO_NEGATIVE_PART if up else NO_POSITIVE_PART
         stop = STOP_NO_SIGN_CHANGE
@@ -153,9 +150,7 @@ def _solve_predicate(
         theta_hat = math.nan
     else:
         a, b = (near, far) if up else (far, near)
-        ga, gb = v_near - level, v_far - level
-        if not up:
-            ga, gb = gb, ga
+        ga, gb = (v_near, v_far) if up else (v_far, v_near)
         status, stop = CONVERGED, STOP_WIDTH
         itp = _Itp(a, b, cfg)
         while b - a > cfg.width_tol(0.5 * (a + b)):
@@ -167,17 +162,16 @@ def _solve_predicate(
                 stop = STOP_EXHAUSTED  # no double strictly inside
                 break
             t = itp.point(a, b, ga, gb, mid)
-            v = probe(t)
-            if positive(v):
-                a, ga = t, v - level
-            else:
-                b, gb = t, v - level
+            v = value(t)
             refine += 1
+            if math.isnan(v):
+                return nan_at(t)
+            if v > 0.0:
+                a, ga = t, v
+            else:
+                b, gb = t, v
         theta_hat = 0.5 * (a + b)
     phases = (1, expand, refine)
-    if nan_at:
-        return SignChangeResult(nan_at[0], math.nan, math.nan, sum(phases),
-                                NON_FINITE_SUM, STOP_NAN, phases)
     return SignChangeResult(theta_hat, a, b, sum(phases), status, stop, phases)
 
 
@@ -250,11 +244,8 @@ def solve_sign_change(
     sum, since the kernel may jump across zero.
     """
     sample.check(kernel)
-
-    def total(t: float) -> float:
-        return weighted_sum(kernel, sample, t)
-
-    return _solve_predicate(total, lambda s: s > 0.0, kernel.theta, cfg)
+    return _solve_predicate(lambda t: weighted_sum(kernel, sample, t),
+                            kernel.theta, cfg)
 
 
 def theta1(kernel: PsiKernel, x: float, cfg: SolverConfig = SolverConfig()) -> float:
@@ -294,14 +285,16 @@ def generalized_left_inverse(
     """Monotone extension of the inverse of a strictly increasing f.
 
     For y in f(Theta) this returns the preimage; for y inside a jump gap
-    [f(t0-), f(t0+)] it returns t0.  Computed by the same search as
-    solve_sign_change, on the predicate f(t) < y and interpolating on
-    y - f(t); the bracket is kept by sign, so no continuity is needed.
-    Raises OutOfRange when y falls outside the convex hull of f(Theta)
+    [f(t0-), f(t0+)] it returns t0.  This is the point where y - f(t)
+    changes sign, found by the same search as solve_sign_change; the
+    bracket is kept by sign, so no continuity is needed.  Raises OutOfRange
+    when y is not finite or falls outside the convex hull of f(Theta)
     beyond 1e-9 * (1 + |y|), and SolverError naming the first t where f(t)
     was NaN.
     """
-    res = _solve_predicate(f, lambda v: v < y, theta, cfg, level=y)
+    if not math.isfinite(y):
+        raise OutOfRange(f"{y!r} is not finite")
+    res = _solve_predicate(lambda t: y - f(t), theta, cfg)
     if res.status == NON_FINITE_SUM:
         raise SolverError(f"f({res.theta!r}) is NaN", res)
     slack = 1e-9 * (1.0 + abs(y))

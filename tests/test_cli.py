@@ -124,6 +124,49 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(capsys.readouterr().out)["status"] == "NoNegativePart"
 
+    @pytest.mark.parametrize("closed_form,message", [
+        ([], ""),
+        (["--closed-form"], "error: normal_var: weighted mean of F(x) is inf\n"),
+    ])
+    def test_normal_var_square_overflow(self, closed_form, message, capsys):
+        # (1e200 - 0) ** 2 raises OverflowError in a float **; it was a
+        # traceback with exit 1
+        code = main(["estimate", "--family", "normal_var", "--param", "m=0",
+                     "--data", "[1e200,1,2]", *closed_form])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == message
+        if not closed_form:
+            assert json.loads(captured.out)["status"] == "NoNegativePart"
+
+    def test_laplace_d2_cube_overflow(self, capsys):
+        # d2 at theta1 = 1e120 computes t ** 3, past the largest double
+        code = main(["compare", "--family", "laplace_scale", "--param", "mu=0",
+                     "--family-phi", "laplace_scale", "--param-phi", "mu=1",
+                     "--data", "[1e120,2e120]", "--condition", "derivative"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: parameter derivative vanishes at theta1(1e+120)\n")
+
+    def test_closed_form_skips_zero_weights(self, tmp_path, capsys):
+        # F(1e200) is inf, but its weight is 0: the solver's 2.5, not NaN
+        data = tmp_path / "d.txt"
+        data.write_text("1e200,0\n1,1\n2,1\n")
+        code = main(["estimate", "--family", "normal_var", "--param", "m=0",
+                     "--data", str(data), "--closed-form"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["theta"] == 2.5
+
+    def test_closed_form_non_finite_mean_exits_2(self, capsys):
+        # 1e308 + 1e308 overflows: the estimate was printed as "inf", exit 0
+        code = main(["estimate", "--family", "laplace_scale", "--param", "mu=0",
+                     "--closed-form", "--data", "[1e308,-1e308]"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: laplace_scale: weighted mean of F(x) is inf\n")
+
     def test_negative_base_infinite_exponent(self, capsys):
         code = main(["estimate", "--psi", "(0-2)^exp(x) - t", "--theta=-inf,inf",
                      "--data", "[1000]"])

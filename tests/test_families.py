@@ -127,6 +127,16 @@ class TestKernelEvaluation:
         assert k.eval(1.0, 3.0) == -2.0
         assert k.eval(2.0, 2.0) == 0.0
 
+    def test_power_overflow_is_infinite(self):
+        # a float ** raises OverflowError past the largest double; the
+        # power reads as inf there, as a product would
+        nv = make_kernel(FamilySpec("normal_var", {"m": 0.0}))
+        assert nv.eval(1e200, 1.0) == math.inf
+        assert nv.d2(1e200, 1.0) == -math.inf
+        assert nv.d2(1.0, 1e120) == 0.0
+        lap = make_kernel(FamilySpec("laplace_scale", {"mu": 0.0}))
+        assert lap.d2(1e120, 1e120) == 1e-240
+
     def test_normal_var_domain_excludes_mean(self):
         k = make_kernel(FamilySpec("normal_var", {"m": 1.0}))
         assert not k.domain_check(1.0)
@@ -155,6 +165,21 @@ class TestClosedForms:
         spec = FamilySpec("laplace_scale", {"mu": 0.0})
         assert closed_form_estimate(spec, WeightedSample.uniform([1, -2, 3])) == \
             pytest.approx(2.0)
+
+    def test_zero_weight_terms_not_evaluated(self):
+        # F(1e200) = inf would make the weighted mean NaN (0 * inf)
+        spec = FamilySpec("normal_var", {"m": 0.0})
+        s = WeightedSample((1e200, 1.0, 2.0), (0.0, 1.0, 1.0))
+        assert closed_form_estimate(spec, s) == 2.5
+
+    @pytest.mark.parametrize("family,params,xs", [
+        ("normal_var", {"m": 0.0}, [1e200, 1.0]),
+        ("laplace_scale", {"mu": 0.0}, [1e308, -1e308]),
+    ])
+    def test_non_finite_mean_rejected(self, family, params, xs):
+        with pytest.raises(DomainError, match="weighted mean"):
+            closed_form_estimate(FamilySpec(family, params),
+                                 WeightedSample.uniform(xs))
 
     def test_no_closed_form(self):
         for family, params in [

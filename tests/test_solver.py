@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import math
 import random
+from typing import Callable
 
 import mpmath
 import pytest
@@ -12,6 +14,7 @@ from psiest import (
     InvalidArgument,
     OpenInterval,
     OutOfRange,
+    PsiEstError,
     PsiKernel,
     SolverConfig,
     SolverError,
@@ -25,6 +28,10 @@ from psiest import (
     theta1,
     weighted_sum,
 )
+from psiest.solver import (
+    CONVERGED, MAX_BISECT, MAX_EXPAND, MAX_ITERATIONS, NO_NEGATIVE_PART,
+    NO_POSITIVE_PART, NON_FINITE_SUM, STOP_EXHAUSTED, STOP_LIMIT, STOP_NAN,
+    STOP_NO_SIGN_CHANGE, STOP_WIDTH, SignChangeResult, _Itp, _step_toward)
 
 
 def reference_bisection(value, positive, theta, cfg):
@@ -194,6 +201,27 @@ class TestSolveSignChange:
         assert not res.converged
         assert res.theta >= 5.0
         assert math.isnan(k.eval(7.0, res.theta))
+
+    @pytest.mark.parametrize("nan_from,nan_to,refined", [
+        (5.0, math.inf, False),  # first NaN at an expansion step
+        (7.4, 7.6, True),        # first NaN at a refinement step
+    ])
+    def test_nan_sum_ends_search(self, nan_from, nan_to, refined, monkeypatch):
+        # nothing is evaluated after the first NaN sum, and theta is its t
+        calls = []
+
+        def counting(kernel, sample, t):
+            calls.append(t)
+            return weighted_sum(kernel, sample, t)
+
+        monkeypatch.setattr(solver, "weighted_sum", counting)
+        k = PsiKernel(OpenInterval(-math.inf, math.inf),
+                      lambda x, t: math.nan if nan_from <= t < nan_to else x - t)
+        res = solve_sign_change(k, WeightedSample.uniform((7.0, 8.0)))
+        assert res.status == "NonFiniteSum"
+        assert len(calls) == res.iterations == sum(res.phase_evals)
+        assert calls[-1] == res.theta
+        assert (res.phase_evals[2] > 0) == refined
 
     def test_nan_sum_fails_theta1(self):
         k = PsiKernel(OpenInterval(-math.inf, math.inf),
@@ -380,6 +408,10 @@ class TestDensity:
         assert max(gaps) <= (b - a) / 8.0
 
 
+# exp(t) through the DSL, which returns inf where math.exp overflows
+EXP = functools.partial(compile_expr(parse("exp(t)")), 0.0)
+
+
 class TestGeneralizedLeftInverse:
     LINE = OpenInterval(-math.inf, math.inf)
 
@@ -430,6 +462,13 @@ class TestGeneralizedLeftInverse:
         with pytest.raises(SolverError, match=r"f\(2\.5\) is NaN"):
             generalized_left_inverse(f, OpenInterval(0.0, 10.0), 2.2)
 
+    @pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
+    def test_non_finite_y_out_of_range(self, y):
+        # inf - exp(t) is NaN where exp(t) overflows, and the search used to
+        # return that point, 709.78..., as the inverse of inf
+        with pytest.raises(OutOfRange, match="not finite"):
+            generalized_left_inverse(EXP, OpenInterval(0.0, 1000.0), y)
+
     def test_contract_random_values(self):
         rng = random.Random(3)
         f = lambda t: t + math.sin(t) / 2.0  # strictly increasing
@@ -442,3 +481,160 @@ class TestGeneralizedLeftInverse:
         results.sort()
         gs = [g for _, g in results]
         assert all(b >= a for a, b in zip(gs, gs[1:]))
+
+
+# The search and the left inverse as they were before the search took one
+# predicate, value(t) > 0, and stopped at its first NaN: kept verbatim, with
+# only the two names changed, as the oracle for TestLeftInverseOracle.
+
+
+def reference_solve_predicate(
+    value: Callable[[float], float],
+    positive: Callable[[float], bool],
+    theta: OpenInterval,
+    cfg: SolverConfig,
+    level: float = 0.0,
+) -> SignChangeResult:
+    """Locate the boundary where a decreasing-type predicate flips True->False.
+
+    positive(value(t)) must be True strictly below the target and False
+    strictly above it; level is the value at which it flips, and the
+    refinement steps interpolate on value(t) - level.  A NaN value has no
+    side: the search goes on with whatever positive() says, and the result
+    is NonFiniteSum at the first t where value(t) was NaN.
+    """
+    nan_at = []
+
+    def probe(t: float) -> float:
+        v = value(t)
+        if math.isnan(v):
+            nan_at.append(t)
+        return v
+
+    seed = theta.midpoint_seed()
+
+    # Step away from the seed, toward the side where the flip lies, until the
+    # predicate flips: near is the last t on the seed's side, far the first
+    # beyond the flip.
+    v_near = probe(seed)
+    up = positive(v_near)
+    endpoint = theta.hi if up else theta.lo
+    near, far = seed, None
+    t, delta = seed, max(1.0, abs(seed))
+    expand = 0
+    for _ in range(MAX_EXPAND):
+        t = _step_toward(t, endpoint, delta)
+        delta *= 2.0
+        expand += 1
+        v = probe(t)
+        if positive(v) != up:
+            far, v_far = t, v
+            break
+        near, v_near = t, v
+
+    refine = 0
+    if far is None:
+        status = NO_NEGATIVE_PART if up else NO_POSITIVE_PART
+        stop = STOP_NO_SIGN_CHANGE
+        a, b = (near, math.nan) if up else (math.nan, near)
+        theta_hat = math.nan
+    else:
+        a, b = (near, far) if up else (far, near)
+        ga, gb = v_near - level, v_far - level
+        if not up:
+            ga, gb = gb, ga
+        status, stop = CONVERGED, STOP_WIDTH
+        itp = _Itp(a, b, cfg)
+        while b - a > cfg.width_tol(0.5 * (a + b)):
+            if refine >= MAX_BISECT:
+                status, stop = MAX_ITERATIONS, STOP_LIMIT
+                break
+            mid = 0.5 * (a + b)
+            if not (a < mid < b):
+                stop = STOP_EXHAUSTED  # no double strictly inside
+                break
+            t = itp.point(a, b, ga, gb, mid)
+            v = probe(t)
+            if positive(v):
+                a, ga = t, v - level
+            else:
+                b, gb = t, v - level
+            refine += 1
+        theta_hat = 0.5 * (a + b)
+    phases = (1, expand, refine)
+    if nan_at:
+        return SignChangeResult(nan_at[0], math.nan, math.nan, sum(phases),
+                                NON_FINITE_SUM, STOP_NAN, phases)
+    return SignChangeResult(theta_hat, a, b, sum(phases), status, stop, phases)
+
+
+def reference_left_inverse(
+    f: Callable[[float], float],
+    theta: OpenInterval,
+    y: float,
+    cfg: SolverConfig = SolverConfig(),
+) -> float:
+    """Monotone extension of the inverse of a strictly increasing f.
+
+    For y in f(Theta) this returns the preimage; for y inside a jump gap
+    [f(t0-), f(t0+)] it returns t0.  Computed by the same search as
+    solve_sign_change, on the predicate f(t) < y and interpolating on
+    y - f(t); the bracket is kept by sign, so no continuity is needed.
+    Raises OutOfRange when y falls outside the convex hull of f(Theta)
+    beyond 1e-9 * (1 + |y|), and SolverError naming the first t where f(t)
+    was NaN.
+    """
+    res = reference_solve_predicate(f, lambda v: v < y, theta, cfg, level=y)
+    if res.status == NON_FINITE_SUM:
+        raise SolverError(f"f({res.theta!r}) is NaN", res)
+    slack = 1e-9 * (1.0 + abs(y))
+    if res.status == NO_POSITIVE_PART:
+        # Never saw f(t) < y: y is at or below the infimum of f.
+        t_low = res.bracket_hi
+        if f(t_low) - y <= slack:
+            return t_low
+        raise OutOfRange(f"{y!r} below the range of f")
+    if res.status == NO_NEGATIVE_PART:
+        t_high = res.bracket_lo
+        if y - f(t_high) <= slack:
+            return t_high
+        raise OutOfRange(f"{y!r} above the range of f")
+    if not res.converged:
+        raise SolverError(f"left-inverse search stalled at y={y!r}", res)
+    return res.theta
+
+
+def _outcome(fn, *args):
+    """The float fn returns, as hex so that -0.0 and 0.0 differ, or the type
+    of the error it raises."""
+    try:
+        return fn(*args).hex()
+    except PsiEstError as exc:
+        return type(exc)
+
+
+# (f, the intervals it is inverted on): affine, cube, DSL exp, and a step
+# function with jump gaps
+ORACLE_CASES = [
+    (lambda t: 2.5 * t - 3.0, [_LINE, OpenInterval(-10.0, 10.0)]),
+    (lambda t: t ** 3, [_LINE, OpenInterval(0.0, 5.0)]),
+    (EXP, [_LINE, OpenInterval(0.0, 1000.0), OpenInterval(-5.0, 5.0)]),
+    (_step, [_LINE, OpenInterval(-10.0, 10.0)]),
+]
+
+
+class TestLeftInverseOracle:
+    """For finite y the left inverse is bit-identical to the reference: the
+    ITP ratio ga / (ga - gb) is the same with both ends negated, and
+    y - f(t) > 0 holds exactly when f(t) < y."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        f, intervals = data.draw(st.sampled_from(ORACLE_CASES))
+        theta = data.draw(st.sampled_from(intervals))
+        y = data.draw(st.one_of(
+            st.floats(-60.0, 60.0),
+            st.floats(allow_nan=False, allow_infinity=False)))
+        assert (_outcome(generalized_left_inverse, f, theta, y)
+                == _outcome(reference_left_inverse, f, theta, y))
