@@ -155,8 +155,9 @@ def _parse_theta(text: str) -> OpenInterval:
 def _expr_kernel(source: str, theta: OpenInterval, name: str) -> PsiKernel:
     from . import exprparse
 
-    ev = exprparse.compile_expr(exprparse.parse(source))
-    return PsiKernel(theta, ev, domain_check=math.isfinite, name=name)
+    e = exprparse.parse(source)
+    return PsiKernel(theta, exprparse.compile_expr(e), domain_check=math.isfinite,
+                     name=name, terms=exprparse.compile_terms(e))
 
 
 def _build_kernel(args, suffix: str = ""):

@@ -9,6 +9,7 @@ re-verifies by direct evaluation.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass, field
@@ -120,21 +121,27 @@ def _random_cases(ws: WitnessSet, max_n: int, trials: int):
     return cases()
 
 
-def _column(kernel: PsiKernel, x: float, grid) -> list:
-    """psi(x, t) along the grid, each value clamped to +-1e300 as
-    weighted_sum clamps a term, up to the first t outside the kernel's Theta
-    or where psi raises."""
-    col = []
+def _columns(kernel: PsiKernel, xs, grid) -> list:
+    """For each x, psi(x, t) along the grid, each value clamped to +-1e300
+    as weighted_sum clamps a term, from one kernel.terms call per t.  All
+    stop at the first t outside the kernel's Theta or where psi raises for
+    one of the xs, and are empty where kernel.column raises."""
+    cols = [[] for _ in xs]
+    try:
+        cs = kernel.columns(xs)
+    except Exception:
+        return cols
     for t in grid:
         if not kernel.theta.contains(t):
             break
         try:
-            v = kernel.eval(x, t)
+            vs = kernel.terms(cs, t)
         except Exception:
             # weighted_sum raises it again at this t, past the columns' prefix
             break
-        col.append(_clamp(v))
-    return col
+        for col, v in zip(cols, vs):
+            col.append(_clamp(v))
+    return cols
 
 
 def _grid_sums(kpsi, kphi, sample: WeightedSample, grid, columns):
@@ -142,12 +149,14 @@ def _grid_sums(kpsi, kphi, sample: WeightedSample, grid, columns):
     each grid t in order, each sum the same float weighted_sum returns.
 
     columns is a pair of dicts, one per kernel, caching each observation's
-    _column for the whole check, so psi(x, t) is evaluated once per kernel,
-    x and t.  Over the grid's prefix where every column of the sample is
-    defined, the sums are added from the columns; past it, weighted_sum
-    runs at each t, so an error is raised at the same t as without the
-    columns.  The checks weighted_sum makes at the first t come first, in
-    its order: t in Theta, then the sample's domain, for psi, then phi."""
+    values along the grid (_columns) for the whole check, so psi(x, t) is
+    evaluated once per kernel, x and t; the observations a sample brings
+    that are not cached yet are evaluated together.  Over the grid's prefix
+    where every column of the sample is defined, the sums are added from the
+    columns; past it, weighted_sum runs at each t, so an error is raised at
+    the same t as without the columns.  The checks weighted_sum makes at the
+    first t come first, in its order: t in Theta, then the sample's domain,
+    for psi, then phi."""
     n = len(grid)
     terms = []
     for kernel, cols in zip((kpsi, kphi), columns):
@@ -155,13 +164,13 @@ def _grid_sums(kpsi, kphi, sample: WeightedSample, grid, columns):
             n = 0
             break
         sample.check(kernel)
-        kernel_terms = []
-        for x in sample._live_xs:
-            key = (x, math.copysign(1.0, x))  # psi may tell -0.0 from 0.0
-            if key not in cols:
-                cols[key] = _column(kernel, x, grid)
-            kernel_terms.append(cols[key])
-            n = min(n, len(cols[key]))
+        # psi may tell -0.0 from 0.0
+        keys = [(x, math.copysign(1.0, x)) for x in sample._live_xs]
+        new = {key: key[0] for key in keys if key not in cols}
+        if new:
+            cols.update(zip(new, _columns(kernel, list(new.values()), grid)))
+        kernel_terms = [cols[key] for key in keys]
+        n = min(n, *map(len, kernel_terms))
         terms.append(kernel_terms)
     if n:
         yield from zip(grid, *(_column_sums(ts, sample._live_weights, n)
@@ -208,9 +217,17 @@ def _scan(kpsi, kphi, cases, cfg: SolverConfig, equal_on=None):
     Counterexample for each case with theta_psi above theta_phi or, given a
     grid equal_on, with the two apart or their sums of opposite sign on the
     grid.  At the first solver failure: Inconclusive, and the scan ends.
-    The sign test's psi columns are shared by all cases (_grid_sums)."""
+    The sign test's psi columns are shared by all cases (_grid_sums).  A
+    case whose sample repeats an earlier case's, xs and weights to the bit,
+    is skipped: it would repeat that case's finding, and a finding ends the
+    stream or none was found."""
     columns = ({}, {})
+    seen = set()
     for head, sample, tail in cases:
+        key = repr((sample.xs, sample.weights))  # repr tells -0.0 from 0.0
+        if key in seen:
+            continue
+        seen.add(key)
         try:
             tp = _solve(kpsi, sample, cfg)
             tq = _solve(kphi, sample, cfg)
@@ -294,21 +311,21 @@ def check_two_point(
     return _verdict("two-point", _scan(kpsi, kphi, cases, cfg), {"max_km": max_km})
 
 
-def _ratio_bounds(kpsi, kphi, t: float, below, above):
+def _ratio_bounds(below, above, t: float):
     """(least r over below, greatest r over above, sound) for
-    r(x) = psi(x, t)/phi(x, t), each extreme None where its side has no x and
-    the least taken in the order of below as min() takes it.  sound says each
-    product test psi(x,t) phi(y,t) <= psi(y,t) phi(x,t), x below and y above,
-    follows from greatest <= least within a few ulps: phi < 0 below and > 0
-    above, every psi, phi and r finite, and the largest |psi| times the
-    largest |phi| finite, so no product is inf or NaN.  A phi(x, t) of 0
+    r(x) = psi(x, t)/phi(x, t), given below and above as (x, psi(x, t),
+    phi(x, t)) each, read in order, below first; each extreme is None where
+    its side has no x, and the least is taken as min() takes it.  sound says
+    each product test psi(x,t) phi(y,t) <= psi(y,t) phi(x,t), x below and y
+    above, follows from greatest <= least within a few ulps: phi < 0 below
+    and > 0 above, every psi, phi and r finite, and the largest |psi| times
+    the largest |phi| finite, so no product is inf or NaN.  A phi(x, t) of 0
     leaves r undefined: DomainError."""
     least = greatest = None
     sound = True
     top_psi = top_phi = 0.0
-    for sign, xs in ((-1.0, below), (1.0, above)):
-        for x in xs:
-            p, q = kpsi.eval(x, t), kphi.eval(x, t)
+    for sign, values in ((-1.0, below), (1.0, above)):
+        for x, p, q in values:
             if q == 0.0:
                 raise DomainError(f"phi({x!r}, {t!r}) is 0, so psi/phi is undefined")
             r = p / q
@@ -326,17 +343,31 @@ def _multiplier_certifies(kpsi, kphi, t1, grid) -> bool:
     """Whether every cross instance of the ratio check holds, read off the
     paper's multiplier at each grid t that some pair straddles: t in both
     kernels' Theta and, by _ratio_bounds, the witnesses above t bounded by
-    those below.  Never raises: an error, a phi of 0 or a t outside Theta
-    only means the instances are left to the pairwise scan."""
+    those below.  The witnesses are sorted once by their phi estimate, so
+    those below and above t are two slices, found by bisection; a NaN
+    estimate is left out, as the pairwise scan leaves it out.  Each kernel's
+    column of every witness is computed once, and at each t one terms call
+    per kernel gives psi at both slices.  Never raises: an error, a phi of
+    0 or a t outside Theta only means the instances are left to the
+    pairwise scan."""
+    ranked = sorted((w for w in t1 if not math.isnan(w[2])), key=lambda w: w[2])
+    xs = [x for x, _, _ in ranked]
+    bs = [b for _, _, b in ranked]
+    try:
+        cp, cq = kpsi.columns(xs), kphi.columns(xs)
+    except Exception:
+        return False
     for t in grid:
-        below = [x for x, _, b in t1 if b < t]
-        above = [y for y, _, b in t1 if t < b]
-        if not (below and above):
+        i, j = bisect.bisect_left(bs, t), bisect.bisect_right(bs, t)
+        if i == 0 or j == len(bs):  # no witness below t, or none above
             continue
         if not (kpsi.theta.contains(t) and kphi.theta.contains(t)):
             return False
         try:
-            least, greatest, sound = _ratio_bounds(kpsi, kphi, t, below, above)
+            ps = kpsi.terms(cp[:i] + cp[j:], t)
+            qs = kphi.terms(cq[:i] + cq[j:], t)
+            least, greatest, sound = _ratio_bounds(
+                zip(xs[:i], ps[:i], qs[:i]), zip(xs[j:], ps[i:], qs[i:]), t)
         except Exception:
             # left to the scan, which raises it unless a counterexample comes first
             return False
@@ -394,8 +425,9 @@ def construct_multiplier(
     estimate lies below t.  When the ratio condition holds, this multiplier
     satisfies psi(z,t) <= p(t) phi(z,t) for every witness z.  A witness with
     phi(x,t) = 0 leaves the ratio undefined: DomainError."""
-    below = (x for x in ws.observations if theta1(kphi, x, cfg) < t)
-    least, _, _ = _ratio_bounds(kpsi, kphi, t, below, ())
+    below = ((x, kpsi.eval(x, t), kphi.eval(x, t))
+             for x in ws.observations if theta1(kphi, x, cfg) < t)
+    least, _, _ = _ratio_bounds(below, (), t)
     if least is None:
         raise EmptyLowerSet(f"no witness has a phi-estimate below {t!r}")
     return least

@@ -9,9 +9,10 @@ Overflow gives a signed inf, and inf - inf, 0 * inf or inf / inf then give
 NaN, which evaluation returns as it is.
 
 compile_expr turns a tree into one generated Python function of (x, t), so
-a term costs one call, not one per node.  Expressions nest at most
-MAX_DEPTH levels deep; parse and compile_expr reject deeper ones with an
-ExprSyntaxError that carries an offset.
+a term costs one call, not one per node; compile_terms turns it into one
+function of (xs, t), so the terms of a whole sample cost one call.
+Expressions nest at most MAX_DEPTH levels deep; parse and compile_expr
+reject deeper ones with an ExprSyntaxError that carries an offset.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
@@ -266,8 +267,10 @@ def _source(e: Expr, room: int = MAX_DEPTH) -> str:
 
 
 @functools.lru_cache(maxsize=256)
-def _compile_source(source: str) -> Callable[[float, float], float]:
-    return eval(f"lambda x, t: {source}", _SCOPE)
+def _compile_source(source: str) -> tuple:
+    """(eval, terms) of one generated source, compiled together."""
+    return eval(f"(lambda x, t: {source}), (lambda xs, t: [{source} for x in xs])",
+                _SCOPE)
 
 
 def compile_expr(e: Expr) -> Callable[[float, float], float]:
@@ -282,7 +285,16 @@ def compile_expr(e: Expr) -> Callable[[float, float], float]:
     at the offset of the failing node, not NaN.  A tree deeper than
     MAX_DEPTH raises ExprSyntaxError.
     """
-    return _compile_source(_source(e))
+    return _compile_source(_source(e))[0]
+
+
+def compile_terms(e: Expr) -> Callable[[Sequence[float], float], list]:
+    """The expression as one generated function of (xs, t) giving the list
+    of its values at each x of xs, in order: compile_expr's source in a
+    list comprehension, so each value is the float compile_expr(e)(x, t)
+    gives, and an error is raised at the first x where it raises.  This is
+    an expression kernel's PsiKernel.terms."""
+    return _compile_source(_source(e))[1]
 
 
 def eval_expr(e: Expr, x: float = 0.0, t: float = 0.0) -> float:

@@ -125,6 +125,10 @@ def _any(v: float) -> bool:
     return True
 
 
+def _identity(x: float) -> float:
+    return x
+
+
 def _first(x: float, v) -> float:
     """x itself, whatever the known parameter v."""
     return x
@@ -139,33 +143,35 @@ def _minus_inv_square(x: float, t: float) -> float:
     return -1.0 / (t * t)
 
 
-# Kernel builders: known parameter -> (eval, d2 or None, domain check).  Each
-# eval is one closure so a term costs a single call.
+# Kernel builders: known parameter -> (column or None, terms, d2 or None,
+# domain check), psi in the batched form of PsiKernel.  column(x) is the
+# exact subexpression of psi that does not depend on t, terms(cs, t) the
+# rest, with the parts that depend on t alone computed once per call; each
+# term is the formula's float, evaluated in the formula's order.
 def _expectile(alpha):
-    def ev(x, t):
-        if x > t:
-            return alpha * (x - t)
-        if x < t:
-            return (1.0 - alpha) * (x - t)
-        return 0.0
+    below = 1.0 - alpha
+
+    def terms(xs, t):
+        return [alpha * (x - t) if x > t else below * (x - t) if x < t else 0.0
+                for x in xs]
 
     def d2(x, t):
         if x > t:
             return -alpha
         if x < t:
-            return -(1.0 - alpha)
+            return -below
         return -0.5
 
-    return ev, d2, _finite
+    return None, terms, d2, _finite
 
 
 def _mathieu(f):
-    def ev(x, t):
-        if x == t:
-            return 0.0
-        return math.copysign(f(abs(x - t)), x - t)
+    copysign = math.copysign
 
-    return ev, None, _finite
+    def terms(xs, t):
+        return [0.0 if x == t else copysign(f(abs(x - t)), x - t) for x in xs]
+
+    return None, terms, None, _finite
 
 
 def _pow(u: float, k: int) -> float:
@@ -178,61 +184,80 @@ def _pow(u: float, k: int) -> float:
 
 
 def _normal_var(m):
-    return ((lambda x, t: (_pow(x - m, 2) - t) / (2.0 * t * t)),
+    def terms(cs, t):  # cs: (x - m)^2
+        d = 2.0 * t * t
+        return [(c - t) / d for c in cs]
+
+    return ((lambda x: _pow(x - m, 2)), terms,
             (lambda x, t: (t - 2.0 * _pow(x - m, 2)) / (2.0 * _pow(t, 3))),
             (lambda x: _finite(x) and x != m))
 
 
 def _beta_alpha(beta):
-    return (lambda x, t: 1.0 / t + _ln_one_minus_pow(x, beta)), _minus_inv_square, _unit
+    def terms(cs, t):  # cs: ln(1 - x^beta)
+        inv = 1.0 / t
+        return [inv + c for c in cs]
+
+    return (lambda x: _ln_one_minus_pow(x, beta)), terms, _minus_inv_square, _unit
 
 
 def _beta_beta(alpha):
-    def ev(x, t):
-        lx = math.log(x)
-        u = math.exp(t * lx)  # x^t
-        # 1 - x^t via expm1 to keep precision as t -> 0
-        return 1.0 / t + lx * (1.0 - alpha * u) / (-math.expm1(t * lx))
+    exp, expm1 = math.exp, math.expm1
 
-    return ev, None, _unit
+    def terms(cs, t):  # cs: ln x
+        inv = 1.0 / t
+        # x^t = e^(t ln x); 1 - x^t via expm1 to keep precision as t -> 0
+        return [inv + c * (1.0 - alpha * exp(t * c)) / (-expm1(t * c)) for c in cs]
+
+    return math.log, terms, None, _unit
 
 
 def _gamma_shape(lam):
     log_lam = math.log(lam)
-    # The latest (t, digamma(t)), one tuple so a reader never sees half an
-    # update: a weighted sum evaluates every x at one t.
-    last = (math.nan, math.nan)
 
-    def ev(x, t):
-        nonlocal last
-        last_t, d = last
-        if last_t != t:
-            d = digamma(t)
-            last = (t, d)
-        return -d + math.log(x) + log_lam
+    def terms(cs, t):  # cs: ln x
+        d = -digamma(t)
+        return [d + c + log_lam for c in cs]
 
-    return ev, None, _positive
+    return math.log, terms, None, _positive
 
 
 def _gamma_rate(p):
-    return (lambda x, t: p / t - x), (lambda x, t: -p / (t * t)), _positive
+    def terms(xs, t):
+        q = p / t
+        return [q - x for x in xs]
+
+    return None, terms, (lambda x, t: -p / (t * t)), _positive
 
 
 def _lomax_rate_lambda(alpha):
-    return (lambda x, t: (alpha * x - t) / (t * (t + x))), None, _positive
+    def terms(xs, t):
+        return [(alpha * x - t) / (t * (t + x)) for x in xs]
+
+    return None, terms, None, _positive
 
 
 def _lomax_shape_alpha(lam):
-    return (lambda x, t: 1.0 / t - math.log1p(x / lam)), _minus_inv_square, _positive
+    def terms(cs, t):  # cs: ln(1 + x/lambda)
+        inv = 1.0 / t
+        return [inv - c for c in cs]
+
+    return (lambda x: math.log1p(x / lam)), terms, _minus_inv_square, _positive
 
 
 def _lognormal_mu(sigma2):
-    return ((lambda x, t: (math.log(x) - t) / sigma2), (lambda x, t: -1.0 / sigma2),
-            _positive)
+    def terms(cs, t):  # cs: ln x
+        return [(c - t) / sigma2 for c in cs]
+
+    return math.log, terms, (lambda x, t: -1.0 / sigma2), _positive
 
 
 def _laplace_scale(mu):
-    return ((lambda x, t: abs(x - mu) / (t * t) - 1.0 / t),
+    def terms(cs, t):  # cs: |x - mu|
+        tt, inv = t * t, 1.0 / t
+        return [c / tt - inv for c in cs]
+
+    return ((lambda x: abs(x - mu)), terms,
             (lambda x, t: -2.0 * abs(x - mu) / _pow(t, 3) + 1.0 / (t * t)),
             (lambda x: _finite(x) and x != mu))
 
@@ -243,11 +268,12 @@ class _Family:
 
     key is the known parameter (None: the family takes the function f),
     admissible its range and what the range in words.  build maps the known
-    value to (eval, d2 or None, domain check).  A quasi-arithmetic family has
-    psi = q(t) (F(x) - g(t)) with q of one sign and gives the pair (F, F_inv),
-    F_inv the inverse of g; then theta1(x) = F_inv(F(x)) and the estimator
-    is F_inv(weighted mean of F(x_i)).  Both take the known value as a
-    second argument.  Other families may give theta1(x, value) directly.
+    value to (column or None, terms, d2 or None, domain check).  A
+    quasi-arithmetic family has psi = q(t) (F(x) - g(t)) with q of one sign,
+    F its column (x itself where the column is None), and gives F_inv, the
+    inverse of g, taking the known value as a second argument; then
+    theta1(x) = F_inv(F(x)) and the estimator is F_inv(weighted mean of
+    F(x_i)).  Other families may give theta1(x, value) directly.
     """
 
     key: Optional[str]
@@ -255,7 +281,6 @@ class _Family:
     what: Optional[str]
     theta: OpenInterval
     build: Callable
-    F: Optional[Callable[[float, float], float]] = None
     F_inv: Optional[Callable[[float, float], float]] = None
     theta1: Optional[Callable[[float, float], float]] = None
 
@@ -264,65 +289,87 @@ _FAMILIES = {
     "expectile": _Family("alpha", _unit, "in (0,1)", _REAL_LINE, _expectile,
                          theta1=_first),
     "mathieu": _Family(None, None, None, _REAL_LINE, _mathieu, theta1=_first),
-    "normal_var": _Family("m", _any, "finite", _POSITIVE, _normal_var,
-                          F=lambda x, m: _pow(x - m, 2), F_inv=_first),
+    "normal_var": _Family("m", _any, "finite", _POSITIVE, _normal_var, F_inv=_first),
     "beta_alpha": _Family("beta", _positive, "> 0", _POSITIVE, _beta_alpha,
-                          F=_ln_one_minus_pow, F_inv=lambda y, beta: -1.0 / y),
+                          F_inv=lambda y, beta: -1.0 / y),
     "beta_beta": _Family("alpha", _positive, "> 0", _POSITIVE, _beta_beta),
     "gamma_shape": _Family("lambda", _positive, "> 0", _POSITIVE, _gamma_shape),
     "gamma_rate": _Family("p", _positive, "> 0", _POSITIVE, _gamma_rate,
-                          F=_first, F_inv=lambda y, p: p / y),
+                          F_inv=lambda y, p: p / y),
     "lomax_rate_lambda": _Family("alpha", _positive, "> 0", _POSITIVE,
                                  _lomax_rate_lambda,
                                  theta1=lambda x, alpha: alpha * x),
     "lomax_shape_alpha": _Family("lambda", _positive, "> 0", _POSITIVE,
-                                 _lomax_shape_alpha,
-                                 F=lambda x, lam: math.log1p(x / lam),
-                                 F_inv=lambda y, lam: 1.0 / y),
+                                 _lomax_shape_alpha, F_inv=lambda y, lam: 1.0 / y),
     "lognormal_mu": _Family("sigma2", _positive, "> 0", _REAL_LINE, _lognormal_mu,
-                            F=lambda x, sigma2: math.log(x), F_inv=_first),
+                            F_inv=_first),
     "laplace_scale": _Family("mu", _any, "finite", _POSITIVE, _laplace_scale,
-                             F=lambda x, mu: abs(x - mu), F_inv=_first),
+                             F_inv=_first),
 }
 
 FAMILY_IDS = tuple(_FAMILIES)
 
 # Families whose estimator has an elementary closed form.
-CLOSED_FORM_IDS = tuple(fam for fam, row in _FAMILIES.items() if row.F is not None)
+CLOSED_FORM_IDS = tuple(fam for fam, row in _FAMILIES.items() if row.F_inv is not None)
 
 
 def _known(spec: FamilySpec, row: _Family):
     return spec.f if row.key is None else spec.param(row.key)
 
 
+def _pointwise(column, terms):
+    """psi(x, t) at one point, from the batched form."""
+    if column is None:
+        return lambda x, t: terms((x,), t)[0]
+    return lambda x, t: terms((column(x),), t)[0]
+
+
 def make_kernel(spec: FamilySpec) -> PsiKernel:
     """Build the PsiKernel for a family, with closed-form theta1 and the
-    partial derivative in t where elementary."""
+    partial derivative in t where elementary.  Its eval is the row's
+    batched formula at one point."""
     row = _FAMILIES[spec.family]
     v = _known(spec, row)
-    ev, d2, check = row.build(v)
+    column, terms, d2, check = row.build(v)
     th1 = None
-    if row.F is not None:
-        F, F_inv = row.F, row.F_inv
+    if row.F_inv is not None:
+        F, F_inv = column or _identity, row.F_inv
 
         def th1(x):
-            return F_inv(F(x, v), v)
+            return F_inv(F(x), v)
     elif row.theta1 is not None:
         explicit = row.theta1
 
         def th1(x):
             return explicit(x, v)
-    return PsiKernel(row.theta, ev, theta1=th1, d2=d2, domain_check=check,
-                     name=spec.family)
+    return PsiKernel(row.theta, _pointwise(column, terms), theta1=th1, d2=d2,
+                     domain_check=check, name=spec.family, column=column,
+                     terms=terms)
 
 
 def _weighted_mean(values, weights) -> float:
+    """sum w v / sum w, each sum taken left to right.  Where that is not
+    finite although every v is, or the sum of the weights overflows, a sum
+    overflowed: the mean is taken again as sum (w / total) v, the weights
+    first divided by the largest one to find their total."""
     num = 0.0
     den = 0.0
     for v, w in zip(values, weights):
         num += w * v
         den += w
-    return num / den
+    mean = num / den
+    if (math.isfinite(mean) and math.isfinite(den)) or not all(
+            math.isfinite(v) for v in values):
+        return mean
+    top = max(weights)
+    scaled = [w / top for w in weights]
+    total = 0.0
+    for w in scaled:
+        total += w
+    mean = 0.0
+    for v, w in zip(values, scaled):
+        mean += (w / total) * v
+    return mean
 
 
 def closed_form_estimate(spec: FamilySpec, sample: WeightedSample) -> float:
@@ -330,21 +377,21 @@ def closed_form_estimate(spec: FamilySpec, sample: WeightedSample) -> float:
 
     With nonuniform weights this returns the weighted generalization
     (weighted averages in place of 1/n sums); callers that care should flag
-    that in their reports.  The mean runs over the positive-weight terms,
-    as weighted_sum does.  Raises MissingClosedForm for families whose
-    estimating equation has no elementary solution, and DomainError when
-    the weighted mean of F(x) is not finite.
+    that in their reports.  The mean of F runs over the positive-weight
+    terms, as weighted_sum does, and F(x) is the kernel's column, kept on
+    the sample.  Raises MissingClosedForm for families whose estimating
+    equation has no elementary solution, and DomainError when the weighted
+    mean of F(x) is not finite.
     """
-    sample.check(make_kernel(spec))
+    kernel = make_kernel(spec)
+    sample.check(kernel)
     row = _FAMILIES[spec.family]
-    if row.F is None:
+    if row.F_inv is None:
         raise MissingClosedForm(f"{spec.family} has no elementary estimator formula")
-    v = _known(spec, row)
-    F = row.F
-    mean = _weighted_mean([F(x, v) for x in sample._live_xs], sample._live_weights)
+    mean = _weighted_mean(sample.columns(kernel), sample._live_weights)
     if not math.isfinite(mean):
         raise DomainError(f"{spec.family}: weighted mean of F(x) is {mean!r}")
-    return row.F_inv(mean, v)
+    return row.F_inv(mean, _known(spec, row))
 
 
 def beta_alpha_bounds(alpha: float, sample: WeightedSample) -> tuple[float, float]:

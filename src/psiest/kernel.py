@@ -79,6 +79,15 @@ class PsiKernel:
 
     theta1, when present, is the single-observation estimator x -> theta_1(x);
     d2, when present, is the partial derivative of psi in its second variable.
+
+    column and terms give psi in batched form, for the sums over a sample.
+    column(x) is the part of psi(x, t) that does not depend on t (x itself
+    when column is None).  terms(cs, t) is the list of psi(x, t) over the xs
+    whose columns are cs, in order, each the same float as eval(x, t); it
+    computes the parts of psi that depend on t alone once per call.  A
+    kernel given by eval alone has terms [eval(x, t) for x in cs].
+    dataclasses.replace copies terms as they are: replacing eval that way
+    changes only the per-point calls, unless terms=None is passed too.
     """
 
     theta: OpenInterval
@@ -87,6 +96,22 @@ class PsiKernel:
     d2: Optional[Callable[[float, float], float]] = None
     domain_check: Callable[[float], bool] = _always_admissible
     name: str = "kernel"
+    column: Optional[Callable[[float], float]] = None
+    # derived from eval when not given, so left out of ==
+    terms: Optional[Callable[[Sequence[float], float], list]] = field(
+        default=None, compare=False)
+
+    def __post_init__(self):
+        if self.terms is None:
+            if self.column is not None:
+                raise InvalidArgument(f"{self.name}: a column needs its terms")
+            ev = self.eval
+            object.__setattr__(self, "terms", lambda cs, t: [ev(x, t) for x in cs])
+
+    def columns(self, xs: Sequence[float]) -> Sequence[float]:
+        """column(x) for each x of xs, in order; xs itself without a column."""
+        col = self.column
+        return xs if col is None else [col(x) for x in xs]
 
     def check_observation(self, x: float) -> None:
         if not self.domain_check(x):
@@ -99,7 +124,13 @@ class PsiKernel:
 
 @dataclass(frozen=True)
 class WeightedSample:
-    """Observations with finite nonnegative weights, not all zero."""
+    """Observations with finite nonnegative weights, not all zero.
+
+    The terms weighted_sum adds are those of positive weight.  For each
+    kernel it sums, the sample checks every x against the kernel's domain
+    once (check) and computes the kernel's column of each summed x once
+    (columns); both are cached on the sample, outside ==, hash and repr.
+    """
 
     xs: tuple
     weights: tuple
@@ -108,17 +139,19 @@ class WeightedSample:
     # The xs and weights of the positive-weight terms, the only ones summed.
     _live_xs: tuple = field(default=(), init=False, repr=False, compare=False)
     _live_weights: tuple = field(default=(), init=False, repr=False, compare=False)
+    # column function -> its values over _live_xs, None -> _live_xs; see columns().
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", tuple(float(x) for x in self.xs))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "xs", tuple(map(float, self.xs)))
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
         if len(self.xs) != len(self.weights):
             raise InvalidArgument("xs and weights must have equal length")
         if len(self.xs) == 0:
             raise InvalidArgument("sample must contain at least one observation")
         if not all(0.0 <= w < math.inf for w in self.weights):
             raise InvalidArgument("weights must be finite and nonnegative")
-        if not any(w > 0 for w in self.weights):
+        if not max(self.weights) > 0.0:
             raise InvalidArgument("at least one weight must be positive")
         xs, ws = self.xs, self.weights
         if 0.0 in ws:  # else the live terms are xs and weights themselves
@@ -126,6 +159,7 @@ class WeightedSample:
             ws = tuple(w for w in ws if w > 0.0)
         object.__setattr__(self, "_live_xs", xs)
         object.__setattr__(self, "_live_weights", ws)
+        self._columns[None] = xs
 
     @classmethod
     def uniform(cls, xs: Sequence[float]) -> "WeightedSample":
@@ -139,6 +173,16 @@ class WeightedSample:
         for x in self.xs:
             kernel.check_observation(x)
         self._passed.add(kernel.domain_check)
+
+    def columns(self, kernel: PsiKernel):
+        """kernel.columns of the positive-weight xs, after check(kernel);
+        computed once per column function, and kept."""
+        if kernel.domain_check not in self._passed:
+            self.check(kernel)
+        cs = self._columns.get(kernel.column)
+        if cs is None:
+            cs = self._columns[kernel.column] = kernel.columns(self._live_xs)
+        return cs
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -158,15 +202,22 @@ def weighted_sum(kernel: PsiKernel, sample: WeightedSample, t: float) -> float:
 
     Summation order is fixed for reproducibility of sign decisions near zero.
     Individual terms are clamped to +-1e300 so endpoint blowups keep their
-    limit sign instead of producing inf - inf.  The sample is checked against
-    the kernel's domain once (WeightedSample.check), not per term.
+    limit sign instead of producing inf - inf.  The terms come from one
+    kernel.terms call on the sample's columns (WeightedSample.columns), so
+    the sample is checked against the kernel's domain and its columns are
+    computed once, not per term or per t.
     """
-    kernel.check_parameter(t)
-    sample.check(kernel)
-    ev = kernel.eval
+    theta = kernel.theta
+    if not theta.lo < t < theta.hi:  # theta.contains(t), inline on this hot path
+        kernel.check_parameter(t)
+    # sample.columns(kernel), its two lookups inline on this hot path
+    cs = None
+    if kernel.domain_check in sample._passed:
+        cs = sample._columns.get(kernel.column)
+    if cs is None:
+        cs = sample.columns(kernel)
     total = 0.0
-    for x, w in zip(sample._live_xs, sample._live_weights):
-        v = ev(x, t)
+    for v, w in zip(kernel.terms(cs, t), sample._live_weights):
         if v > _CAP:
             v = _CAP
         elif v < -_CAP:
@@ -177,7 +228,7 @@ def weighted_sum(kernel: PsiKernel, sample: WeightedSample, t: float) -> float:
         elif v < -_CAP:
             v = -_CAP
         total += v
-    return _clamp(total)
+    return _CAP if total > _CAP else -_CAP if total < -_CAP else total  # _clamp(total)
 
 
 def _column_sums(columns, weights, n: int) -> list:

@@ -15,11 +15,12 @@ generalized left inverse f^-1(y) is the same search on t -> y - f(t).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import InvalidArgument, OutOfRange, SolverError
+from .errors import DomainError, InvalidArgument, OutOfRange, SolverError
 from .kernel import _CAP, OpenInterval, PsiKernel, WeightedSample, weighted_sum
 
 CONVERGED = "Converged"
@@ -244,16 +245,21 @@ def solve_sign_change(
     sum, since the kernel may jump across zero.
     """
     sample.check(kernel)
-    return _solve_predicate(lambda t: weighted_sum(kernel, sample, t),
+    return _solve_predicate(functools.partial(weighted_sum, kernel, sample),
                             kernel.theta, cfg)
 
 
 def theta1(kernel: PsiKernel, x: float, cfg: SolverConfig = SolverConfig()) -> float:
     """Single-observation estimator: the closed form when available, else a
-    sign-change solve on the singleton sample."""
+    sign-change solve on the singleton sample.  A closed form outside Theta
+    (an overflowed or NaN value) raises DomainError naming x."""
     kernel.check_observation(x)
     if kernel.theta1 is not None:
-        return kernel.theta1(x)
+        t = kernel.theta1(x)
+        if not kernel.theta.contains(t):
+            raise DomainError(
+                f"theta1({x!r}) = {t!r} lies outside Theta for {kernel.name}")
+        return t
     res = solve_sign_change(kernel, WeightedSample((x,), (1.0,)), cfg)
     if not res.converged:
         raise SolverError(f"theta1 solve failed for x={x!r}: {res.status}", res)

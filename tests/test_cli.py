@@ -158,14 +158,33 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().out)["theta"] == 2.5
 
     def test_closed_form_non_finite_mean_exits_2(self, capsys):
-        # 1e308 + 1e308 overflows: the estimate was printed as "inf", exit 0
-        code = main(["estimate", "--family", "laplace_scale", "--param", "mu=0",
-                     "--closed-form", "--data", "[1e308,-1e308]"])
+        # F(1e308) = |1e308 - (-1e308)| overflows, so the mean is inf
+        code = main(["estimate", "--family", "laplace_scale", "--param", "mu=-1e308",
+                     "--closed-form", "--data", "[1e308]"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err == (
             "error: laplace_scale: weighted mean of F(x) is inf\n")
+
+    def test_closed_form_overflowing_sum(self, capsys):
+        # 1e308 + 1e308 overflows, but the mean of F is 1e308
+        code = main(["estimate", "--family", "laplace_scale", "--param", "mu=0",
+                     "--closed-form", "--data", "[1e308,-1e308]"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["theta"] == 1e308
+
+    def test_theta1_outside_theta_exits_2(self, capsys):
+        # F(1e200) overflows, so theta1(1e200) = inf: no grid is laid in a
+        # clamped window, no witness reported where both products are -inf
+        code = main(["compare", "--family", "normal_var", "--param", "m=0",
+                     "--family-phi", "normal_var", "--param-phi", "m=0",
+                     "--data", "[1,1e200]", "--condition", "ratio"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: theta1(1e+200) = inf lies outside Theta "
+                                "for normal_var\n")
 
     def test_negative_base_infinite_exponent(self, capsys):
         code = main(["estimate", "--psi", "(0-2)^exp(x) - t", "--theta=-inf,inf",

@@ -45,6 +45,7 @@ from psiest.comparison import (
     ComparisonVerdict,
     WitnessSet,
     _d2,
+    _multiplier_certifies,
     _pair_tol,
     _random_cases,
     _require_count,
@@ -700,19 +701,44 @@ def reference_equality(
 
 
 def _counted(kernel, counts):
-    """The kernel with its eval and d2 calls counted in counts."""
-    ev, d2 = kernel.eval, kernel.d2
+    """The kernel with its psi evaluations counted in counts["eval"], one
+    per eval call and one per x of a terms call, and its d2 calls in
+    counts["d2"]."""
+    ev, terms, d2 = kernel.eval, kernel.terms, kernel.d2
 
     def counted_eval(x, t):
         counts["eval"] += 1
         return ev(x, t)
 
+    def counted_terms(cs, t):
+        counts["eval"] += len(cs)
+        return terms(cs, t)
+
     def counted_d2(x, t):
         counts["d2"] += 1
         return d2(x, t)
 
-    return dataclasses.replace(kernel, eval=counted_eval,
+    return dataclasses.replace(kernel, eval=counted_eval, terms=counted_terms,
                                d2=None if d2 is None else counted_d2)
+
+
+def _distinct(cases):
+    """The cases whose sample no earlier case had, xs and weights to the
+    bit (-0.0 told from 0.0)."""
+    seen = set()
+    for case in cases:
+        key = repr((case[1].xs, case[1].weights))
+        if key not in seen:
+            seen.add(key)
+            yield case
+
+
+def reference_direct_distinct(kpsi, kphi, ws: WitnessSet, max_n: int, trials: int):
+    """reference_direct's finding over the distinct samples only: the work
+    check_direct does, which skips a sample it has seen."""
+    cases = _distinct(_random_cases(ws, max_n, trials))
+    status, witness = reference_scan(kpsi, kphi, cases, SolverConfig())
+    return ComparisonVerdict(status, "direct", witness, {})
 
 
 def _checks(args):
@@ -797,7 +823,9 @@ def oracle_cases(draw):
 
 class TestAgainstReference:
     """Every check gives the reference's status, witness (in key order) and
-    grid meta, or raises its error.  Three make the same kernel calls.  The
+    grid meta, or raises its error.  Three make the same kernel calls: the
+    two-point and derivative checks the reference's, the direct check the
+    reference's over the distinct samples, as it skips repeats.  The
     ratio check first tries the multiplier certificate, at most two calls
     per witness and grid point, and scans the pairs only when it fails; the
     equality check evaluates psi once per kernel, witness and grid point
@@ -821,6 +849,12 @@ class TestAgainstReference:
                 assert got_calls.keys() <= {"eval"}, (name, check_name, ws)
                 assert got_calls.get("eval", 0) <= want_calls.get("eval", 0) + extra, \
                     (name, check_name, ws)
+            elif check_name == "direct":
+                _, distinct_calls = _run_counted(
+                    lambda a, b, w: reference_direct_distinct(
+                        a, b, w, args["max_n"], args["trials"]), kp, kq, ws)
+                assert got_calls == distinct_calls, (name, check_name, ws)
+                assert got_calls.get("eval", 0) <= want_calls.get("eval", 0)
             else:
                 assert got_calls == want_calls, (name, check_name, ws)
 
@@ -968,6 +1002,75 @@ def _expectile_upto4(x, t):
     if x > 4.0:
         raise DomainError(f"observation {x!r} beyond 4")
     return (0.7 if x > t else 0.3) * (x - t)
+
+
+class TestCertificateNaNTheta1:
+    """A witness whose phi estimate is NaN lies neither below nor above any
+    t, as in the pairwise scan.  Sorting it with the others for bisection
+    must not move a witness to the wrong side: here, placed between the
+    two others, it would leave no witness below t = 1 and a failing pair
+    would be certified vacuously."""
+
+    @staticmethod
+    def _psi(scale_at_two):
+        return PsiKernel(LINE, lambda x, t: (scale_at_two if x == 2.0 else 1.0) * (x - t))
+
+    T1 = [(2.0, 2.0, 2.0), (9.0, math.nan, math.nan), (0.0, 0.0, 0.0)]
+
+    def test_failing_pair_not_certified(self):
+        # psi(0,1) phi(2,1) = -1 > psi(2,1) phi(0,1) = -2
+        assert not _multiplier_certifies(self._psi(2.0), MEAN, self.T1, [1.0])
+
+    def test_passing_pair_certified_without_the_nan_witness(self):
+        kp = self._psi(1.0)
+        without = [w for w in self.T1 if not math.isnan(w[2])]
+        assert _multiplier_certifies(kp, MEAN, self.T1, [1.0])
+        assert _multiplier_certifies(kp, MEAN, without, [1.0])
+
+
+class TestScanSkipsRepeats:
+    """A sample that repeats an earlier trial's is not solved again; the
+    verdicts are the reference's, which solves every trial."""
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        from psiest import comparison
+
+        calls = []
+        solve = comparison.solve_sign_change
+        monkeypatch.setattr(comparison, "solve_sign_change",
+                            lambda k, s, cfg: calls.append(s.xs) or solve(k, s, cfg))
+        return calls
+
+    def test_direct(self, monkeypatch):
+        # the compare_expectile_forward golden: 55 of 200 trials repeat
+        kp, kq = expectile(0.3), expectile(0.7)
+        ws = ws_for(kq, (0.0, 1.0, 2.0, 5.0))
+        want = reference_direct(kp, kq, ws)
+        calls = self._count_solves(monkeypatch)
+        got = check_direct(kp, kq, ws)
+        assert (got.status, got.witness, got.grid) == (want.status, want.witness, want.grid)
+        assert got.status == NO_COUNTEREXAMPLE
+        assert len(calls) == 2 * 145
+
+    def test_equality(self, monkeypatch):
+        # the compare_lognormal_equality golden: 11 of 50 trials repeat
+        kp, kq = lognormal(1.0), lognormal(4.0)
+        ws = ws_for(kq, (1.0, math.e, math.e ** 2))
+        want = reference_equality(kp, kq, ws, trials=50)
+        calls = self._count_solves(monkeypatch)
+        got = check_equality(kp, kq, ws, trials=50)
+        assert (got.status, got.witness, got.grid) == (want.status, want.witness, want.grid)
+        assert len(calls) == 2 * 39
+
+    def test_negative_zero_is_no_repeat(self, monkeypatch):
+        ws = WitnessSet((0.0, -0.0), (0.5,), random_seed=2)
+        samples = [s.xs for _, s, _ in _random_cases(ws, 1, 20)]
+        calls = self._count_solves(monkeypatch)
+        check_direct(MEAN, MEAN, ws, max_n=1, trials=20)
+        distinct = {repr(xs) for xs in samples}
+        assert distinct == {"(0.0,)", "(-0.0,)"}
+        assert len(calls) == 2 * 2
 
 
 class TestCertificateAgreesWithScan:

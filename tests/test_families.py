@@ -174,12 +174,41 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("family,params,xs", [
         ("normal_var", {"m": 0.0}, [1e200, 1.0]),
-        ("laplace_scale", {"mu": 0.0}, [1e308, -1e308]),
+        ("laplace_scale", {"mu": -1e308}, [1e308]),
     ])
     def test_non_finite_mean_rejected(self, family, params, xs):
+        # F(x) itself overflows
         with pytest.raises(DomainError, match="weighted mean"):
             closed_form_estimate(FamilySpec(family, params),
                                  WeightedSample.uniform(xs))
+
+    @pytest.mark.parametrize("xs,weights,mean", [
+        ((1e308, -1e308), (1.0, 1.0), 1e308),
+        ((1e308, 1e308, -1e308), (1.0, 2.0, 1.0), 1e308),
+        ((1.5e308, 0.5e308), (1.0, 1.0), 1e308),
+        # the weights' total overflows too
+        ((1e300, 3e300), (1e308, 1e308), 2e300),
+        ((2.0, 4.0), (1e308, 1e308), 3.0),
+    ])
+    def test_overflowing_sum_recomputed(self, xs, weights, mean):
+        spec = FamilySpec("laplace_scale", {"mu": 0.0})
+        got = closed_form_estimate(spec, WeightedSample(xs, weights))
+        assert got == pytest.approx(mean, rel=1e-15)
+
+    @pytest.mark.parametrize("family,params,F,F_inv", [
+        ("normal_var", {"m": 0.5}, lambda x: (x - 0.5) ** 2, lambda y: y),
+        ("laplace_scale", {"mu": -1.0}, lambda x: abs(x + 1.0), lambda y: y),
+        ("lognormal_mu", {"sigma2": 2.0}, math.log, lambda y: y),
+        ("gamma_rate", {"p": 3.0}, lambda x: x, lambda y: 3.0 / y)])
+    def test_finite_mean_keeps_its_bits(self, family, params, F, F_inv):
+        # one left-to-right pass where the mean is finite, as before
+        xs, ws = (0.7, 2.5, 1.25, 9.0), (1.0, 3.0, 0.5, 2.0)
+        num = den = 0.0
+        for x, w in zip(xs, ws):
+            num += w * F(x)
+            den += w
+        got = closed_form_estimate(FamilySpec(family, params), WeightedSample(xs, ws))
+        assert got == F_inv(num / den)
 
     def test_no_closed_form(self):
         for family, params in [

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psiest import (
+    DomainError,
     FamilySpec,
     InvalidArgument,
     OpenInterval,
@@ -20,6 +21,7 @@ from psiest import (
     SolverError,
     WeightedSample,
     compile_expr,
+    empirical_theta1_hull,
     generalized_left_inverse,
     make_kernel,
     parse,
@@ -347,6 +349,22 @@ class TestTheta1:
         k = make_kernel(FamilySpec("beta_beta", {"alpha": 1.0}))
         t = theta1(k, 0.5)
         assert abs(k.eval(0.5, t)) <= 1e-8
+
+    def test_closed_form_outside_theta(self):
+        # F(1e200) = 1e400 overflows, so F_inv(F(x)) is inf, not in (0, inf)
+        k = make_kernel(FamilySpec("normal_var", {"m": 0.0}))
+        with pytest.raises(DomainError, match=r"theta1\(1e\+200\) = inf lies outside"):
+            theta1(k, 1e200)
+        with pytest.raises(DomainError, match=r"theta1\(1e\+200\)"):
+            empirical_theta1_hull(k, [1.0, 1e200])
+        assert theta1(k, 1e150) == 1e150 ** 2
+
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, math.inf])
+    def test_closed_form_nan_or_on_the_boundary(self, value):
+        k = PsiKernel(OpenInterval(0.0, math.inf), lambda x, t: x - t,
+                      theta1=lambda x: value, name="psi")
+        with pytest.raises(DomainError, match=r"theta1\(2\.0\) = .* for psi"):
+            theta1(k, 2.0)
 
 
 class TestMeanType:
