@@ -20,7 +20,8 @@ from .errors import (
     InvalidArgument,
     SignViolation,
 )
-from .kernel import OpenInterval, PsiKernel, WeightedSample, rises
+from .kernel import (OpenInterval, PsiKernel, WeightedSample, _add,
+                     _weighted_mean, rises)
 from .solver import SolverConfig, generalized_left_inverse
 
 
@@ -103,17 +104,17 @@ def estimate(
     cfg: SolverConfig = SolverConfig(),
 ) -> float:
     """Closed form: f^(-1) of the p-weighted average of F over the sample."""
-    num = 0.0
-    den = 0.0
+    weights, values = [], []
     for x, w in zip(sample._live_xs, sample._live_weights):
         px = spec.p(x)
         if px <= 0.0:
             raise DomainError(f"p({x!r}) = {px!r} must be positive")
-        num += w * px * spec.F(x)
-        den += w * px
-    if den <= 0.0:
+        weights.append(w * px)
+        values.append(spec.F(x))
+    if not any(weights):  # a total of 0: every w p(x) underflowed
         raise InvalidArgument("total p-weight must be positive")
-    return generalized_left_inverse(spec.f, spec.theta, num / den, cfg)
+    return generalized_left_inverse(
+        spec.f, spec.theta, _weighted_mean(values, weights), cfg)
 
 
 def apply_mobius(spec: BajraktarevicSpec, m: MobiusCoefficients) -> BajraktarevicSpec:
@@ -196,7 +197,7 @@ def determinant_test(
     if len(f_vals) != 4 or len(g_vals) != 4:
         raise InvalidArgument("determinant test needs exactly four probes")
     rows = [(fv, gv, fv * gv) for fv, gv in zip(f_vals, g_vals)]
-    return sum((-1) ** i * _det3(*rows[:i], *rows[i + 1:]) for i in range(4))
+    return _add((-1) ** i * _det3(*rows[:i], *rows[i + 1:]) for i in range(4))
 
 
 def determinant_scale(f_vals: Sequence[float], g_vals: Sequence[float]) -> float:
@@ -215,7 +216,7 @@ def _orth(v: Sequence[float], basis: Sequence[Sequence[float]]) -> list[float]:
     v = list(v)
     for _ in range(2):
         for q in basis:
-            p = sum(x * y for x, y in zip(v, q))
+            p = _add(x * y for x, y in zip(v, q))
             v = [x - p * y for x, y in zip(v, q)]
     return v
 

@@ -433,7 +433,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InvalidArgument, ExprError, DataParseError, EmptyData) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except PsiEstError as exc:
+    except (PsiEstError, ArithmeticError) as exc:
+        # ArithmeticError: a kernel's float arithmetic failed on the data,
+        # as t * t underflowing to a zero divisor does
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAILURE
     except OSError as exc:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from .errors import DomainError, InvalidParameter, MissingClosedForm
-from .kernel import OpenInterval, PsiKernel, WeightedSample, rises
+from .kernel import (OpenInterval, PsiKernel, WeightedSample, _add,
+                     _weighted_mean, rises)
 
 _REAL_LINE = OpenInterval(-math.inf, math.inf)
 _POSITIVE = OpenInterval(0.0, math.inf)
@@ -347,31 +348,6 @@ def make_kernel(spec: FamilySpec) -> PsiKernel:
                      terms=terms)
 
 
-def _weighted_mean(values, weights) -> float:
-    """sum w v / sum w, each sum taken left to right.  Where that is not
-    finite although every v is, or the sum of the weights overflows, a sum
-    overflowed: the mean is taken again as sum (w / total) v, the weights
-    first divided by the largest one to find their total."""
-    num = 0.0
-    den = 0.0
-    for v, w in zip(values, weights):
-        num += w * v
-        den += w
-    mean = num / den
-    if (math.isfinite(mean) and math.isfinite(den)) or not all(
-            math.isfinite(v) for v in values):
-        return mean
-    top = max(weights)
-    scaled = [w / top for w in weights]
-    total = 0.0
-    for w in scaled:
-        total += w
-    mean = 0.0
-    for v, w in zip(values, scaled):
-        mean += (w / total) * v
-    return mean
-
-
 def closed_form_estimate(spec: FamilySpec, sample: WeightedSample) -> float:
     """Elementary estimator formula where one exists.
 
@@ -408,7 +384,7 @@ def beta_alpha_bounds(alpha: float, sample: WeightedSample) -> tuple[float, floa
     for x in sample.xs:
         if not (0.0 < x < 1.0):
             raise DomainError(f"observation {x!r} outside (0,1)")
-    mean_ln = sum(math.log(x) for x in sample.xs) / len(sample.xs)
+    mean_ln = _add(math.log(x) for x in sample.xs) / len(sample.xs)
     lower = -min(alpha, 1.0) / mean_ln
     upper = -max(alpha, 1.0) / mean_ln
     return (lower, upper)

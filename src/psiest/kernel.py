@@ -245,6 +245,34 @@ def _column_sums(columns, weights, n: int) -> list:
     return [_clamp(a) for a in acc]
 
 
+def _add(values) -> float:
+    """The package's one order for adding floats: left to right from 0.0.
+
+    weighted_sum and _column_sums add in this order inline, on their hot
+    paths.  The builtin sum is not used: from Python 3.12 it compensates
+    float sums, so the same code would print other last digits there."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _weighted_mean(values, weights) -> float:
+    """sum w v / sum w, each sum taken by _add.  Where that is not finite
+    although every v is, or the sum of the weights overflows, a sum
+    overflowed: the mean is taken again as sum (w / total) v, the weights
+    first divided by the largest one to find their total."""
+    den = _add(weights)
+    mean = _add(w * v for v, w in zip(values, weights)) / den
+    if (math.isfinite(mean) and math.isfinite(den)) or not all(
+            math.isfinite(v) for v in values):
+        return mean
+    top = max(weights)
+    scaled = [w / top for w in weights]
+    total = _add(scaled)
+    return _add(w / total * v for v, w in zip(values, scaled))
+
+
 def rises(f: Callable[[float], float], points: Sequence[float],
           flat: float = 0.0) -> bool:
     """True iff f(points[0]) < f(points[-1]) and every step a -> b between

@@ -118,7 +118,7 @@ def _solve_predicate(
 
     def nan_at(t: float) -> SignChangeResult:
         phases = (1, expand, refine)
-        return SignChangeResult(t, math.nan, math.nan, sum(phases),
+        return SignChangeResult(t, math.nan, math.nan, 1 + expand + refine,
                                 NON_FINITE_SUM, STOP_NAN, phases)
 
     # Step away from the seed, toward the side where the flip lies, until the
@@ -173,7 +173,7 @@ def _solve_predicate(
                 b, gb = t, v
         theta_hat = 0.5 * (a + b)
     phases = (1, expand, refine)
-    return SignChangeResult(theta_hat, a, b, sum(phases), status, stop, phases)
+    return SignChangeResult(theta_hat, a, b, 1 + expand + refine, status, stop, phases)
 
 
 class _Itp:

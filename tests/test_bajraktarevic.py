@@ -12,6 +12,7 @@ from psiest import (
     BajraktarevicSpec,
     DegenerateDerivative,
     DegenerateProbes,
+    DomainError,
     InvalidArgument,
     MobiusCoefficients,
     OpenInterval,
@@ -128,6 +129,37 @@ class TestEstimate:
                                  OpenInterval(0.0, 10.0))
         with pytest.raises(SolverError, match="NaN"):
             estimate(spec, WeightedSample.uniform([7.0, 7.1]))
+
+    def test_overflowing_sum(self):
+        # F(1e44) = 1e308, so sum w p F overflows although its mean does not
+        def seventh(t):
+            return t * t * t * t * t * t * t
+
+        spec = BajraktarevicSpec(seventh, lambda x: 1.0, seventh, LINE)
+        assert estimate(spec, WeightedSample.uniform([1e44, 1e44])) == 1e44
+
+    def test_nonpositive_p_rejected_before_F(self):
+        calls = []
+
+        def p(x):
+            calls.append(("p", x))
+            return x
+
+        def F(x):
+            calls.append(("F", x))
+            return x
+
+        spec = BajraktarevicSpec(lambda t: t, p, F, LINE)
+        with pytest.raises(DomainError, match=r"p\(-1\.0\) = -1\.0 must be positive"):
+            estimate(spec, WeightedSample.uniform([2.0, -1.0, 3.0]))
+        assert calls == [("p", 2.0), ("F", 2.0), ("p", -1.0)]
+
+    def test_underflowing_total_p_weight(self):
+        # each w p(x) = 1e-200 * 1e-200 underflows to 0
+        spec = BajraktarevicSpec(lambda t: t, lambda x: 1e-200, lambda x: x, LINE)
+        sample = WeightedSample((1.0, 2.0), (1e-200, 1e-200))
+        with pytest.raises(InvalidArgument, match="total p-weight must be positive"):
+            estimate(spec, sample)
 
     def test_agrees_with_solver_on_random_specs(self):
         rng = random.Random(21)

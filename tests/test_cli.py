@@ -148,6 +148,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: parameter derivative vanishes at theta1(1e+120)\n")
 
+    @pytest.mark.parametrize("family,psi,phi,data,condition", [
+        ("normal_var", "m=0", "m=0", "[1e-100,1e-90]", "ratio"),
+        ("laplace_scale", "mu=0", "mu=0", "[1e-170,1e-160]", "all"),
+        ("lomax_rate_lambda", "alpha=1", "alpha=2", "[1e-170,1e-160]", "all"),
+    ])
+    def test_kernel_arithmetic_error_exits_2(self, family, psi, phi, data,
+                                             condition, capsys):
+        # t * t (or t * (t + x)) underflows to 0 and a kernel divides by it;
+        # it was a ZeroDivisionError traceback with exit 1
+        code = main(["compare", "--family", family, "--param", psi,
+                     "--family-phi", family, "--param-phi", phi,
+                     "--data", data, "--condition", condition])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: float division by zero\n"
+
     def test_closed_form_skips_zero_weights(self, tmp_path, capsys):
         # F(1e200) is inf, but its weight is 0: the solver's 2.5, not NaN
         data = tmp_path / "d.txt"
@@ -417,6 +434,38 @@ class TestRejectedInput:
     def test_reversed_ordering_found_by_default(self, capsys):
         assert main(self.REVERSED + ["--condition", "direct"]) == 3
         capsys.readouterr()
+
+
+class TestCompareAll:
+    """compare --condition all runs the five checks in one report, each the
+    verdict that --condition alone gives."""
+
+    FORWARD = ["compare", "--family", "expectile", "--param", "alpha=0.3",
+               "--family-phi", "expectile", "--param-phi", "alpha=0.7",
+               "--data", "[0,1,2,5]"]
+    REVERSED = TestRejectedInput.REVERSED
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        return code, json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("argv,statuses", [
+        (FORWARD, ["NoCounterexample"] * 4 + ["Counterexample"]),
+        (REVERSED, ["Counterexample"] * 5),
+    ])
+    def test_all_matches_single_conditions(self, argv, statuses, capsys):
+        code, report = self.run(argv + ["--condition", "all"], capsys)
+        assert code == 3
+        assert report["status"] == "Counterexample"
+        verdicts = report["verdicts"]
+        assert [v["condition"] for v in verdicts] == list(cli._CONDITIONS)
+        assert [v["status"] for v in verdicts] == statuses
+        for verdict in verdicts:
+            single_code, single = self.run(
+                argv + ["--condition", verdict["condition"]], capsys)
+            assert single["verdicts"] == [verdict]
+            assert single["status"] == verdict["status"]
+            assert single_code == (3 if verdict["status"] == "Counterexample" else 0)
 
 
 class TestEstimate:

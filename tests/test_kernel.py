@@ -1,4 +1,6 @@
+import ast
 import math
+import os
 import random
 import types
 
@@ -23,7 +25,7 @@ from psiest import (
     validate_monotone,
     weighted_sum,
 )
-from psiest.kernel import _clamp, _column_sums, rises
+from psiest.kernel import _add, _clamp, _column_sums, _weighted_mean, rises
 
 
 def expectile(alpha):
@@ -505,3 +507,83 @@ class TestRises:
                 spec = types.SimpleNamespace(family="mathieu", f=g)
                 assert new == outcome(
                     lambda: reference_validate_increasing(spec)), kind
+
+
+def reference_weighted_mean(values, weights) -> float:
+    """The weighted mean as explicit loops: kernel._weighted_mean must give
+    the same float."""
+    num = 0.0
+    den = 0.0
+    for v, w in zip(values, weights):
+        num += w * v
+        den += w
+    mean = num / den
+    if (math.isfinite(mean) and math.isfinite(den)) or not all(
+            math.isfinite(v) for v in values):
+        return mean
+    top = max(weights)
+    scaled = [w / top for w in weights]
+    total = 0.0
+    for w in scaled:
+        total += w
+    mean = 0.0
+    for v, w in zip(values, scaled):
+        mean += (w / total) * v
+    return mean
+
+
+def same_float(a, b) -> bool:
+    """a and b are the same float: NaN matches NaN, and -0.0 only -0.0."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src", "psiest")
+
+
+class TestAdd:
+    def test_left_to_right(self):
+        # a compensated sum (the builtin sum from Python 3.12) gives 1.0
+        assert same_float(_add([1.0, 1e100, -1e100]), 0.0)
+        assert same_float(_add([]), 0.0)
+        assert same_float(_add(iter([-0.0, -0.0])), 0.0)
+
+    def test_no_builtin_sum_in_package(self):
+        # every test passes on 3.11 even where 3.12's sum prints other bytes
+        calls = []
+        for name in sorted(os.listdir(SRC)):
+            if name.endswith(".py"):
+                with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), name)
+                calls += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                          if isinstance(node, ast.Call)
+                          and isinstance(node.func, ast.Name)
+                          and node.func.id == "sum"]
+        assert calls == []
+
+
+class TestWeightedMean:
+    VALUES = st.one_of(st.floats(), st.sampled_from(
+        (math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0, -0.0)))
+    WEIGHTS = st.one_of(
+        st.floats(0.0, 1e308), st.sampled_from((5e-324, 1e-310, 1e308, 1.0)))
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_reference(self, data):
+        n = data.draw(st.integers(1, 6))
+        values = data.draw(st.lists(self.VALUES, min_size=n, max_size=n))
+        weights = data.draw(st.lists(self.WEIGHTS, min_size=n, max_size=n).filter(any))
+        got = _weighted_mean(values, weights)
+        assert same_float(got, reference_weighted_mean(values, weights)), got
+
+    @pytest.mark.parametrize("values,weights,mean", [
+        ([1e308, 1e308], [1.0, 1.0], 1e308),
+        ([1.0, 3.0], [1e308, 1e308], 2.0),
+        ([2.0, 2.0], [5e-324, 5e-324], 2.0),
+        ([1e308, -math.inf], [1.0, 1.0], -math.inf),
+    ])
+    def test_overflowing_sums(self, values, weights, mean):
+        assert same_float(_weighted_mean(values, weights), mean)
