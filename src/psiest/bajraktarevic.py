@@ -103,14 +103,19 @@ def estimate(
     sample: WeightedSample,
     cfg: SolverConfig = SolverConfig(),
 ) -> float:
-    """Closed form: f^(-1) of the p-weighted average of F over the sample."""
+    """Closed form: f^(-1) of the p-weighted average of F over the sample.
+    Each x in turn has p(x) checked, then F(x): a p(x) that is not > 0 (NaN
+    included) or a NaN F(x) raises DomainError naming x."""
     weights, values = [], []
     for x, w in zip(sample._live_xs, sample._live_weights):
         px = spec.p(x)
-        if px <= 0.0:
+        if not px > 0.0:
             raise DomainError(f"p({x!r}) = {px!r} must be positive")
+        Fx = spec.F(x)
+        if math.isnan(Fx):
+            raise DomainError(f"F({x!r}) is NaN")
         weights.append(w * px)
-        values.append(spec.F(x))
+        values.append(Fx)
     if not any(weights):  # a total of 0: every w p(x) underflowed
         raise InvalidArgument("total p-weight must be positive")
     return generalized_left_inverse(

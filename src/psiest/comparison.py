@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 from .errors import (DegenerateDerivative, DomainError, EmptyLowerSet, InvalidArgument,
                      PsiEstError)
 from .kernel import PsiKernel, WeightedSample, _clamp, _column_sums, weighted_sum
-from .solver import SolverConfig, empirical_theta1_hull, solve_sign_change, theta1
+from .solver import (SolverConfig, empirical_theta1_hull, expansion_reach,
+                     solve_sign_change, theta1)
 
 NO_COUNTEREXAMPLE = "NoCounterexample"
 COUNTEREXAMPLE = "Counterexample"
@@ -29,6 +30,11 @@ INCONCLUSIVE = "Inconclusive"
 # at t the step is _FD_STEP * max(1, |t|), so the rounding of t +- step stays
 # far below the derivative check's slack however large |t| is.
 _FD_STEP = 1e-6
+
+# The least tol at which the ordering scans take an order the kernels' own
+# estimators settle (_settled): the default, and the least tol at which a
+# solve is checked to lie within 2 width_tol + 4 ulps of its estimate.
+_SETTLE_MIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,28 @@ def _solve(kernel: PsiKernel, sample: WeightedSample, cfg: SolverConfig) -> floa
     if not res.converged:
         raise PsiEstError(f"solver failed with status {res.status}")
     return res.theta
+
+
+def _settled(kpsi, kphi, sample: WeightedSample, cfg: SolverConfig) -> bool:
+    """Whether the kernels' own estimators (PsiKernel._estimate) settle
+    theta_psi <= theta_phi on the sample, so that solving it can give no
+    finding: both kernels have one and neither raises; both estimates lie
+    strictly inside both kernels' expansion_reach, where a search converges;
+    and the psi estimate is below the phi estimate by _pair_tol, with a tol
+    of at least _SETTLE_MIN_TOL.  A solve lies within 2 width_tol + 4 ulps
+    of the estimate there, so the two solves are then ordered within the
+    tolerance the scan allows them."""
+    est_psi, est_phi = kpsi._estimate, kphi._estimate
+    if est_psi is None or est_phi is None or cfg.tol < _SETTLE_MIN_TOL:
+        return False
+    try:
+        cp, cq = est_psi(sample), est_phi(sample)
+    except (PsiEstError, ArithmeticError, ValueError):
+        return False  # solved, the sample meets this again or fails its own way
+    for lo, hi in (expansion_reach(kpsi.theta), expansion_reach(kphi.theta)):
+        if not (lo < cp < hi and lo < cq < hi):
+            return False
+    return cp + _pair_tol(cfg, cp, cq) <= cq
 
 
 def _random_cases(ws: WitnessSet, max_n: int, trials: int):
@@ -220,7 +248,9 @@ def _scan(kpsi, kphi, cases, cfg: SolverConfig, equal_on=None):
     The sign test's psi columns are shared by all cases (_grid_sums).  A
     case whose sample repeats an earlier case's, xs and weights to the bit,
     is skipped: it would repeat that case's finding, and a finding ends the
-    stream or none was found."""
+    stream or none was found.  An ordering scan (no equal_on) also skips,
+    unsolved, a case whose order the estimators settle (_settled): it would
+    give no finding.  So every finding still comes from the solver."""
     columns = ({}, {})
     seen = set()
     for head, sample, tail in cases:
@@ -228,6 +258,8 @@ def _scan(kpsi, kphi, cases, cfg: SolverConfig, equal_on=None):
         if key in seen:
             continue
         seen.add(key)
+        if equal_on is None and _settled(kpsi, kphi, sample, cfg):
+            continue
         try:
             tp = _solve(kpsi, sample, cfg)
             tq = _solve(kphi, sample, cfg)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Mapping, Optional
 
 from .errors import DomainError, InvalidParameter, MissingClosedForm
@@ -166,6 +167,40 @@ def _expectile(alpha):
     return None, terms, d2, _finite
 
 
+def _expectile_estimate(xs, ws, alpha: float) -> float:
+    """The weighted alpha-expectile, exactly (Newey & Powell 1987,
+    Econometrica 55).  Its sum is linear in t between order statistics:
+    with the (x, w) pairs sorted by x and the first k of them below t, its
+    root is (alpha S_R + (1 - alpha) S_L) / (alpha W_R + (1 - alpha) W_L),
+    S the sums of w x and W those of w over the pairs above (R) and below
+    (L).  The root lies on the first piece whose root is not above the
+    piece's upper end; it is clamped to the lower end against rounding.
+    The sums below are added from the smallest x up, those above from the
+    largest down, each from 0.0.  DomainError where the root is not finite
+    (a sum overflowed), or where some |x| exceeds 2**10 max(1, |root|): the
+    sums then cancel, and this root and a solve's are both off by rounding
+    on the scale of the largest |x|."""
+    pairs = sorted(zip(xs, ws))
+    wx = [w * x for x, w in pairs]
+    ws = [w for _, w in pairs]
+    s_lo, w_lo = list(accumulate(wx, initial=0.0)), list(accumulate(ws, initial=0.0))
+    s_hi = list(accumulate(reversed(wx), initial=0.0))[::-1]
+    w_hi = list(accumulate(reversed(ws), initial=0.0))[::-1]
+    below = 1.0 - alpha
+    ends = [x for x, _ in pairs] + [math.inf]
+    for k, hi in enumerate(ends):
+        t = (alpha * s_hi[k] + below * s_lo[k]) / (alpha * w_hi[k] + below * w_lo[k])
+        if not t > hi:  # the root's piece, or a NaN
+            break
+    if k:
+        t = max(t, ends[k - 1])
+    if not math.isfinite(t):
+        raise DomainError(f"expectile: estimate is {t!r}")
+    if max(-ends[0], ends[-2]) > 1024.0 * max(1.0, abs(t)):
+        raise DomainError(f"expectile: sums cancel to {t!r}")
+    return t
+
+
 def _mathieu(f):
     copysign = math.copysign
 
@@ -274,7 +309,9 @@ class _Family:
     F its column (x itself where the column is None), and gives F_inv, the
     inverse of g, taking the known value as a second argument; then
     theta1(x) = F_inv(F(x)) and the estimator is F_inv(weighted mean of
-    F(x_i)).  Other families may give theta1(x, value) directly.
+    F(x_i)).  Other families may give theta1(x, value) directly, and their
+    estimator as estimate(columns, weights, value) over the positive-weight
+    terms.
     """
 
     key: Optional[str]
@@ -284,11 +321,12 @@ class _Family:
     build: Callable
     F_inv: Optional[Callable[[float, float], float]] = None
     theta1: Optional[Callable[[float, float], float]] = None
+    estimate: Optional[Callable] = None
 
 
 _FAMILIES = {
     "expectile": _Family("alpha", _unit, "in (0,1)", _REAL_LINE, _expectile,
-                         theta1=_first),
+                         theta1=_first, estimate=_expectile_estimate),
     "mathieu": _Family(None, None, None, _REAL_LINE, _mathieu, theta1=_first),
     "normal_var": _Family("m", _any, "finite", _POSITIVE, _normal_var, F_inv=_first),
     "beta_alpha": _Family("beta", _positive, "> 0", _POSITIVE, _beta_alpha,
@@ -327,47 +365,59 @@ def _pointwise(column, terms):
 
 def make_kernel(spec: FamilySpec) -> PsiKernel:
     """Build the PsiKernel for a family, with closed-form theta1 and the
-    partial derivative in t where elementary.  Its eval is the row's
+    partial derivative in t where elementary, and its weighted estimator
+    (PsiKernel._estimate) where the row gives one.  Its eval is the row's
     batched formula at one point."""
     row = _FAMILIES[spec.family]
     v = _known(spec, row)
     column, terms, d2, check = row.build(v)
-    th1 = None
+    th1 = estimate = None
     if row.F_inv is not None:
         F, F_inv = column or _identity, row.F_inv
 
         def th1(x):
             return F_inv(F(x), v)
+
+        def estimate(sample):
+            mean = _weighted_mean(sample.columns(kernel), sample._live_weights)
+            if not math.isfinite(mean):
+                raise DomainError(f"{spec.family}: weighted mean of F(x) is {mean!r}")
+            return F_inv(mean, v)
     elif row.theta1 is not None:
         explicit = row.theta1
 
         def th1(x):
             return explicit(x, v)
-    return PsiKernel(row.theta, _pointwise(column, terms), theta1=th1, d2=d2,
-                     domain_check=check, name=spec.family, column=column,
-                     terms=terms)
+    if row.estimate is not None:
+        formula = row.estimate
+
+        def estimate(sample):
+            return formula(sample.columns(kernel), sample._live_weights, v)
+    kernel = PsiKernel(row.theta, _pointwise(column, terms), theta1=th1, d2=d2,
+                       domain_check=check, name=spec.family, column=column,
+                       terms=terms)
+    object.__setattr__(kernel, "_estimate", estimate)
+    return kernel
 
 
 def closed_form_estimate(spec: FamilySpec, sample: WeightedSample) -> float:
-    """Elementary estimator formula where one exists.
+    """Elementary estimator formula where one exists: the kernel's
+    F_inv(weighted mean of F(x)).
 
     With nonuniform weights this returns the weighted generalization
     (weighted averages in place of 1/n sums); callers that care should flag
     that in their reports.  The mean of F runs over the positive-weight
     terms, as weighted_sum does, and F(x) is the kernel's column, kept on
-    the sample.  Raises MissingClosedForm for families whose estimating
-    equation has no elementary solution, and DomainError when the weighted
-    mean of F(x) is not finite.
+    the sample.  Raises DomainError for an observation outside X, then
+    MissingClosedForm for families whose estimating equation has no
+    elementary solution, and DomainError when the weighted mean of F(x) is
+    not finite.
     """
     kernel = make_kernel(spec)
     sample.check(kernel)
-    row = _FAMILIES[spec.family]
-    if row.F_inv is None:
+    if _FAMILIES[spec.family].F_inv is None:
         raise MissingClosedForm(f"{spec.family} has no elementary estimator formula")
-    mean = _weighted_mean(sample.columns(kernel), sample._live_weights)
-    if not math.isfinite(mean):
-        raise DomainError(f"{spec.family}: weighted mean of F(x) is {mean!r}")
-    return row.F_inv(mean, _known(spec, row))
+    return kernel._estimate(sample)
 
 
 def beta_alpha_bounds(alpha: float, sample: WeightedSample) -> tuple[float, float]:

@@ -88,6 +88,12 @@ class PsiKernel:
     kernel given by eval alone has terms [eval(x, t) for x in cs].
     dataclasses.replace copies terms as they are: replacing eval that way
     changes only the per-point calls, unless terms=None is passed too.
+
+    _estimate, set by families.make_kernel alone, is the weighted estimator
+    as a formula: sample -> the point of sign change, raising (DomainError,
+    or what the formula's arithmetic raises) where it has none.  It is
+    not an argument, and dataclasses.replace leaves it None: a replaced
+    kernel may have another psi, so its estimator is solved.
     """
 
     theta: OpenInterval
@@ -100,6 +106,8 @@ class PsiKernel:
     # derived from eval when not given, so left out of ==
     terms: Optional[Callable[[Sequence[float], float], list]] = field(
         default=None, compare=False)
+    _estimate: Optional[Callable[["WeightedSample"], float]] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.terms is None:

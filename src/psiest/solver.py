@@ -104,6 +104,24 @@ def _step_toward(t: float, endpoint: float, delta: float) -> float:
     return t + math.copysign(delta, endpoint)
 
 
+@functools.lru_cache(maxsize=64)
+def expansion_reach(theta: OpenInterval) -> tuple:
+    """(lo, hi): the t that the bracket expansion of a search on theta
+    passes within MAX_EXPAND // 2 steps from theta.midpoint_seed(), toward
+    theta.lo and toward theta.hi.  A sign change strictly between them is
+    bracketed with half the expansion budget to spare; on (0, inf) they are
+    2**-100 and 2**100."""
+    seed = theta.midpoint_seed()
+    ends = []
+    for endpoint in (theta.lo, theta.hi):
+        t, delta = seed, max(1.0, abs(seed))
+        for _ in range(MAX_EXPAND // 2):
+            t = _step_toward(t, endpoint, delta)
+            delta *= 2.0
+        ends.append(t)
+    return tuple(ends)
+
+
 def _solve_predicate(
     value: Callable[[float], float], theta: OpenInterval, cfg: SolverConfig
 ) -> SignChangeResult:

@@ -154,6 +154,39 @@ class TestEstimate:
             estimate(spec, WeightedSample.uniform([2.0, -1.0, 3.0]))
         assert calls == [("p", 2.0), ("F", 2.0), ("p", -1.0)]
 
+    def test_nan_p_rejected_naming_x(self):
+        # NaN > 0 is False, so a NaN p(x) fails the positivity test
+        calls = []
+
+        def p(x):
+            calls.append(("p", x))
+            return math.nan if x == 2.0 else 1.0
+
+        def F(x):
+            calls.append(("F", x))
+            return x
+
+        spec = BajraktarevicSpec(lambda t: t, p, F, LINE)
+        with pytest.raises(DomainError, match=r"p\(2\.0\) = nan must be positive"):
+            estimate(spec, WeightedSample.uniform([1.0, 2.0, 3.0]))
+        assert calls == [("p", 1.0), ("F", 1.0), ("p", 2.0)]
+
+    def test_nan_F_rejected_naming_x(self):
+        calls = []
+
+        def p(x):
+            calls.append(("p", x))
+            return 1.0
+
+        def F(x):
+            calls.append(("F", x))
+            return math.nan if x == 2.0 else x
+
+        spec = BajraktarevicSpec(lambda t: t, p, F, LINE)
+        with pytest.raises(DomainError, match=r"F\(2\.0\) is NaN"):
+            estimate(spec, WeightedSample.uniform([1.0, 2.0, 3.0]))
+        assert calls == [("p", 1.0), ("F", 1.0), ("p", 2.0), ("F", 2.0)]
+
     def test_underflowing_total_p_weight(self):
         # each w p(x) = 1e-200 * 1e-200 underflows to 0
         spec = BajraktarevicSpec(lambda t: t, lambda x: 1e-200, lambda x: x, LINE)

@@ -148,6 +148,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: parameter derivative vanishes at theta1(1e+120)\n")
 
+    @pytest.mark.parametrize("phi", ["mu=1", "mu=-1e100"])
+    def test_direct_past_the_search_reach_is_inconclusive(self, phi, capsys):
+        # the estimates, 2e100 and 2e100 or 3e100, lie past 2**100, where the
+        # search's expansion does not reach, so the samples are solved and
+        # the solve fails; with mu=-1e100 the estimates alone would order them
+        code = main(["compare", "--family", "laplace_scale", "--param", "mu=0",
+                     "--family-phi", "laplace_scale", "--param-phi", phi,
+                     "--data", "[1e100,3e100]", "--condition", "direct"])
+        (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
+        assert code == 2
+        assert verdict["status"] == "Inconclusive"
+        assert verdict["witness"]["error"] == "solver failed with status NoNegativePart"
+
     @pytest.mark.parametrize("family,psi,phi,data,condition", [
         ("normal_var", "m=0", "m=0", "[1e-100,1e-90]", "ratio"),
         ("laplace_scale", "mu=0", "mu=0", "[1e-170,1e-160]", "all"),

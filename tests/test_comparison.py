@@ -1042,15 +1042,36 @@ class TestScanSkipsRepeats:
                             lambda k, s, cfg: calls.append(s.xs) or solve(k, s, cfg))
         return calls
 
-    def test_direct(self, monkeypatch):
+    def _direct_solves(self, monkeypatch, kp, kq):
         # the compare_expectile_forward golden: 55 of 200 trials repeat
-        kp, kq = expectile(0.3), expectile(0.7)
         ws = ws_for(kq, (0.0, 1.0, 2.0, 5.0))
         want = reference_direct(kp, kq, ws)
         calls = self._count_solves(monkeypatch)
         got = check_direct(kp, kq, ws)
         assert (got.status, got.witness, got.grid) == (want.status, want.witness, want.grid)
         assert got.status == NO_COUNTEREXAMPLE
+        return calls
+
+    def test_direct(self, monkeypatch):
+        # of the 145 distinct samples, the estimators order all but the 11
+        # whose observations are all equal (a tie): 22 solves
+        calls = self._direct_solves(monkeypatch, expectile(0.3), expectile(0.7))
+        assert len(calls) == 22
+        assert all(len(set(xs)) == 1 for xs in calls)
+
+    def test_direct_unscreened(self, monkeypatch):
+        # kernels built by dataclasses.replace have no estimator: every
+        # distinct sample is solved
+        kp, kq = (dataclasses.replace(k, eval=k.eval)
+                  for k in (expectile(0.3), expectile(0.7)))
+        assert len(self._direct_solves(monkeypatch, kp, kq)) == 2 * 145
+
+    def test_direct_below_the_screens_tol(self, monkeypatch):
+        # the bound the screen rests on is checked from tol = 1e-12 on
+        kp, kq = expectile(0.3), expectile(0.7)
+        ws = ws_for(kq, (0.0, 1.0, 2.0, 5.0))
+        calls = self._count_solves(monkeypatch)
+        check_direct(kp, kq, ws, cfg=SolverConfig(1e-13))
         assert len(calls) == 2 * 145
 
     def test_equality(self, monkeypatch):
@@ -1071,6 +1092,88 @@ class TestScanSkipsRepeats:
         distinct = {repr(xs) for xs in samples}
         assert distinct == {"(0.0,)", "(-0.0,)"}
         assert len(calls) == 2 * 2
+
+
+# Pairs whose kernels both have an estimator formula, so the ordering scans
+# screen their solves: (name, psi, phi, observation range).  The ordered
+# pairs of gen.py, four more rows at two known values (lognormal_mu's
+# estimator does not depend on sigma2, so its pair ties on every sample),
+# and two pairs whose estimates are about as close as the scan tells apart.
+_SCREENED_PAIRS = [
+    (name, FamilySpec(family, lo), FamilySpec(family, hi), _ORACLE_RANGES[name])
+    for name, family, lo, hi, _ in gen.ORDERED_PAIRS] + [
+    ("normal_var", FamilySpec("normal_var", {"m": 0.0}),
+     FamilySpec("normal_var", {"m": 1.0}), (1.5, 10.0)),
+    ("gamma_rate", FamilySpec("gamma_rate", {"p": 1.0}),
+     FamilySpec("gamma_rate", {"p": 2.0}), (0.2, 5.0)),
+    ("lognormal_mu", FamilySpec("lognormal_mu", {"sigma2": 1.0}),
+     FamilySpec("lognormal_mu", {"sigma2": 4.0}), (0.2, 5.0)),
+    ("laplace_scale", FamilySpec("laplace_scale", {"mu": 0.0}),
+     FamilySpec("laplace_scale", {"mu": 1.0}), (1.5, 10.0)),
+    # estimates apart by about the scan's tolerance, 10 width_tol
+    ("expectile_close", FamilySpec("expectile", {"alpha": 0.5}),
+     FamilySpec("expectile", {"alpha": 0.5 + 1e-11}), (-2.0, 6.0)),
+    ("gamma_rate_close", FamilySpec("gamma_rate", {"p": 1.0}),
+     FamilySpec("gamma_rate", {"p": 1.0 + 1e-11}), (0.2, 5.0)),
+]
+
+
+@st.composite
+def screened_cases(draw):
+    name, sp, sq, (lo, hi) = draw(st.sampled_from(_SCREENED_PAIRS))
+    kp, kq = make_kernel(sp), make_kernel(sq)
+    if draw(st.booleans()):
+        name, kp, kq = name + " reversed", kq, kp
+    ws = WitnessSet(_lattice_obs(draw, lo, hi), (), draw(st.integers(0, 5)))
+    args = {"max_n": draw(st.integers(1, 6)), "trials": draw(st.integers(1, 30)),
+            "max_km": draw(st.integers(2, 10)),
+            "cfg": SolverConfig(draw(st.sampled_from((1e-12, 1e-6, 1e-3))))}
+    return name, kp, kq, ws, args
+
+
+class TestScreenKeepsVerdicts:
+    """The direct and two-point checks skip the solves of a sample whose
+    order the kernels' estimators settle; they give the reference's status,
+    witness (in key order) and grid meta, or raise its error, which solves
+    every sample.  TestAgainstReference cannot see the screen: its counted
+    kernels come from dataclasses.replace, which drops the estimator."""
+
+    @settings(deadline=None)
+    @given(screened_cases())
+    def test_same_verdicts(self, case):
+        name, kp, kq, ws, args = case
+        max_n, trials, max_km, cfg = args["max_n"], args["trials"], args["max_km"], args["cfg"]
+        got = _outcome(lambda: check_direct(kp, kq, ws, max_n, trials, cfg))
+        want = _outcome(lambda: reference_direct(kp, kq, ws, max_n, trials, cfg))
+        assert json.dumps(got) == json.dumps(want), (name, ws)
+        x, y = min(ws.observations), max(ws.observations)
+        if x < y:
+            got = _outcome(lambda: check_two_point(kp, kq, x, y, max_km, cfg))
+            want = _outcome(lambda: reference_two_point(kp, kq, x, y, max_km, cfg))
+            assert json.dumps(got) == json.dumps(want), (name, ws)
+
+    def test_two_point_solves_only_what_is_unsettled(self, monkeypatch):
+        # forward beta_alpha: every two-point sample is settled; reversed,
+        # the first is solved and is the counterexample
+        calls = TestScanSkipsRepeats._count_solves(monkeypatch)
+        kp, kq = (make_kernel(FamilySpec("beta_alpha", {"beta": b})) for b in (1.0, 2.0))
+        assert check_two_point(kp, kq, 0.3, 0.7).status == NO_COUNTEREXAMPLE
+        assert calls == []
+        assert check_two_point(kq, kp, 0.3, 0.7).status == COUNTEREXAMPLE
+        assert len(calls) == 2
+
+    def test_out_of_reach_is_solved(self):
+        # the estimates 2e100 and 3e100 are ordered, but lie past 2**100,
+        # where the search's expansion does not reach: the solve fails, and
+        # the verdict stays Inconclusive
+        kp = make_kernel(FamilySpec("laplace_scale", {"mu": 0.0}))
+        kq = make_kernel(FamilySpec("laplace_scale", {"mu": -1e100}))
+        ws = WitnessSet((1e100, 3e100), ())
+        sample = WeightedSample.uniform((1e100, 3e100))
+        assert kp._estimate(sample) < kq._estimate(sample)
+        got = check_direct(kp, kq, ws)
+        assert got.status == INCONCLUSIVE
+        assert got.witness["error"] == "solver failed with status NoNegativePart"
 
 
 class TestCertificateAgreesWithScan:

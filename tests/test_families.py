@@ -1,9 +1,12 @@
+import dataclasses
 import math
 import random
 import zlib
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psiest import (
     CLOSED_FORM_IDS,
@@ -12,6 +15,8 @@ from psiest import (
     FamilySpec,
     InvalidParameter,
     MissingClosedForm,
+    OpenInterval,
+    PsiKernel,
     SolverConfig,
     WeightedSample,
     beta_alpha_bounds,
@@ -21,6 +26,7 @@ from psiest import (
     solve_sign_change,
     weighted_sum,
 )
+from psiest.solver import expansion_reach
 
 
 def solve(spec, xs, weights=None):
@@ -30,6 +36,12 @@ def solve(spec, xs, weights=None):
     res = solve_sign_change(k, s)
     assert res.converged, res.status
     return res.theta
+
+
+def within(cfg, theta):
+    """How far a converged solve may lie from its kernel's estimator formula:
+    2 width_tol(theta) + 4 ulps of theta."""
+    return 2.0 * cfg.width_tol(theta) + 4.0 * math.ulp(theta)
 
 
 def _wmean(values, weights):
@@ -241,7 +253,7 @@ class TestClosedForms:
             xs = [draw(rng) for _ in range(n)]
             closed = closed_form_estimate(spec, WeightedSample.uniform(xs))
             solved = solve(spec, xs)
-            assert abs(closed - solved) <= 1e-8
+            assert abs(closed - solved) <= within(SolverConfig(), solved)
 
     # Today's closed forms and single-observation estimates, written out:
     # (params, draw, theta1(x, param), estimate(xs, ws, param)).
@@ -322,6 +334,124 @@ class TestClosedForms:
         closed = closed_form_estimate(spec, s)
         assert closed == pytest.approx((3 * 1 + 1 * 3) / 4)
         assert abs(closed - solve(spec, [1.0, -3.0], [3.0, 1.0])) <= 1e-8
+
+
+def _spread(lo, hi, signed=False):
+    """Floats m 10^e, m in [1, 10) and the integer e in [lo, hi], of either
+    sign when signed: observations over many binades."""
+    sign = st.sampled_from((-1.0, 1.0) if signed else (1.0,))
+    return st.builds(lambda s, m, e: s * m * 10.0 ** e,
+                     sign, st.floats(1.0, 10.0, exclude_max=True), st.integers(lo, hi))
+
+
+# The rows with an estimator formula: (params, observations over X).  The
+# magnitudes reach past where the estimate leaves expansion_reach (2^-100
+# to 2^100), so both sides of that limit occur.
+ESTIMATE_ROWS = {
+    "expectile": (st.sampled_from((0.01, 0.3, 0.5, 0.7, 0.99)).map(
+        lambda a: {"alpha": a}),
+        st.one_of(st.floats(-10.0, 10.0), _spread(-40, 40, signed=True))),
+    "normal_var": (st.just({"m": 0.5}),
+                   st.one_of(st.floats(-10.0, 10.0), _spread(-20, 20, signed=True))),
+    "beta_alpha": (st.sampled_from((0.5, 2.0)).map(lambda b: {"beta": b}),
+                   st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                             _spread(-60, -1), _spread(-16, -1).map(lambda u: 1.0 - u))),
+    "gamma_rate": (st.just({"p": 1.5}),
+                   st.one_of(st.floats(0.01, 20.0), _spread(-40, 40))),
+    "lomax_shape_alpha": (st.just({"lambda": 2.0}),
+                          st.one_of(st.floats(0.01, 20.0), _spread(-40, 300))),
+    "lognormal_mu": (st.just({"sigma2": 2.0}),
+                     st.one_of(st.floats(0.01, 20.0), _spread(-300, 300))),
+    "laplace_scale": (st.just({"mu": -0.7}),
+                      st.one_of(st.floats(-10.0, 10.0), _spread(-40, 40, signed=True))),
+}
+
+
+@st.composite
+def estimate_cases(draw, family):
+    """(kernel, sample, cfg) for a row with an estimator formula: 1..6
+    observations in X, unit or integer weights 1..19, a tol of 1e-12, 1e-6
+    or 1e-3."""
+    params, obs = ESTIMATE_ROWS[family]
+    kernel = make_kernel(FamilySpec(family, draw(params)))
+    xs = draw(st.lists(obs.filter(kernel.domain_check), min_size=1, max_size=6))
+    ws = draw(st.one_of(st.just([1.0] * len(xs)),
+                        st.lists(st.integers(1, 19).map(float),
+                                 min_size=len(xs), max_size=len(xs))))
+    cfg = SolverConfig(draw(st.sampled_from((1e-12, 1e-6, 1e-3))))
+    return kernel, WeightedSample(tuple(xs), tuple(ws)), cfg
+
+
+class TestKernelEstimate:
+    """PsiKernel._estimate, the estimator formula the comparison scans
+    screen their solves with, against the solver it stands in for."""
+
+    @pytest.mark.parametrize("family", sorted(ESTIMATE_ROWS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_solve_lies_within_bound(self, family, data):
+        # wherever the estimate is finite and in reach, the solve converges
+        # within 2 width_tol + 4 ulps of it
+        kernel, sample, cfg = data.draw(estimate_cases(family))
+        try:
+            est = kernel._estimate(sample)
+        except (DomainError, ArithmeticError, ValueError):
+            # ValueError: beta_alpha's column takes log1p(-1) where x**beta
+            # rounds to 1, and the solve raises it too
+            return
+        lo, hi = expansion_reach(kernel.theta)
+        if not lo < est < hi:
+            return
+        res = solve_sign_change(kernel, sample, cfg)
+        assert res.converged, (res, est)
+        assert abs(res.theta - est) <= within(cfg, res.theta), (res.theta, est)
+
+    def test_rows_with_a_formula(self):
+        for family, spec in TestClosedForms.SPECS.items():
+            has = make_kernel(spec)._estimate is not None
+            assert has == (family in ESTIMATE_ROWS), family
+        assert set(ESTIMATE_ROWS) == {*CLOSED_FORM_IDS, "expectile"}
+
+    def test_replaced_kernel_has_none(self):
+        # another eval may be another psi, so a replaced kernel is solved
+        for spec in TestClosedForms.SPECS.values():
+            kernel = make_kernel(spec)
+            assert dataclasses.replace(kernel, eval=kernel.eval)._estimate is None
+        with pytest.raises(TypeError):
+            PsiKernel(OpenInterval(0.0, 1.0), lambda x, t: x - t, _estimate=len)
+
+    def test_closed_form_is_the_estimate(self):
+        spec = FamilySpec("gamma_rate", {"p": 3.0})
+        sample = WeightedSample((0.7, 2.5, 9.0), (1.0, 3.0, 2.0))
+        assert closed_form_estimate(spec, sample) == make_kernel(spec)._estimate(sample)
+
+    @pytest.mark.parametrize("alpha,xs,ws,theta", [
+        # alpha = 1/2: the weighted mean
+        (0.5, (0.0, 1.0, 2.0, 5.0), (1.0, 1.0, 1.0, 1.0), 2.0),
+        # on [1, 2]: 0.3 (7 - 2t) + 0.7 (1 - 2t) = 0
+        (0.3, (5.0, 0.0, 2.0, 1.0), (1.0, 1.0, 1.0, 1.0), 2.8 / 2.0),
+        # 0.3 (5 - t) + 0.7 * 3 (0 - t) = 0
+        (0.3, (0.0, 5.0), (3.0, 1.0), 1.5 / 2.4),
+        # zero weight: left out
+        (0.3, (0.0, 5.0, 1e300), (3.0, 1.0, 0.0), 1.5 / 2.4),
+        (0.9, (-2.0,), (7.0,), -2.0),
+        (0.2, (3.0, 3.0), (1.0, 5.0), 3.0),
+    ])
+    def test_expectile_exact(self, alpha, xs, ws, theta):
+        kernel = make_kernel(FamilySpec("expectile", {"alpha": alpha}))
+        est = kernel._estimate(WeightedSample(xs, ws))
+        assert abs(est - theta) <= 2.0 * math.ulp(theta)
+
+    @pytest.mark.parametrize("xs,ws,message", [
+        # the sums cancel: the root 1/3 lies far below the largest |x|
+        ((-1e10, 1e10, 1.0), (1.0, 1.0, 1.0), "sums cancel"),
+        # w x overflows
+        ((1e308, -1e308), (2.0, 1.0), "estimate is"),
+    ])
+    def test_expectile_declines(self, xs, ws, message):
+        kernel = make_kernel(FamilySpec("expectile", {"alpha": 0.5}))
+        with pytest.raises(DomainError, match=message):
+            kernel._estimate(WeightedSample(xs, ws))
 
 
 class TestDigamma:
