@@ -420,11 +420,6 @@ class TestKernelEstimate:
         with pytest.raises(TypeError):
             PsiKernel(OpenInterval(0.0, 1.0), lambda x, t: x - t, _estimate=len)
 
-    def test_closed_form_is_the_estimate(self):
-        spec = FamilySpec("gamma_rate", {"p": 3.0})
-        sample = WeightedSample((0.7, 2.5, 9.0), (1.0, 3.0, 2.0))
-        assert closed_form_estimate(spec, sample) == make_kernel(spec)._estimate(sample)
-
     @pytest.mark.parametrize("alpha,xs,ws,theta", [
         # alpha = 1/2: the weighted mean
         (0.5, (0.0, 1.0, 2.0, 5.0), (1.0, 1.0, 1.0, 1.0), 2.0),
