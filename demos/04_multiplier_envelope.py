@@ -6,9 +6,9 @@ resulting p(t) satisfies psi(x, t) <= p(t) * phi(x, t) on the witness set.
 For two log-normal location kernels that differ only in variance, the
 multiplier is exactly the variance ratio.
 
-p(t) comes from comparison._ratio_bounds, the helper with which
-check_ratio_condition certifies its cross stage: there the largest psi/phi
-above t must not exceed p(t).
+check_ratio_condition certifies its cross stage with the same bound,
+computed on its own at each grid t: there the largest psi/phi above t must
+not exceed the least psi/phi below, p(t).
 """
 
 import math

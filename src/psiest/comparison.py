@@ -343,45 +343,20 @@ def check_two_point(
     return _verdict("two-point", _scan(kpsi, kphi, cases, cfg), {"max_km": max_km})
 
 
-def _ratio_bounds(below, above, t: float):
-    """(least r over below, greatest r over above, sound) for
-    r(x) = psi(x, t)/phi(x, t), given below and above as (x, psi(x, t),
-    phi(x, t)) each, read in order, below first; each extreme is None where
-    its side has no x, and the least is taken as min() takes it.  sound says
-    each product test psi(x,t) phi(y,t) <= psi(y,t) phi(x,t), x below and y
-    above, follows from greatest <= least within a few ulps: phi < 0 below
-    and > 0 above, every psi, phi and r finite, and the largest |psi| times
-    the largest |phi| finite, so no product is inf or NaN.  A phi(x, t) of 0
-    leaves r undefined: DomainError."""
-    least = greatest = None
-    sound = True
-    top_psi = top_phi = 0.0
-    for sign, values in ((-1.0, below), (1.0, above)):
-        for x, p, q in values:
-            if q == 0.0:
-                raise DomainError(f"phi({x!r}, {t!r}) is 0, so psi/phi is undefined")
-            r = p / q
-            if sign < 0.0:
-                least = r if least is None or r < least else least
-            else:
-                greatest = r if greatest is None or r > greatest else greatest
-            sound = (sound and sign * q > 0.0 and math.isfinite(p)
-                     and math.isfinite(q) and math.isfinite(r))
-            top_psi, top_phi = max(top_psi, abs(p)), max(top_phi, abs(q))
-    return least, greatest, sound and math.isfinite(top_psi * top_phi)
-
-
 def _multiplier_certifies(kpsi, kphi, t1, grid) -> bool:
     """Whether every cross instance of the ratio check holds, read off the
-    paper's multiplier at each grid t that some pair straddles: t in both
-    kernels' Theta and, by _ratio_bounds, the witnesses above t bounded by
-    those below.  The witnesses are sorted once by their phi estimate, so
-    those below and above t are two slices, found by bisection; a NaN
-    estimate is left out, as the pairwise scan leaves it out.  Each kernel's
-    column of every witness is computed once, and at each t one terms call
-    per kernel gives psi at both slices.  Never raises: an error, a phi of
-    0 or a t outside Theta only means the instances are left to the
-    pairwise scan."""
+    paper's multiplier at each grid t that some pair straddles.  There t
+    must lie in both kernels' Theta, phi be < 0 on every witness below t
+    and > 0 on every one above, every psi, phi and psi/phi be finite, and
+    so the largest |psi| times the largest |phi|; then the largest psi/phi
+    above at most the least below means each product test, x below and y
+    above, holds within a few ulps, no product being inf or NaN.  The
+    witnesses are sorted once by their phi estimate, so those below and
+    above t are two slices, found by bisection; a NaN estimate is left out,
+    as the pairwise scan leaves it out.  Each kernel's column of every
+    witness is computed once, and at each t one terms call per kernel gives
+    psi at both slices.  Never raises: an error, a phi of 0 or a t outside
+    Theta only means the instances are left to the pairwise scan."""
     ranked = sorted((w for w in t1 if not math.isnan(w[2])), key=lambda w: w[2])
     xs = [x for x, _, _ in ranked]
     bs = [b for _, _, b in ranked]
@@ -398,12 +373,15 @@ def _multiplier_certifies(kpsi, kphi, t1, grid) -> bool:
         try:
             ps = kpsi.terms(cp[:i] + cp[j:], t)
             qs = kphi.terms(cq[:i] + cq[j:], t)
-            least, greatest, sound = _ratio_bounds(
-                zip(xs[:i], ps[:i], qs[:i]), zip(xs[j:], ps[i:], qs[i:]), t)
+            if not (all(q < 0.0 for q in qs[:i]) and all(q > 0.0 for q in qs[i:])):
+                return False
+            rs = [p / q for p, q in zip(ps, qs)]
+            if not (all(map(math.isfinite, chain(ps, qs, rs)))
+                    and math.isfinite(max(map(abs, ps)) * max(map(abs, qs)))
+                    and max(rs[i:]) <= min(rs[:i])):
+                return False
         except Exception:
             # left to the scan, which raises it unless a counterexample comes first
-            return False
-        if not (sound and greatest <= least):
             return False
     return True
 
@@ -423,10 +401,10 @@ def check_ratio_condition(
     O(|obs| |grid|) kernel calls: where phi < 0 below t and > 0 above, every
     pair at t holds iff the largest psi/phi above is at most the smallest
     below, p(t).  When that certificate holds at every grid t (all values
-    finite, see _ratio_bounds), no instance can fail.  Otherwise every pair
-    is tested at every t, in x, y, t order, and the first failing instance
-    is the witness; without a counterexample, the first instance with a side
-    inf or NaN makes the verdict Inconclusive."""
+    finite, see _multiplier_certifies), no instance can fail.  Otherwise
+    every pair is tested at every t, in x, y, t order, and the first failing
+    instance is the witness; without a counterexample, the first instance
+    with a side inf or NaN makes the verdict Inconclusive."""
     meta = {"grid_size": len(ws.parameter_grid), "seed": ws.random_seed}
     t1 = list(_theta1_pairs(kpsi, kphi, ws, cfg))
     stage1 = ((COUNTEREXAMPLE, {"stage": "theta1", "x": x,
@@ -457,12 +435,16 @@ def construct_multiplier(
     estimate lies below t.  When the ratio condition holds, this multiplier
     satisfies psi(z,t) <= p(t) phi(z,t) for every witness z.  A witness with
     phi(x,t) = 0 leaves the ratio undefined: DomainError."""
-    below = ((x, kpsi.eval(x, t), kphi.eval(x, t))
-             for x in ws.observations if theta1(kphi, x, cfg) < t)
-    least, _, _ = _ratio_bounds(below, (), t)
-    if least is None:
+    ratios = []
+    for x in ws.observations:
+        if theta1(kphi, x, cfg) < t:
+            p, q = kpsi.eval(x, t), kphi.eval(x, t)
+            if q == 0.0:
+                raise DomainError(f"phi({x!r}, {t!r}) is 0, so psi/phi is undefined")
+            ratios.append(p / q)
+    if not ratios:
         raise EmptyLowerSet(f"no witness has a phi-estimate below {t!r}")
-    return least
+    return min(ratios)
 
 
 def _d2(kernel: PsiKernel, x: float, t: float) -> float:

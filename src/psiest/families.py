@@ -58,7 +58,9 @@ class FamilySpec:
         if row.key not in self.params:
             raise InvalidParameter(f"{self.family} requires parameter {row.key!r}")
         v = float(self.params[row.key])
-        if not (math.isfinite(v) and row.admissible(v)):
+        if not math.isfinite(v):
+            raise InvalidParameter(f"{self.family}: {row.key}={v!r} must be finite")
+        if not row.admissible(v):
             raise InvalidParameter(f"{self.family}: {row.key}={v!r} must be {row.what}")
 
     def param(self, key: str) -> float:
@@ -137,8 +139,16 @@ def _first(x: float, v) -> float:
 
 
 def _ln_one_minus_pow(x: float, beta: float) -> float:
-    """ln(1 - x^beta) for x in (0,1), stable as x^beta -> 1."""
-    return math.log1p(-math.exp(beta * math.log(x)))
+    """ln(1 - x^beta) for x in (0,1), stable as x^beta -> 1: where x^beta
+    rounds to 1, ln(-expm1(beta ln x)); DomainError where that is ln 0."""
+    u = beta * math.log(x)
+    p = math.exp(u)
+    if p < 1.0:
+        return math.log1p(-p)
+    gap = -math.expm1(u)
+    if not gap > 0.0:
+        raise DomainError(f"1 - x^beta rounds to 0 at x={x!r}, beta={beta!r}")
+    return math.log(gap)
 
 
 def _minus_inv_square(x: float, t: float) -> float:
@@ -427,6 +437,8 @@ def beta_alpha_bounds(alpha: float, sample: WeightedSample) -> tuple[float, floa
     [-min(alpha,1)/L, -max(alpha,1)/L]; the bounds coincide at alpha=1.
     Requires uniform weights.
     """
+    if not math.isfinite(alpha):
+        raise InvalidParameter(f"alpha={alpha!r} must be finite")
     if not (alpha > 0.0):
         raise InvalidParameter(f"alpha={alpha!r} must be > 0")
     if len(set(sample.weights)) != 1:

@@ -117,6 +117,31 @@ class TestExitCodes:
         assert json.loads(captured.out)["status"] == "NonFiniteSum"
         assert "Traceback" not in captured.err
 
+    def test_beta_alpha_where_the_power_rounds_to_one(self, capsys):
+        # x**0.5 rounds to 1.0 at this x, where log1p(-x**0.5) has no value
+        code = main(["estimate", "--family", "beta_alpha", "--param", "beta=0.5",
+                     "--data", "[0.9999999999999999]"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["theta"] == pytest.approx(0.02671657483, rel=1e-9)
+        assert captured.err == ""
+        code = main(["compare", "--family", "beta_alpha", "--param", "beta=0.5",
+                     "--family-phi", "beta_alpha", "--param-phi", "beta=2",
+                     "--data", "[0.5,0.9999999999999999]", "--condition", "all"])
+        captured = capsys.readouterr()
+        assert code == 2  # theta1 differs, so derivative and equality are Inconclusive
+        assert [v["status"] for v in json.loads(captured.out)["verdicts"]] == [
+            "NoCounterexample"] * 3 + ["Inconclusive"] * 2
+        assert captured.err == ""
+
+    def test_beta_alpha_column_of_zero_exits_2(self, capsys):
+        code = main(["estimate", "--family", "beta_alpha", "--param", "beta=1e-310",
+                     "--data", "[0.9999999999999999]"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ("error: 1 - x^beta rounds to 0 at "
+                                "x=0.9999999999999999, beta=1e-310\n")
+
     def test_power_overflow_keeps_sign(self, capsys):
         # (-10)^400 overflows to +inf, so the sum is positive for every t
         code = main(["estimate", "--psi", "(0-10)^x - t", "--theta=-inf,inf",
@@ -353,6 +378,14 @@ class TestRejectedInput:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])
+    def test_bounds_non_finite_alpha(self, alpha, capsys):
+        # inf is > 0: the fault to name is that it is not finite
+        assert main(["bounds", f"--alpha={alpha}", "--data", "[0.3,0.5]"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: alpha={float(alpha)!r} must be finite\n"
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
     def test_bad_tolerance(self, tol, capsys):

@@ -1,3 +1,4 @@
+import bisect
 import collections
 import dataclasses
 import json
@@ -1216,6 +1217,226 @@ class TestCertificateAgreesWithScan:
         got = _outcome(lambda: check_ratio_condition(kp, kq, ws))
         want = _outcome(lambda: reference_ratio(kp, kq, ws))
         assert json.dumps(got) == json.dumps(want), (name, ws)
+
+
+
+# --------------------------------------------------------------------------
+# The ratio stage as it was with one shared helper, _ratio_bounds, copied
+# verbatim apart from their names.  TestRatioStageAgainstReference holds
+# _multiplier_certifies and construct_multiplier to them.
+
+
+def reference_ratio_bounds(below, above, t: float):
+    """(least r over below, greatest r over above, sound) for
+    r(x) = psi(x, t)/phi(x, t), given below and above as (x, psi(x, t),
+    phi(x, t)) each, read in order, below first; each extreme is None where
+    its side has no x, and the least is taken as min() takes it.  sound says
+    each product test psi(x,t) phi(y,t) <= psi(y,t) phi(x,t), x below and y
+    above, follows from greatest <= least within a few ulps: phi < 0 below
+    and > 0 above, every psi, phi and r finite, and the largest |psi| times
+    the largest |phi| finite, so no product is inf or NaN.  A phi(x, t) of 0
+    leaves r undefined: DomainError."""
+    least = greatest = None
+    sound = True
+    top_psi = top_phi = 0.0
+    for sign, values in ((-1.0, below), (1.0, above)):
+        for x, p, q in values:
+            if q == 0.0:
+                raise DomainError(f"phi({x!r}, {t!r}) is 0, so psi/phi is undefined")
+            r = p / q
+            if sign < 0.0:
+                least = r if least is None or r < least else least
+            else:
+                greatest = r if greatest is None or r > greatest else greatest
+            sound = (sound and sign * q > 0.0 and math.isfinite(p)
+                     and math.isfinite(q) and math.isfinite(r))
+            top_psi, top_phi = max(top_psi, abs(p)), max(top_phi, abs(q))
+    return least, greatest, sound and math.isfinite(top_psi * top_phi)
+
+
+def reference_multiplier_certifies(kpsi, kphi, t1, grid) -> bool:
+    """Whether every cross instance of the ratio check holds, read off the
+    paper's multiplier at each grid t that some pair straddles: t in both
+    kernels' Theta and, by _ratio_bounds, the witnesses above t bounded by
+    those below.  The witnesses are sorted once by their phi estimate, so
+    those below and above t are two slices, found by bisection; a NaN
+    estimate is left out, as the pairwise scan leaves it out.  Each kernel's
+    column of every witness is computed once, and at each t one terms call
+    per kernel gives psi at both slices.  Never raises: an error, a phi of
+    0 or a t outside Theta only means the instances are left to the
+    pairwise scan."""
+    ranked = sorted((w for w in t1 if not math.isnan(w[2])), key=lambda w: w[2])
+    xs = [x for x, _, _ in ranked]
+    bs = [b for _, _, b in ranked]
+    try:
+        cp, cq = kpsi.columns(xs), kphi.columns(xs)
+    except Exception:
+        return False
+    for t in grid:
+        i, j = bisect.bisect_left(bs, t), bisect.bisect_right(bs, t)
+        if i == 0 or j == len(bs):  # no witness below t, or none above
+            continue
+        if not (kpsi.theta.contains(t) and kphi.theta.contains(t)):
+            return False
+        try:
+            ps = kpsi.terms(cp[:i] + cp[j:], t)
+            qs = kphi.terms(cq[:i] + cq[j:], t)
+            least, greatest, sound = reference_ratio_bounds(
+                zip(xs[:i], ps[:i], qs[:i]), zip(xs[j:], ps[i:], qs[i:]), t)
+        except Exception:
+            # left to the scan, which raises it unless a counterexample comes first
+            return False
+        if not (sound and greatest <= least):
+            return False
+    return True
+
+
+def reference_construct_multiplier(
+    kpsi: PsiKernel,
+    kphi: PsiKernel,
+    ws: WitnessSet,
+    t: float,
+    cfg: SolverConfig = SolverConfig(),
+) -> float:
+    """Finite-witness infimum of psi(x,t)/phi(x,t) over witnesses whose phi
+    estimate lies below t.  When the ratio condition holds, this multiplier
+    satisfies psi(z,t) <= p(t) phi(z,t) for every witness z.  A witness with
+    phi(x,t) = 0 leaves the ratio undefined: DomainError."""
+    below = ((x, kpsi.eval(x, t), kphi.eval(x, t))
+             for x in ws.observations if theta1(kphi, x, cfg) < t)
+    least, _, _ = reference_ratio_bounds(below, (), t)
+    if least is None:
+        raise EmptyLowerSet(f"no witness has a phi-estimate below {t!r}")
+    return least
+
+
+# Grid points, and the phi estimates drawn among them and between them.
+_TABLE_TS = (0.5, 1.0, 0.0, 2.0, -1.0, 3.0, -2.0)
+_TABLE_ESTIMATES = (-0.5, 1.5) + _TABLE_TS + (math.nan,)
+# A table cell that raises in place of a value.
+_RAISES = "raises"
+# Values past the ordinary: signed zeros, infinities, NaN, subnormals, and
+# magnitudes whose products overflow or underflow.
+_SPECIAL_CELLS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                  1e-310, -1e-310, 1e300, -1e300, 1e-300, -1e-300, _RAISES)
+
+
+def _table_kernel(table, theta, estimates=None):
+    """A kernel whose psi(x, t) is table[x, t], raising at a _RAISES cell;
+    with estimates, its theta1 is estimates[x]."""
+
+    def ev(x, t):
+        v = table[x, t]
+        if v is _RAISES:
+            raise DomainError(f"no value at ({x!r}, {t!r})")
+        return v
+
+    theta1 = None if estimates is None else estimates.__getitem__
+    return PsiKernel(theta, ev, theta1=theta1)
+
+
+def _finite(v) -> bool:
+    return isinstance(v, float) and math.isfinite(v)
+
+
+@st.composite
+def table_cases(draw):
+    """(kernel psi, kernel phi, theta1 list, grid, t): kernels from tables
+    of psi and phi values per witness x and t of _TABLE_TS, phi estimates
+    with NaN, ties and grid points among them.  A draw makes no cell
+    special, one in two or one in twelve (the zeros are special).  A signed
+    draw makes phi's finite values negative below each x's estimate and
+    positive above; a ratio draw makes psi's finite values phi's times a
+    ratio per x, nonincreasing in the estimate, so that, signed too, the
+    certificate holds, ties included, wherever no special cell or rounding
+    breaks it.  Then each x's finite values are scaled, per kernel, by 1 or
+    by a power whose products or ratios overflow or underflow."""
+    n = draw(st.integers(2, 5))
+    xs = [float(i) for i in range(n)]
+    bs = draw(st.permutations(_TABLE_ESTIMATES))[:n]
+    if draw(st.booleans()):
+        bs[-1] = bs[0]  # a tie
+    estimates = dict(zip(xs, bs))
+    ratios = sorted(draw(st.lists(st.sampled_from((2.0, 0.5, 0.0, -1.0, 0.1, 3.0)),
+                                  min_size=n, max_size=n)))
+    ratio = dict(zip(sorted(xs, key=lambda x: (math.isnan(estimates[x]), estimates[x])),
+                     reversed(ratios)))
+    scales = st.sampled_from((1.0, 1.0, 1.0, 1e300, 1e-300, 1e-310))
+    scale = {x: (draw(scales), draw(scales)) for x in xs}
+    signed, ratioed = draw(st.booleans()), draw(st.booleans())
+    ordinary = st.floats(0.25, 4.0) | st.floats(-4.0, -0.25)
+    special = st.sampled_from(_SPECIAL_CELLS)
+    cell = draw(st.sampled_from(
+        (ordinary, ordinary | special, st.one_of(*[ordinary] * 11, special))))
+    psi, phi = {}, {}
+    for x in xs:
+        b = estimates[x]
+        for t in _TABLE_TS:
+            p, q = draw(cell), draw(cell)
+            if signed and _finite(q):
+                q = -abs(q) if b < t else abs(q) if b > t else q
+            if ratioed and _finite(p) and _finite(q):
+                p = q * ratio[x]
+            sp, sq = scale[x]
+            psi[x, t] = p * sp if _finite(p) else p
+            phi[x, t] = q * sq if _finite(q) else q
+    thetas = st.sampled_from((LINE, LINE, LINE, OpenInterval(-1.5, math.inf)))
+    kp = _table_kernel(psi, draw(thetas))
+    kq = _table_kernel(phi, draw(thetas), estimates)
+    t1 = [(x, estimates[x], estimates[x]) for x in xs]
+    grid = draw(st.permutations(_TABLE_TS))[:draw(st.integers(1, 4))]
+    grid += draw(st.lists(st.sampled_from(grid), max_size=2))  # repeats
+    return kp, kq, t1, grid, draw(st.sampled_from(_TABLE_TS))
+
+
+def _constant_case(estimates, psi, phi, grid, t):
+    """A table case whose psi and phi do not vary with t: psi[i] and phi[i]
+    at the witness x = i, whose phi estimate is estimates[i]."""
+    xs = [float(i) for i in range(len(estimates))]
+    est = dict(zip(xs, estimates))
+    kp, kq = (_table_kernel({(x, s): v for x, v in zip(xs, values) for s in _TABLE_TS},
+                            LINE, est) for values in (psi, phi))
+    return kp, kq, [(x, est[x], est[x]) for x in xs], list(grid), t
+
+
+def _result(fn):
+    """repr of fn's value, or the type and message of what it raised."""
+    try:
+        return repr(fn())
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestRatioStageAgainstReference:
+    """_multiplier_certifies gives the reference's bool, and
+    construct_multiplier its value to the bit or its error, on kernels
+    given as tables of values that include every kind of float."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(table_cases())
+    # the ratios tie across t = 1: certified
+    @example(_constant_case((0.0, 2.0), (-2.0, 2.0), (-1.0, 1.0), [1.0], 1.0))
+    # psi/phi overflows below, every value and product finite: not certified
+    @example(_constant_case((0.0, 2.0), (-1.0, 1.0), (-1e-310, 4.0), [1.0], 1.0))
+    # every ratio finite and ordered, but |psi| |phi| overflows
+    @example(_constant_case((0.0, 2.0), (-1e200, 1.0), (-1.0, 1e200), [1.0], 1.0))
+    # the ratios are ordered, but phi < 0 above t, or > 0 below: not certified
+    @example(_constant_case((0.0, 2.0), (-2.0, 1.0), (-1.0, -1.0), [1.0], 1.0))
+    @example(_constant_case((0.0, 2.0), (2.0, 1.0), (1.0, 1.0), [1.0], 1.0))
+    # phi is 0 below t: not certified, and the multiplier raises
+    @example(_constant_case((0.0, 2.0), (1.0, 1.0), (0.0, 1.0), [1.0], 1.0))
+    # a NaN ratio between two others: min keeps 1.0, where a sort keeps 2.0
+    @example(_constant_case((0.0, 0.0, 0.0), (2.0, math.nan, 1.0), (1.0, 1.0, 1.0),
+                            [1.0], 1.0))
+    # 0.0 and -0.0 tie: min keeps the first
+    @example(_constant_case((0.0, 0.0), (0.0, -0.0), (1.0, 1.0), [1.0], 1.0))
+    def test_same_as_reference(self, case):
+        kp, kq, t1, grid, t = case
+        assert _multiplier_certifies(kp, kq, t1, grid) == \
+            reference_multiplier_certifies(kp, kq, t1, grid)
+        ws = WitnessSet([x for x, _, _ in t1], grid)
+        assert _result(lambda: construct_multiplier(kp, kq, ws, t)) == \
+            _result(lambda: reference_construct_multiplier(kp, kq, ws, t))
 
 
 if __name__ == "__main__":

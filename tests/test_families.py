@@ -74,6 +74,14 @@ class TestValidation:
         with pytest.raises(InvalidParameter):
             FamilySpec(family, params)
 
+    @pytest.mark.parametrize("family,key", [("expectile", "alpha"), ("beta_beta", "alpha")])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameter_must_be_finite(self, family, key, value):
+        # inf is > 0, so "must be > 0" would misreport it
+        with pytest.raises(InvalidParameter,
+                           match=rf"^{family}: {key}={value!r} must be finite$"):
+            FamilySpec(family, {key: value})
+
     @pytest.mark.parametrize("family,params,f", [
         ("gamma_rate", {"p": 2.0, "q": 5.0}, None),
         ("expectile", {"alpha": 0.3, "beta": 1.0}, None),
@@ -128,6 +136,24 @@ class TestKernelEvaluation:
     def test_beta_alpha_value(self):
         k = make_kernel(FamilySpec("beta_alpha", {"beta": 2.0}))
         assert k.eval(0.5, 1.0) == pytest.approx(1.0 + math.log(0.75), abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.5, 1e-3, 1e-12, 1e-100])
+    def test_beta_alpha_column_where_the_power_rounds_to_one(self, beta):
+        # x**beta rounds to 1.0, so log1p(-x**beta) would be log1p(-1): the
+        # column takes ln(-expm1(beta ln x)) there
+        x = 0.9999999999999999
+        assert math.exp(beta * math.log(x)) == 1.0
+        k = make_kernel(FamilySpec("beta_alpha", {"beta": beta}))
+        with mpmath.workdps(50):
+            exact = mpmath.log(-mpmath.expm1(mpmath.mpf(beta) * mpmath.log(x)))
+        assert k.column(x) == pytest.approx(float(exact), rel=1e-14)
+        assert k.eval(x, 2.0) == 0.5 + k.column(x)
+
+    def test_beta_alpha_column_of_zero_is_a_domain_error(self):
+        # beta ln x underflows to 0, so 1 - x**beta is 0 even through expm1
+        k = make_kernel(FamilySpec("beta_alpha", {"beta": 1e-310}))
+        with pytest.raises(DomainError, match=r"x=0\.9999999999999999, beta=1e-310"):
+            k.eval(0.9999999999999999, 1.0)
 
     def test_laplace_value(self):
         k = make_kernel(FamilySpec("laplace_scale", {"mu": 0.0}))
@@ -395,9 +421,7 @@ class TestKernelEstimate:
         kernel, sample, cfg = data.draw(estimate_cases(family))
         try:
             est = kernel._estimate(sample)
-        except (DomainError, ArithmeticError, ValueError):
-            # ValueError: beta_alpha's column takes log1p(-1) where x**beta
-            # rounds to 1, and the solve raises it too
+        except (DomainError, ArithmeticError):
             return
         lo, hi = expansion_reach(kernel.theta)
         if not lo < est < hi:
@@ -501,6 +525,12 @@ class TestBetaBounds:
     def test_rejects_outside_unit(self):
         with pytest.raises(DomainError):
             beta_alpha_bounds(1.0, WeightedSample.uniform([1.5]))
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_alpha(self, alpha):
+        # inf is > 0, and would make the upper end of the bracket inf
+        with pytest.raises(InvalidParameter, match=rf"^alpha={alpha!r} must be finite$"):
+            beta_alpha_bounds(alpha, WeightedSample.uniform([0.3, 0.5]))
 
     def test_estimate_inside_bounds_random(self):
         rng = random.Random(9)
