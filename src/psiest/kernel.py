@@ -8,7 +8,9 @@ the point of sign change of t -> sum_i lambda_i * psi(x_i, t).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -137,7 +139,8 @@ class WeightedSample:
     The terms weighted_sum adds are those of positive weight.  For each
     kernel it sums, the sample checks every x against the kernel's domain
     once (check) and computes the kernel's column of each summed x once
-    (columns); both are cached on the sample, outside ==, hash and repr.
+    (columns); both are cached on the sample, outside ==, hash and repr,
+    as is whether every positive weight is 1.0 (_unit).
     """
 
     xs: tuple
@@ -147,6 +150,8 @@ class WeightedSample:
     # The xs and weights of the positive-weight terms, the only ones summed.
     _live_xs: tuple = field(default=(), init=False, repr=False, compare=False)
     _live_weights: tuple = field(default=(), init=False, repr=False, compare=False)
+    # Every one of _live_weights is 1.0: weighted_sum then skips the multiply.
+    _unit: bool = field(default=False, init=False, repr=False, compare=False)
     # column function -> its values over _live_xs, None -> _live_xs; see columns().
     _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -157,16 +162,19 @@ class WeightedSample:
             raise InvalidArgument("xs and weights must have equal length")
         if len(self.xs) == 0:
             raise InvalidArgument("sample must contain at least one observation")
-        if not all(0.0 <= w < math.inf for w in self.weights):
-            raise InvalidArgument("weights must be finite and nonnegative")
-        if not max(self.weights) > 0.0:
-            raise InvalidArgument("at least one weight must be positive")
         xs, ws = self.xs, self.weights
-        if 0.0 in ws:  # else the live terms are xs and weights themselves
+        low, high = min(ws), max(ws)  # read only once every w is finite
+        if not (all(map(math.isfinite, ws)) and low >= 0.0):
+            raise InvalidArgument("weights must be finite and nonnegative")
+        if not high > 0.0:
+            raise InvalidArgument("at least one weight must be positive")
+        if low == 0.0:  # else the live terms are xs and weights themselves
             xs = tuple(x for x, w in zip(xs, ws) if w > 0.0)
             ws = tuple(w for w in ws if w > 0.0)
+            low = min(ws)
         object.__setattr__(self, "_live_xs", xs)
         object.__setattr__(self, "_live_weights", ws)
+        object.__setattr__(self, "_unit", low == high == 1.0)
         self._columns[None] = xs
 
     @classmethod
@@ -176,11 +184,13 @@ class WeightedSample:
     def check(self, kernel: PsiKernel) -> None:
         """kernel.check_observation on every x, unless the sample has already
         passed kernel.domain_check; a check that fails is not recorded."""
-        if kernel.domain_check in self._passed:
+        check = kernel.domain_check
+        if check in self._passed:
             return
-        for x in self.xs:
-            kernel.check_observation(x)
-        self._passed.add(kernel.domain_check)
+        if not all(map(check, self.xs)):  # find the first x outside X
+            for x in self.xs:
+                kernel.check_observation(x)
+        self._passed.add(check)
 
     def columns(self, kernel: PsiKernel):
         """kernel.columns of the positive-weight xs, after check(kernel);
@@ -214,6 +224,11 @@ def weighted_sum(kernel: PsiKernel, sample: WeightedSample, t: float) -> float:
     kernel.terms call on the sample's columns (WeightedSample.columns), so
     the sample is checked against the kernel's domain and its columns are
     computed once, not per term or per t.
+
+    Where every weight is 1.0 (WeightedSample._unit) and min and max put
+    every term within +-1e300, each clamp and multiply is a no-op and _add
+    sums the terms in C; a NaN term then gives NaN, as in the loop.  Every
+    other sample weights and clamps term by term in the loop below.
     """
     theta = kernel.theta
     if not theta.lo < t < theta.hi:  # theta.contains(t), inline on this hot path
@@ -224,18 +239,22 @@ def weighted_sum(kernel: PsiKernel, sample: WeightedSample, t: float) -> float:
         cs = sample._columns.get(kernel.column)
     if cs is None:
         cs = sample.columns(kernel)
-    total = 0.0
-    for v, w in zip(kernel.terms(cs, t), sample._live_weights):
-        if v > _CAP:
-            v = _CAP
-        elif v < -_CAP:
-            v = -_CAP
-        v *= w
-        if v > _CAP:
-            v = _CAP
-        elif v < -_CAP:
-            v = -_CAP
-        total += v
+    vs = kernel.terms(cs, t)
+    if sample._unit and -_CAP <= min(vs) and max(vs) <= _CAP:
+        total = _add(vs)
+    else:
+        total = 0.0
+        for v, w in zip(vs, sample._live_weights):
+            if v > _CAP:
+                v = _CAP
+            elif v < -_CAP:
+                v = -_CAP
+            v *= w
+            if v > _CAP:
+                v = _CAP
+            elif v < -_CAP:
+                v = -_CAP
+            total += v
     return _CAP if total > _CAP else -_CAP if total < -_CAP else total  # _clamp(total)
 
 
@@ -244,25 +263,24 @@ def _column_sums(columns, weights, n: int) -> list:
     for each positive-weight term, in the sample's order, its weight and its
     column: psi(x, t) along the grid, already clamped to +-1e300.  Each term
     is weighted, clamped and added left to right as weighted_sum does it,
-    so each total is the same float."""
+    one column at a time, the additions by map in C; so each total is the
+    same float."""
     acc = [0.0] * n
     for col, w in zip(columns, weights):
         if w != 1.0:  # else v * w is v, already clamped
             col = [_clamp(v * w) for v in col[:n]]
-        acc = [a + v for a, v in zip(acc, col)]
+        acc = list(map(operator.add, acc, col))
     return [_clamp(a) for a in acc]
 
 
 def _add(values) -> float:
-    """The package's one order for adding floats: left to right from 0.0.
+    """The package's one order for adding floats: left to right from 0.0,
+    by functools.reduce in C.  weighted_sum sums a unit-weight sample with
+    it; _column_sums adds in the same order, a column at a time.
 
-    weighted_sum and _column_sums add in this order inline, on their hot
-    paths.  The builtin sum is not used: from Python 3.12 it compensates
-    float sums, so the same code would print other last digits there."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+    The builtin sum is not used: from Python 3.12 it compensates float sums,
+    so the same code would print other last digits there."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def _weighted_mean(values, weights) -> float:

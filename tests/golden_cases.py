@@ -1,11 +1,17 @@
 """The documented CLI invocations and their golden JSON outputs.
 
 Run `python3 golden_cases.py` from this directory to regenerate the files in
-golden/ after an intentional output change.
+golden/ after an intentional output change, and
+`PYTHONPATH=src python3 tests/golden_cases.py --check` from the repository
+root to compare every case with its golden file under any interpreter: it
+writes nothing, prints how many cases match, and exits non-zero on a
+mismatch.
 """
 
 import io
 import os
+import platform
+import sys
 from contextlib import redirect_stdout
 
 E = "0.36787944117144233"  # exp(-1)
@@ -69,6 +75,25 @@ def regenerate(golden_dir):
         print(f"wrote {name}.json ({len(out)} bytes)")
 
 
+def check(golden_dir):
+    """The names of the cases whose exit code or stdout differs from
+    EXPECTED_EXIT and the golden file."""
+    bad = []
+    for name, argv in CASES.items():
+        code, out = run_case(argv)
+        with open(os.path.join(golden_dir, name + ".json"), encoding="utf-8") as fh:
+            if code != EXPECTED_EXIT[name] or out != fh.read():
+                bad.append(name)
+    return bad
+
+
 if __name__ == "__main__":
-    here = os.path.dirname(os.path.abspath(__file__))
-    regenerate(os.path.join(here, "golden"))
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+    if sys.argv[1:] == ["--check"]:
+        bad = check(golden)
+        print(f"{len(CASES) - len(bad)} of {len(CASES)} goldens match on "
+              f"Python {platform.python_version()}")
+        sys.exit(f"mismatch: {', '.join(bad)}" if bad else 0)
+    if sys.argv[1:]:
+        sys.exit("usage: golden_cases.py [--check]")
+    regenerate(golden)

@@ -392,6 +392,25 @@ class TestRejectedInput:
         argv = self.LAPLACE + ["--data", "[1,-2,3]", "--tol", tol]
         self.assert_usage_error(argv, capsys)
 
+    # each float option, with a value that ends the argv list
+    FLOAT_OPTIONS = [
+        ["bounds", "--data", "[0.3,0.5]", "--alpha"],
+        LAPLACE + ["--data", "[1,-2,3]", "--tol"],
+        REVERSED + ["--condition", "direct", "--tol"],
+        ["mobius-test", "--f", "t", "--g", "2*t+3", "--theta", "0,10", "--tol"],
+        ["bounds", "--alpha", "1", "--data", "[0.3,0.5]", "--tol"],
+    ]
+
+    @pytest.mark.parametrize("value", ["-inf", "-1e5", "-0.5"])
+    @pytest.mark.parametrize("argv", FLOAT_OPTIONS, ids=lambda a: a[0] + a[-1])
+    def test_negative_value_reaches_its_check(self, argv, value, capsys):
+        # `--alpha -inf` is `--alpha=-inf`, not an option missing its value
+        assert main(argv + [value]) == 1
+        spaced = capsys.readouterr()
+        assert spaced.out == "" and spaced.err.startswith("error: ")
+        assert main(argv[:-1] + [f"{argv[-1]}={value}"]) == 1
+        assert spaced == capsys.readouterr()
+
     def test_seed_env_not_an_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("PSIEST_SEED", "abc")
         assert main(self.REVERSED) == 1
@@ -535,6 +554,31 @@ class TestEstimate:
         assert report["interval"] == [-10, 10]
         assert abs(report["theta"] - 2.0) <= 1e-10
 
+    def test_negative_interval_after_a_space(self, capsys):
+        argv = ["estimate", "--psi", "x - t", "--data", "[1,2,3]"]
+        assert main(argv + ["--theta", "-5,5"]) == 0
+        spaced = capsys.readouterr().out
+        assert main(argv + ["--theta=-5,5"]) == 0
+        assert spaced == capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", [
+        "1.5\n-2\n3\n",
+        "# a sample\n1.5\n\n  -2   # second\n\n3\n\n",
+        "1.5\r\n-2,1\r\n# last\r\n3",
+    ], ids=["plain", "comments-blanks", "crlf-weight-column"])
+    @pytest.mark.parametrize("kernel", [
+        ["--family", "laplace_scale", "--param", "mu=0"],
+        ["--family", "expectile", "--param", "alpha=0.3"],
+        ["--psi", "x - t", "--theta=-10,10"],
+    ], ids=["laplace", "expectile", "psi"])
+    def test_data_file_prints_as_inline(self, kernel, text, tmp_path, capsys):
+        path = tmp_path / "data.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert main(["estimate", *kernel, "--data", str(path)]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["estimate", *kernel, "--data", "[1.5,-2,3]"]) == 0
+        assert from_file == capsys.readouterr().out
+
     def test_closed_form_flag(self, capsys):
         code = main(["estimate", "--family", "laplace_scale", "--param", "mu=0",
                      "--data", "[1,-2,3]", "--closed-form"])
@@ -565,6 +609,16 @@ class TestGoldenDeterminism:
         assert out1 == out2  # byte-identical across runs
         with open(os.path.join(GOLDEN_DIR, name + ".json"), encoding="utf-8") as fh:
             assert out1 == fh.read()
+
+    def test_check_names_each_mismatch(self, tmp_path):
+        assert golden_cases.check(GOLDEN_DIR) == []
+        for name in golden_cases.CASES:
+            with open(os.path.join(GOLDEN_DIR, name + ".json"), encoding="utf-8") as fh:
+                text = fh.read()
+            if name == "mobius_cube":
+                text = text.replace("t ^ 3", "t ^ 2")
+            (tmp_path / (name + ".json")).write_text(text, encoding="utf-8")
+        assert golden_cases.check(str(tmp_path)) == ["mobius_cube"]
 
     @pytest.mark.parametrize("name", sorted(golden_cases.CASES))
     def test_golden_is_valid_json(self, name):
