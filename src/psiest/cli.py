@@ -78,51 +78,6 @@ def _records(path: str):
                 yield lineno, line
 
 
-def _data_file(path: str):
-    """The xs and weights of a data file.  A file of plain numbers, one a
-    line, goes through float in one map call over the lines as they are
-    read; else it is read again, each line tried as a plain number first
-    and only a line float rejects split (_data_lines).  A line float takes
-    holds no `#` or `,`, and float skips no whitespace that str.strip keeps,
-    so it reads as the split reads it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            xs = list(map(float, fh))
-        except ValueError:  # a line float rejects, or bytes that do not decode
-            fh.seek(0)
-            return _data_lines(fh)
-    return xs, [1.0] * len(xs)
-
-
-def _data_lines(lines):
-    """The xs and weights of a data file's lines, one line at a time."""
-    xs: list[float] = []
-    ws: list[float] = []
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            xs.append(float(raw))
-            ws.append(1.0)
-            continue
-        except ValueError:
-            pass
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        cols = [c.strip() for c in line.split(",")]
-        if len(cols) > 2:
-            raise DataParseError(lineno, "expected `value` or `value,weight`")
-        try:
-            x = float(cols[0])
-            w = float(cols[1]) if len(cols) == 2 else 1.0
-        except ValueError:
-            raise DataParseError(lineno, f"bad number in {line!r}") from None
-        if w < 0.0:
-            raise NegativeWeight(lineno)
-        xs.append(x)
-        ws.append(w)
-    return xs, ws
-
-
 def read_data(source: str, weights_path: Optional[str] = None) -> WeightedSample:
     """Load a sample from a file (one `value` or `value,weight` per line,
     `#` comments) or an inline `[a,b,c]` literal."""
@@ -142,7 +97,31 @@ def read_data(source: str, weights_path: Optional[str] = None) -> WeightedSample
                 raise DataParseError(1, f"bad number {part.strip()!r}") from None
             ws.append(1.0)
     else:
-        xs, ws = _data_file(source)
+        # A file of plain numbers, one a line, goes through float in one map
+        # call: float strips the same whitespace as str.strip, and a line it
+        # takes holds no `#` or `,`, so it reads as the records below.  Any
+        # other file is read again, record by record.
+        with open(source, "r", encoding="utf-8") as fh:
+            try:
+                xs = list(map(float, fh))
+            except ValueError:  # not plain numbers, or bytes that do not decode
+                pass
+        if xs:
+            ws = [1.0] * len(xs)
+        else:
+            for lineno, line in _records(source):
+                cols = [c.strip() for c in line.split(",")]
+                if len(cols) > 2:
+                    raise DataParseError(lineno, "expected `value` or `value,weight`")
+                try:
+                    x = float(cols[0])
+                    w = float(cols[1]) if len(cols) == 2 else 1.0
+                except ValueError:
+                    raise DataParseError(lineno, f"bad number in {line!r}") from None
+                if w < 0.0:
+                    raise NegativeWeight(lineno)
+                xs.append(x)
+                ws.append(w)
         if not xs:
             raise EmptyData(f"no records in {source}")
     if weights_path is not None:
@@ -398,13 +377,17 @@ def cmd_bounds(args) -> int:
     return EXIT_OK if res.converged else EXIT_FAILURE
 
 
-# An argument that starts like a negative number or -inf / -nan is a value:
-# argparse reads only -N and -N.N so, and takes -1e5, -inf or -5,5 for an
-# option, so `--alpha -inf` would not reach the check of the value itself.
-_NEGATIVE_VALUE = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
+# An argument that starts like a negative number, or is -inf or -nan, is a
+# value: argparse reads only -N and -N.N so, and takes -1e5, -inf or -5,5 for
+# an option, so `--alpha -inf` would not reach the check of the value itself.
+_NEGATIVE_VALUE = re.compile(r"-(?:\.?\d|inf(?:inity)?$|nan$)", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads _NEGATIVE_VALUE as a value.  It replaces
+    argparse's private _negative_number_matcher (Python 3.6 to 3.13), which
+    tests/test_cli.py checks is still there."""
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_VALUE

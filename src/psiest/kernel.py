@@ -20,6 +20,11 @@ from .errors import DomainError, InvalidArgument
 # Magnitude cap applied per term: kernels like Beta/Lomax blow up toward the
 # endpoints of Theta, but the limit sign is always definite.
 _CAP = 1e300
+# The fewest unit-weight terms weighted_sum adds by _add.  Below it the
+# guard's min and max cost more than the loop they replace: 4-20% slower at
+# n <= 4, even at n = 6-8 (gamma_rate, laplace_scale and expectile terms,
+# Python 3.11 on a 2-vCPU x86-64 host).
+_ADD_IN_C_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,7 @@ class WeightedSample:
     kernel it sums, the sample checks every x against the kernel's domain
     once (check) and computes the kernel's column of each summed x once
     (columns); both are cached on the sample, outside ==, hash and repr,
-    as is whether every positive weight is 1.0 (_unit).
+    as is whether weighted_sum may add the terms in C (_add_in_c).
     """
 
     xs: tuple
@@ -150,8 +155,9 @@ class WeightedSample:
     # The xs and weights of the positive-weight terms, the only ones summed.
     _live_xs: tuple = field(default=(), init=False, repr=False, compare=False)
     _live_weights: tuple = field(default=(), init=False, repr=False, compare=False)
-    # Every one of _live_weights is 1.0: weighted_sum then skips the multiply.
-    _unit: bool = field(default=False, init=False, repr=False, compare=False)
+    # At least _ADD_IN_C_MIN live weights, each 1.0: weighted_sum may then
+    # add the terms by _add, skipping the multiply.
+    _add_in_c: bool = field(default=False, init=False, repr=False, compare=False)
     # column function -> its values over _live_xs, None -> _live_xs; see columns().
     _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -174,7 +180,8 @@ class WeightedSample:
             low = min(ws)
         object.__setattr__(self, "_live_xs", xs)
         object.__setattr__(self, "_live_weights", ws)
-        object.__setattr__(self, "_unit", low == high == 1.0)
+        object.__setattr__(self, "_add_in_c",
+                           low == high == 1.0 and len(ws) >= _ADD_IN_C_MIN)
         self._columns[None] = xs
 
     @classmethod
@@ -225,10 +232,11 @@ def weighted_sum(kernel: PsiKernel, sample: WeightedSample, t: float) -> float:
     the sample is checked against the kernel's domain and its columns are
     computed once, not per term or per t.
 
-    Where every weight is 1.0 (WeightedSample._unit) and min and max put
-    every term within +-1e300, each clamp and multiply is a no-op and _add
-    sums the terms in C; a NaN term then gives NaN, as in the loop.  Every
-    other sample weights and clamps term by term in the loop below.
+    Where the sample has at least _ADD_IN_C_MIN live weights, all 1.0
+    (WeightedSample._add_in_c), and min and max put every term within
+    +-1e300, each clamp and multiply is a no-op and _add sums the terms in
+    C; a NaN term then gives NaN, as in the loop.  Every other sample is
+    weighted and clamped term by term in the loop below.
     """
     theta = kernel.theta
     if not theta.lo < t < theta.hi:  # theta.contains(t), inline on this hot path
@@ -240,7 +248,9 @@ def weighted_sum(kernel: PsiKernel, sample: WeightedSample, t: float) -> float:
     if cs is None:
         cs = sample.columns(kernel)
     vs = kernel.terms(cs, t)
-    if sample._unit and -_CAP <= min(vs) and max(vs) <= _CAP:
+    if sample._add_in_c and type(vs) is not list:  # min, max and _add each read vs
+        vs = list(vs)
+    if sample._add_in_c and -_CAP <= min(vs) and max(vs) <= _CAP:
         total = _add(vs)
     else:
         total = 0.0
@@ -275,8 +285,9 @@ def _column_sums(columns, weights, n: int) -> list:
 
 def _add(values) -> float:
     """The package's one order for adding floats: left to right from 0.0,
-    by functools.reduce in C.  weighted_sum sums a unit-weight sample with
-    it; _column_sums adds in the same order, a column at a time.
+    by functools.reduce in C.  weighted_sum sums a sample of at least
+    _ADD_IN_C_MIN unit weights with it; _column_sums adds in the same
+    order, a column at a time.
 
     The builtin sum is not used: from Python 3.12 it compensates float sums,
     so the same code would print other last digits there."""

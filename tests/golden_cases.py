@@ -10,7 +10,6 @@ mismatch.
 
 import io
 import os
-import platform
 import sys
 from contextlib import redirect_stdout
 
@@ -91,8 +90,8 @@ if __name__ == "__main__":
     golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
     if sys.argv[1:] == ["--check"]:
         bad = check(golden)
-        print(f"{len(CASES) - len(bad)} of {len(CASES)} goldens match on "
-              f"Python {platform.python_version()}")
+        version = ".".join(map(str, sys.version_info[:3]))
+        print(f"{len(CASES) - len(bad)} of {len(CASES)} goldens match on Python {version}")
         sys.exit(f"mismatch: {', '.join(bad)}" if bad else 0)
     if sys.argv[1:]:
         sys.exit("usage: golden_cases.py [--check]")

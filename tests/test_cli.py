@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -410,6 +411,22 @@ class TestRejectedInput:
         assert spaced.out == "" and spaced.err.startswith("error: ")
         assert main(argv[:-1] + [f"{argv[-1]}={value}"]) == 1
         assert spaced == capsys.readouterr()
+
+    def test_argparse_keeps_its_negative_number_matcher(self):
+        # cli._Parser replaces this private attribute; were it renamed,
+        # `--alpha -inf` would quietly be read as an option again.
+        matcher = argparse.ArgumentParser()._negative_number_matcher
+        assert matcher.match("-1") and not matcher.match("-inf")
+        assert cli.build_parser()._negative_number_matcher is cli._NEGATIVE_VALUE
+
+    @pytest.mark.parametrize("arg, value", [
+        ("-inf", True), ("-Infinity", True), ("-NaN", True), ("-1e5", True),
+        ("-.5", True), ("-5,5", True), ("-0", True),
+        ("-nanx", False), ("-infx", False), ("-t+x", False), ("--tol", False),
+        ("-", False), ("-.", False),
+    ])
+    def test_negative_value_pattern(self, arg, value):
+        assert bool(cli._NEGATIVE_VALUE.match(arg)) == value
 
     def test_seed_env_not_an_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("PSIEST_SEED", "abc")

@@ -1,9 +1,10 @@
 """The C-level paths of weighted_sum, WeightedSample and read_data against
 the per-observation loops they replace, kept here verbatim as references.
 
-weighted_sum sums a unit-weight sample by _add where no clamp applies, the
-sample checks its weights and its domain with all(map(...)), and a data
-file of plain numbers goes through float without a split per line.  Each
+weighted_sum sums a sample of at least _ADD_IN_C_MIN unit weights by _add
+where no clamp applies, the sample checks its weights and its domain with
+all(map(...)), and a data file of plain numbers goes through float without
+a split per line.  Each
 property below holds the new code to the old bit for bit: floats are
 compared by repr (so -0.0 is told from 0.0 and NaN matches NaN), errors by
 type, message and line.
@@ -27,7 +28,7 @@ from psiest import (
     weighted_sum,
 )
 from psiest.cli import read_data
-from psiest.kernel import _CAP, _add
+from psiest.kernel import _ADD_IN_C_MIN, _CAP, _add
 
 LINE = OpenInterval(-math.inf, math.inf)
 
@@ -174,9 +175,12 @@ TERMS = st.one_of(st.sampled_from(SPECIAL), st.sampled_from(SPECIAL),
 
 @st.composite
 def sums(draw):
-    """(terms, weights): terms with a NaN at the start, middle or end or
-    none, and unit, integer or zero weights, at least one positive."""
-    vs = draw(st.lists(TERMS, min_size=1, max_size=12))
+    """(terms, weights): fewer or at least _ADD_IN_C_MIN terms, with a NaN
+    at the start, middle or end or none, and unit, integer or zero weights,
+    at least one positive."""
+    size = draw(st.one_of(st.integers(1, _ADD_IN_C_MIN - 1),
+                          st.integers(_ADD_IN_C_MIN, 2 * _ADD_IN_C_MIN)))
+    vs = draw(st.lists(TERMS, min_size=size, max_size=size))
     where = draw(st.sampled_from((None, None, 0, len(vs) // 2, len(vs))))
     if where is not None:
         vs.insert(where, math.nan)
@@ -186,17 +190,27 @@ def sums(draw):
     return vs, ws
 
 
+PAD = [0.0] * (_ADD_IN_C_MIN - 2)  # enough terms to reach the C path
+UNIT = [1.0] * _ADD_IN_C_MIN
+
+
 class TestWeightedSum:
-    @settings(max_examples=500, deadline=None)
-    @given(sums(), st.sampled_from((0.0, -1.0, 2.5)))
+    @settings(max_examples=600, deadline=None)
+    @given(sums(), st.sampled_from((0.0, -1.0, 2.5)), st.sampled_from((list, tuple, iter)))
     # a clamp that cancels at +-1e300, each side; NaN ahead of a clamped term
-    @example(([-BIG, 1e300], [1.0, 1.0]), 0.0)
-    @example(([math.inf, -1e300], [1.0, 1.0]), 0.0)
-    @example(([math.nan, 1e308, -1e308], [1.0, 1.0, 1.0]), 0.0)
-    def test_same_float_as_the_loop(self, case, t):
+    @example(([-BIG, 1e300] + PAD, UNIT), 0.0, list)
+    @example(([math.inf, -1e300] + PAD, UNIT), 0.0, list)
+    @example(([math.nan, 1e308, -1e308] + PAD[1:], UNIT), 0.0, list)
+    # terms that min would use up before max and _add read them
+    @example(([1.0, 2.0] + PAD, UNIT), 0.0, iter)
+    # one weight of 2.0 among ones
+    @example(([1.0, 2.0] + PAD, UNIT[1:] + [2.0]), 0.0, list)
+    def test_same_float_as_the_loop(self, case, t, container):
         vs, ws = case
-        # x indexes the drawn term: psi(i, t) is vs[i]
-        kernel = PsiKernel(LINE, lambda x, t: vs[int(x)])
+        # x indexes the drawn term: psi(i, t) is vs[i]; terms returns them
+        # in a list, a tuple or a one-shot iterator
+        kernel = PsiKernel(LINE, lambda x, t: vs[int(x)],
+                           terms=lambda cs, t: container([vs[int(x)] for x in cs]))
         xs = [float(i) for i in range(len(vs))]
         got = outcome(lambda: weighted_sum(kernel, WeightedSample(xs, ws), t))
         want = outcome(lambda: reference_weighted_sum(
@@ -221,7 +235,13 @@ WEIGHT_VALUES = st.one_of(
 
 class TestWeightedSample:
     @settings(max_examples=500, deadline=None)
-    @given(st.lists(WEIGHT_VALUES, max_size=8))
+    @given(st.lists(WEIGHT_VALUES, max_size=2 * _ADD_IN_C_MIN))
+    # unit weights either side of _ADD_IN_C_MIN, counted before and after a zero
+    @example(UNIT)
+    @example(UNIT[1:])
+    @example(UNIT + [0.0])
+    @example([0.0] + UNIT[1:])
+    @example(UNIT + [2.0])
     def test_weights_checked_as_before(self, ws):
         xs = [float(i) for i in range(len(ws))]
         got = outcome(lambda: WeightedSample(xs, ws))
@@ -231,7 +251,8 @@ class TestWeightedSample:
             return
         s = WeightedSample(xs, ws)
         assert repr((s._live_xs, s._live_weights)) == want
-        assert s._unit == all(w == 1.0 for w in s._live_weights)
+        live = s._live_weights
+        assert s._add_in_c == (len(live) >= _ADD_IN_C_MIN and all(w == 1.0 for w in live))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from((0.0, -0.0, 0.5, 1.0, -3.0, 2.0,
@@ -306,8 +327,8 @@ class TestReadData:
         assert got == want
 
     def test_bad_record_ahead_of_undecodable_bytes(self, tmp_path):
-        # The lazy read decodes a chunk of some kilobytes at a time, so it
-        # reported a bad record well ahead of bytes that do not decode.
+        # The record reader decodes a chunk of some kilobytes at a time, so
+        # it reports a bad record well ahead of bytes that do not decode.
         p = tmp_path / "d.txt"
         p.write_bytes(b"1\nfoo\n" + b"2\n" * 50000 + b"\xff\n")
         want = ("raises", "DataParseError", "line 2: bad number in 'foo'", 2)
