@@ -60,7 +60,7 @@ class MobiusCoefficients:
     d: float
 
     def __post_init__(self):
-        if self.a * self.d - self.b * self.c == 0.0:
+        if self.determinant == 0.0:
             raise InvalidArgument("ad - bc must be nonzero")
 
     @property

@@ -70,9 +70,14 @@ def emit(report: dict) -> None:
 
 
 def _records(path: str):
-    """(line number, text) of each record line: `#` comments, blanks skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """(line number, text) of each record line: `#` comments, blanks skipped.
+    A line holding bytes that are not UTF-8 is a DataParseError."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")  # a byte that did not decode fails here
+            except UnicodeEncodeError:
+                raise DataParseError(lineno, "not UTF-8 text") from None
             line = raw.split("#", 1)[0].strip()
             if line:
                 yield lineno, line
@@ -377,16 +382,20 @@ def cmd_bounds(args) -> int:
     return EXIT_OK if res.converged else EXIT_FAILURE
 
 
-# An argument that starts like a negative number, or is -inf or -nan, is a
-# value: argparse reads only -N and -N.N so, and takes -1e5, -inf or -5,5 for
-# an option, so `--alpha -inf` would not reach the check of the value itself.
-_NEGATIVE_VALUE = re.compile(r"-(?:\.?\d|inf(?:inity)?$|nan$)", re.IGNORECASE)
+# An argument that starts with a single `-` and is not one of the parser's
+# option strings (of which -h is the only single-dash one) is a value.
+# argparse reads only -N and -N.N so, and takes -1e5, -inf, -5,5 or -t+x for
+# an option, so `--alpha -inf` or `--psi -t+x` would not reach the check of
+# the value itself.
+_NEGATIVE_VALUE = re.compile(r"-(?!-)")
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads _NEGATIVE_VALUE as a value.  It replaces
-    argparse's private _negative_number_matcher (Python 3.6 to 3.13), which
-    tests/test_cli.py checks is still there."""
+    """An ArgumentParser that reads _NEGATIVE_VALUE as a value, once no
+    option string matches.  It replaces argparse's private
+    _negative_number_matcher (Python 3.6 to 3.13), which tests/test_cli.py
+    checks is still there; -h is added before it is replaced, so argparse
+    does not count -h as an option that looks like a negative number."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -459,7 +468,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except (InvalidArgument, ExprError, DataParseError, EmptyData) as exc:
+    except (InvalidArgument, ExprError, DataParseError, EmptyData, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (PsiEstError, ArithmeticError) as exc:
@@ -467,9 +476,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # as t * t underflowing to a zero divisor does
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAILURE
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

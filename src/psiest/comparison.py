@@ -133,18 +133,25 @@ def _settled(kpsi, kphi, sample: WeightedSample, cfg: SolverConfig) -> bool:
 
 
 def _random_cases(ws: WitnessSet, max_n: int, trials: int):
-    """Seeded samples of sizes 1..max_n drawn from the witness observations,
-    as scan cases.  The counts are checked now, the samples drawn lazily."""
+    """Seeded unit-weight samples of sizes 1..max_n drawn from the witness
+    observations, as scan cases.  The counts are checked now, the samples
+    drawn lazily.  A draw that repeats an earlier one's xs to the bit (-0.0
+    told from 0.0) is dropped before it becomes a sample: it would repeat
+    that case's finding, and a finding ends the scan or none was found."""
     _require_count("max_n", max_n, 1)
     _require_count("trials", trials, 1)
     rng = random.Random(ws.random_seed)
     obs = ws.observations
 
     def cases():
+        seen = set()
         for trial in range(trials):
             n = rng.randint(1, max_n)
             xs = tuple(rng.choice(obs) for _ in range(n))
-            yield {"sample": list(xs)}, WeightedSample.uniform(xs), {"trial": trial}
+            key = repr(xs)  # repr tells -0.0 from 0.0
+            if key not in seen:
+                seen.add(key)
+                yield {"sample": list(xs)}, WeightedSample.uniform(xs), {"trial": trial}
 
     return cases()
 
@@ -174,17 +181,18 @@ def _columns(kernel: PsiKernel, xs, grid) -> list:
 
 def _grid_sums(kpsi, kphi, sample: WeightedSample, grid, columns):
     """(t, weighted_sum(kpsi, sample, t), weighted_sum(kphi, sample, t)) for
-    each grid t in order, each sum the same float weighted_sum returns.
+    each grid t in order, each sum the same float weighted_sum returns, for
+    a sample whose weights are all 1.0 (_random_cases draws no other).
 
     columns is a pair of dicts, one per kernel, caching each observation's
     values along the grid (_columns) for the whole check, so psi(x, t) is
     evaluated once per kernel, x and t; the observations a sample brings
     that are not cached yet are evaluated together.  Over the grid's prefix
     where every column of the sample is defined, the sums are added from the
-    columns; past it, weighted_sum runs at each t, so an error is raised at
-    the same t as without the columns.  The checks weighted_sum makes at the
-    first t come first, in its order: t in Theta, then the sample's domain,
-    for psi, then phi."""
+    columns (_column_sums); past it, weighted_sum runs at each t, so an
+    error is raised at the same t as without the columns.  The checks
+    weighted_sum makes at the first t come first, in its order: t in Theta,
+    then the sample's domain, for psi, then phi."""
     n = len(grid)
     terms = []
     for kernel, cols in zip((kpsi, kphi), columns):
@@ -193,7 +201,7 @@ def _grid_sums(kpsi, kphi, sample: WeightedSample, grid, columns):
             break
         sample.check(kernel)
         # psi may tell -0.0 from 0.0
-        keys = [(x, math.copysign(1.0, x)) for x in sample._live_xs]
+        keys = [(x, math.copysign(1.0, x)) for x in sample.xs]
         new = {key: key[0] for key in keys if key not in cols}
         if new:
             cols.update(zip(new, _columns(kernel, list(new.values()), grid)))
@@ -201,8 +209,7 @@ def _grid_sums(kpsi, kphi, sample: WeightedSample, grid, columns):
         n = min(n, *map(len, kernel_terms))
         terms.append(kernel_terms)
     if n:
-        yield from zip(grid, *(_column_sums(ts, sample._live_weights, n)
-                               for ts in terms))
+        yield from zip(grid, *(_column_sums(ts, n) for ts in terms))
     for t in grid[n:]:
         yield t, weighted_sum(kpsi, sample, t), weighted_sum(kphi, sample, t)
 
@@ -245,19 +252,13 @@ def _scan(kpsi, kphi, cases, cfg: SolverConfig, equal_on=None):
     Counterexample for each case with theta_psi above theta_phi or, given a
     grid equal_on, with the two apart or their sums of opposite sign on the
     grid.  At the first solver failure: Inconclusive, and the scan ends.
-    The sign test's psi columns are shared by all cases (_grid_sums).  A
-    case whose sample repeats an earlier case's, xs and weights to the bit,
-    is skipped: it would repeat that case's finding, and a finding ends the
-    stream or none was found.  An ordering scan (no equal_on) also skips,
-    unsolved, a case whose order the estimators settle (_settled): it would
-    give no finding.  So every finding still comes from the solver."""
+    The sign test's psi columns are shared by all cases (_grid_sums), whose
+    samples must then have unit weights, as _random_cases draws them (and
+    without repeats).  An ordering scan (no equal_on) skips, unsolved, a
+    case whose order the estimators settle (_settled): it would give no
+    finding.  So every finding still comes from the solver."""
     columns = ({}, {})
-    seen = set()
     for head, sample, tail in cases:
-        key = repr((sample.xs, sample.weights))  # repr tells -0.0 from 0.0
-        if key in seen:
-            continue
-        seen.add(key)
         if equal_on is None and _settled(kpsi, kphi, sample, cfg):
             continue
         try:

@@ -268,17 +268,17 @@ def weighted_sum(kernel: PsiKernel, sample: WeightedSample, t: float) -> float:
     return _CAP if total > _CAP else -_CAP if total < -_CAP else total  # _clamp(total)
 
 
-def _column_sums(columns, weights, n: int) -> list:
-    """weighted_sum's total at each of the first n points of a grid, given
-    for each positive-weight term, in the sample's order, its weight and its
-    column: psi(x, t) along the grid, already clamped to +-1e300.  Each term
-    is weighted, clamped and added left to right as weighted_sum does it,
-    one column at a time, the additions by map in C; so each total is the
-    same float."""
+def _column_sums(columns, n: int) -> list:
+    """weighted_sum's total at each of the first n points of a grid for a
+    sample of unit weights, given for each term, in the sample's order, its
+    column: psi(x, t) along the grid, already clamped to +-1e300.  Each
+    weight is 1.0, so weighted_sum's multiply and second clamp leave a term
+    as it is; the columns are added left to right as weighted_sum adds the
+    terms, one column at a time, the additions by map in C; so each total
+    is the same float.  The equality sign scan (comparison._grid_sums) is
+    the one caller, and its samples come from comparison._random_cases."""
     acc = [0.0] * n
-    for col, w in zip(columns, weights):
-        if w != 1.0:  # else v * w is v, already clamped
-            col = [_clamp(v * w) for v in col[:n]]
+    for col in columns:
         acc = list(map(operator.add, acc, col))
     return [_clamp(a) for a in acc]
 

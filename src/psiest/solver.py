@@ -16,6 +16,7 @@ generalized left inverse f^-1(y) is the same search on t -> y - f(t).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -97,29 +98,34 @@ def _step_toward(t: float, endpoint: float, delta: float) -> float:
     """One expansion step from t toward an interval endpoint.
 
     Finite endpoint: halve the remaining distance (stays strictly inside).
-    Infinite endpoint: step outward by a doubling delta.
+    Infinite endpoint: step outward by delta, which _expansion doubles.
     """
     if math.isfinite(endpoint):
         return 0.5 * (t + endpoint)
     return t + math.copysign(delta, endpoint)
 
 
+def _expansion(seed: float, endpoint: float):
+    """The bracket expansion's walk: the t it visits, in order, from seed
+    toward endpoint (theta.lo or theta.hi), by _step_toward with a delta
+    that starts at max(1, |seed|) and doubles each step.  The search
+    (_solve_predicate) and its reach (expansion_reach) both read it."""
+    t, delta = seed, max(1.0, abs(seed))
+    while True:
+        t = _step_toward(t, endpoint, delta)
+        delta *= 2.0
+        yield t
+
+
 @functools.lru_cache(maxsize=64)
 def expansion_reach(theta: OpenInterval) -> tuple:
-    """(lo, hi): the t that the bracket expansion of a search on theta
-    passes within MAX_EXPAND // 2 steps from theta.midpoint_seed(), toward
-    theta.lo and toward theta.hi.  A sign change strictly between them is
-    bracketed with half the expansion budget to spare; on (0, inf) they are
-    2**-100 and 2**100."""
-    seed = theta.midpoint_seed()
-    ends = []
-    for endpoint in (theta.lo, theta.hi):
-        t, delta = seed, max(1.0, abs(seed))
-        for _ in range(MAX_EXPAND // 2):
-            t = _step_toward(t, endpoint, delta)
-            delta *= 2.0
-        ends.append(t)
-    return tuple(ends)
+    """(lo, hi): the t that the search's walk (_expansion) on theta reaches
+    in MAX_EXPAND // 2 steps from theta.midpoint_seed(), toward theta.lo
+    and toward theta.hi.  A sign change strictly between them is bracketed
+    with half the expansion budget to spare; on (0, inf) they are 2**-100
+    and 2**100."""
+    walks = (_expansion(theta.midpoint_seed(), end) for end in (theta.lo, theta.hi))
+    return tuple(next(itertools.islice(w, MAX_EXPAND // 2 - 1, None)) for w in walks)
 
 
 def _solve_predicate(
@@ -139,9 +145,9 @@ def _solve_predicate(
         return SignChangeResult(t, math.nan, math.nan, 1 + expand + refine,
                                 NON_FINITE_SUM, STOP_NAN, phases)
 
-    # Step away from the seed, toward the side where the flip lies, until the
-    # sign flips: near is the last t on the seed's side, far the first
-    # beyond the flip.
+    # Walk away from the seed (_expansion), toward the side where the flip
+    # lies, until the sign flips: near is the last t on the seed's side, far
+    # the first beyond the flip.
     seed = theta.midpoint_seed()
     v_near = value(seed)
     if math.isnan(v_near):
@@ -149,10 +155,7 @@ def _solve_predicate(
     up = v_near > 0.0
     endpoint = theta.hi if up else theta.lo
     near, far = seed, None
-    t, delta = seed, max(1.0, abs(seed))
-    for _ in range(MAX_EXPAND):
-        t = _step_toward(t, endpoint, delta)
-        delta *= 2.0
+    for t in itertools.islice(_expansion(seed, endpoint), MAX_EXPAND):
         expand += 1
         v = value(t)
         if math.isnan(v):

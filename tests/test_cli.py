@@ -422,11 +422,53 @@ class TestRejectedInput:
     @pytest.mark.parametrize("arg, value", [
         ("-inf", True), ("-Infinity", True), ("-NaN", True), ("-1e5", True),
         ("-.5", True), ("-5,5", True), ("-0", True),
-        ("-nanx", False), ("-infx", False), ("-t+x", False), ("--tol", False),
-        ("-", False), ("-.", False),
+        ("-nanx", True), ("-infx", True), ("-t+x", True), ("--tol", False),
+        ("-", True), ("-.", True),
     ])
     def test_negative_value_pattern(self, arg, value):
         assert bool(cli._NEGATIVE_VALUE.match(arg)) == value
+
+    # each expression option, with a value that starts with `-` and a letter
+    EXPRESSION_OPTIONS = [
+        ["estimate", "--theta=-9,9", "--data", "[1,2]", "--psi", "-t+x"],
+        ["compare", "--family", "expectile", "--param", "alpha=0.5",
+         "--theta=-9,9", "--data", "[0,1,2]", "--condition", "direct",
+         "--phi", "-t+x"],
+        ["mobius-test", "--g", "2*t+1", "--theta", "1,2", "--f", "-t^-1"],
+        ["mobius-test", "--f", "t", "--theta", "0,1", "--g", "-t"],
+    ]
+
+    @pytest.mark.parametrize("argv", EXPRESSION_OPTIONS, ids=lambda a: a[-2])
+    def test_expression_value_starting_with_minus(self, argv, capsys):
+        # `--psi -t+x` is `--psi=-t+x`, not an option missing its value
+        code = main(argv)
+        spaced = capsys.readouterr()
+        assert main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]) == code == 0
+        joined = capsys.readouterr()
+        assert spaced.out == joined.out != ""
+        assert spaced.err == joined.err == ""
+
+    def test_single_dash_options_as_before(self, capsys):
+        # -h is still the help option, and an unknown -tol still unrecognized
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["estimate", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: psiest estimate")
+        assert main(self.LAPLACE + ["--data", "[1,2]", "-tol", "3"]) == 1
+        assert "unrecognized arguments: -tol 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--data", "--weights"])
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_file_not_utf8(self, flag, line, tmp_path, capsys):
+        rows = [b"1", b"2", b"3"]
+        rows[line - 1] += b" \xff"
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        data = [str(path)] if flag == "--data" else ["[1,2,3]", "--weights", str(path)]
+        assert main(self.LAPLACE + ["--data", *data]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line {line}: not UTF-8 text\n"
 
     def test_seed_env_not_an_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("PSIEST_SEED", "abc")

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 from typing import Optional
 
 import pytest
@@ -503,8 +504,9 @@ class TestVerdictPins:
 # The comparison checks as they were before the one verdict rule, copied
 # verbatim apart from their names: each check kept its own verdict
 # bookkeeping.  The equality check's sign test is the one from before the
-# psi columns, calling weighted_sum at every grid t.  TestAgainstReference
-# holds the checks to them.
+# psi columns, calling weighted_sum at every grid t, and the random cases
+# are drawn as before repeats were dropped at the draw: one sample per
+# trial.  TestAgainstReference holds the checks to them.
 
 
 def _non_finite(lhs: float, rhs: float) -> bool:
@@ -547,6 +549,23 @@ def reference_scan(kpsi, kphi, cases, cfg: SolverConfig, equal_on=None):
     return NO_COUNTEREXAMPLE, None
 
 
+def reference_random_cases(ws: WitnessSet, max_n: int, trials: int):
+    """Seeded samples of sizes 1..max_n drawn from the witness observations,
+    as scan cases.  The counts are checked now, the samples drawn lazily."""
+    _require_count("max_n", max_n, 1)
+    _require_count("trials", trials, 1)
+    rng = random.Random(ws.random_seed)
+    obs = ws.observations
+
+    def cases():
+        for trial in range(trials):
+            n = rng.randint(1, max_n)
+            xs = tuple(rng.choice(obs) for _ in range(n))
+            yield {"sample": list(xs)}, WeightedSample.uniform(xs), {"trial": trial}
+
+    return cases()
+
+
 def reference_direct(
     kpsi: PsiKernel,
     kphi: PsiKernel,
@@ -557,7 +576,7 @@ def reference_direct(
 ) -> ComparisonVerdict:
     """Estimator ordering theta_psi <= theta_phi on random samples drawn from
     the witness observations, sizes 1..max_n."""
-    cases = _random_cases(ws, max_n, trials)
+    cases = reference_random_cases(ws, max_n, trials)
     meta = {"max_n": max_n, "trials": trials, "seed": ws.random_seed}
     status, witness = reference_scan(kpsi, kphi, cases, cfg)
     return ComparisonVerdict(status, "direct", witness, meta)
@@ -690,7 +709,7 @@ def reference_equality(
 ) -> ComparisonVerdict:
     """Estimator equality: ordering in both directions on random samples,
     plus sign agreement of the two weighted sums on the parameter grid."""
-    cases = _random_cases(ws, max_n, trials)
+    cases = reference_random_cases(ws, max_n, trials)
     meta = {"max_n": max_n, "trials": trials, "seed": ws.random_seed,
             "grid_size": len(ws.parameter_grid)}
     _, differ = reference_shared_theta1(kpsi, kphi, ws, cfg)
@@ -737,7 +756,7 @@ def _distinct(cases):
 def reference_direct_distinct(kpsi, kphi, ws: WitnessSet, max_n: int, trials: int):
     """reference_direct's finding over the distinct samples only: the work
     check_direct does, which skips a sample it has seen."""
-    cases = _distinct(_random_cases(ws, max_n, trials))
+    cases = _distinct(reference_random_cases(ws, max_n, trials))
     status, witness = reference_scan(kpsi, kphi, cases, SolverConfig())
     return ComparisonVerdict(status, "direct", witness, {})
 
@@ -1030,8 +1049,9 @@ class TestCertificateNaNTheta1:
 
 
 class TestScanSkipsRepeats:
-    """A sample that repeats an earlier trial's is not solved again; the
-    verdicts are the reference's, which solves every trial."""
+    """A draw that repeats an earlier trial's is dropped where it is drawn,
+    so it is neither built as a sample nor solved; the verdicts are the
+    reference's, which builds and solves every trial."""
 
     @staticmethod
     def _count_solves(monkeypatch):
@@ -1085,9 +1105,33 @@ class TestScanSkipsRepeats:
         assert (got.status, got.witness, got.grid) == (want.status, want.witness, want.grid)
         assert len(calls) == 2 * 39
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_cases_are_the_distinct_draws(self, seed):
+        # the same cases, trial indices and order as the reference's distinct
+        ws = WitnessSet((0.0, -0.0, 1.0), (0.5,), random_seed=seed)
+
+        def rows(cases):
+            return [repr((head, s.xs, s.weights, tail)) for head, s, tail in cases]
+
+        want = rows(_distinct(reference_random_cases(ws, 3, 60)))
+        assert rows(_random_cases(ws, 3, 60)) == want
+        assert len(want) < 60
+
+    def test_direct_builds_one_sample_per_distinct_draw(self, monkeypatch):
+        ws = WitnessSet((1.0, 2.0), (1.5,))
+        draws = [s.xs for _, s, _ in reference_random_cases(ws, 2, 50)]
+        built = []
+        post_init = WeightedSample.__post_init__
+        monkeypatch.setattr(WeightedSample, "__post_init__",
+                            lambda s: built.append(s.xs) or post_init(s))
+        assert check_direct(MEAN, MEAN, ws, max_n=2, trials=50).status == \
+            NO_COUNTEREXAMPLE
+        assert built == list(dict.fromkeys(draws))
+        assert len(built) == 6 < len(draws)
+
     def test_negative_zero_is_no_repeat(self, monkeypatch):
         ws = WitnessSet((0.0, -0.0), (0.5,), random_seed=2)
-        samples = [s.xs for _, s, _ in _random_cases(ws, 1, 20)]
+        samples = [s.xs for _, s, _ in reference_random_cases(ws, 1, 20)]
         calls = self._count_solves(monkeypatch)
         check_direct(MEAN, MEAN, ws, max_n=1, trials=20)
         distinct = {repr(xs) for xs in samples}

@@ -25,7 +25,8 @@ from psiest import (
     validate_monotone,
     weighted_sum,
 )
-from psiest.kernel import _add, _clamp, _column_sums, _weighted_mean, rises
+from psiest.kernel import (
+    _ADD_IN_C_MIN, _add, _clamp, _column_sums, _weighted_mean, rises)
 
 
 def expectile(alpha):
@@ -189,19 +190,17 @@ class TestWeightedSum:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_column_sums_are_weighted_sum(self, data):
-        # psi(i, j) from a drawn table: term i's values along a grid 0..n-1
+        # psi(i, j) from a drawn table: term i's values along a grid 0..n-1,
+        # summed over a unit-weight sample, the only kind the sign scan sums;
+        # up to 2 * _ADD_IN_C_MIN terms, so weighted_sum's _add path runs too
         n = data.draw(st.integers(1, 5))
-        terms = data.draw(st.integers(1, 5))
+        terms = data.draw(st.integers(1, 2 * _ADD_IN_C_MIN))
         value = st.one_of(st.floats(), st.sampled_from((1e300, -1e300, 1e308, -0.0)))
         table = [data.draw(st.lists(value, min_size=n, max_size=n)) for _ in range(terms)]
-        weights = data.draw(st.lists(
-            st.sampled_from((0.0, 1.0, 0.5, 3.0, 1e10, 1e300)), min_size=terms,
-            max_size=terms).filter(any))
         k = PsiKernel(OpenInterval(-1.0, math.inf), lambda x, t: table[int(x)][int(t)])
-        sample = WeightedSample(tuple(range(terms)), tuple(weights))
-        live = [i for i, w in enumerate(weights) if w > 0.0]
-        columns = [[_clamp(v) for v in table[i]] for i in live]
-        got = _column_sums(columns, [weights[i] for i in live], n)
+        sample = WeightedSample.uniform(tuple(range(terms)))
+        columns = [[_clamp(v) for v in col] for col in table]
+        got = _column_sums(columns, n)
         want = [weighted_sum(k, sample, float(j)) for j in range(n)]
         assert [repr(v) for v in got] == [repr(v) for v in want]
 

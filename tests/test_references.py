@@ -7,13 +7,16 @@ all(map(...)), and a data file of plain numbers goes through float without
 a split per line.  Each
 property below holds the new code to the old bit for bit: floats are
 compared by repr (so -0.0 is told from 0.0 and NaN matches NaN), errors by
-type, message and line.
+type, message and line.  The one departure: where the old reader ended in a
+UnicodeDecodeError on a file that is not UTF-8, read_data raises a
+DataParseError naming a line.
 """
 
 import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -324,16 +327,36 @@ class TestReadData:
                 read_data(path, wpath)))
             want = outcome(lambda: (lambda s: (s.xs, s.weights))(
                 reference_read_data(path, wpath)))
-        assert got == want
+        if want[:2] == ("raises", "UnicodeDecodeError"):
+            # read_data names the first line holding a byte that is not
+            # UTF-8, or a bad record ahead of it
+            assert got[0] == "raises" and isinstance(got[3], int), (got, want)
+            assert got[1] in ("DataParseError", "NegativeWeight"), (got, want)
+        else:
+            assert got == want
 
     def test_bad_record_ahead_of_undecodable_bytes(self, tmp_path):
-        # The record reader decodes a chunk of some kilobytes at a time, so
-        # it reports a bad record well ahead of bytes that do not decode.
+        # The old record reader decoded a chunk of some kilobytes at a time,
+        # so it reported a bad record well ahead of bytes that do not
+        # decode, and failed to decode before a bad record near them.
+        # read_data reports the first of the two in line order.
         p = tmp_path / "d.txt"
         p.write_bytes(b"1\nfoo\n" + b"2\n" * 50000 + b"\xff\n")
         want = ("raises", "DataParseError", "line 2: bad number in 'foo'", 2)
         assert outcome(lambda: reference_read_data(str(p))) == want
         assert outcome(lambda: read_data(str(p))) == want
         p.write_bytes(b"1\n" * 50000 + b"\xff\n")
-        assert outcome(lambda: read_data(str(p))) == outcome(
-            lambda: reference_read_data(str(p)))
+        assert outcome(lambda: read_data(str(p))) == (
+            "raises", "DataParseError", "line 50001: not UTF-8 text", 50001)
+        p.write_bytes(b"1\nfoo\n\xff\n")
+        assert outcome(lambda: reference_read_data(str(p)))[1] == "UnicodeDecodeError"
+        assert outcome(lambda: read_data(str(p))) == want
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_undecodable_line_named(self, end, tmp_path):
+        # lines split as the reference splits them, at each of its endings
+        p = tmp_path / "d.txt"
+        p.write_bytes(end.join(["1", "# \xe9", "2", "3"]).encode("utf-8")
+                      + end.encode() + b"x\xff" + end.encode())
+        assert outcome(lambda: read_data(str(p))) == (
+            "raises", "DataParseError", "line 5: not UTF-8 text", 5)

@@ -33,7 +33,8 @@ from psiest import (
 from psiest.solver import (
     CONVERGED, MAX_BISECT, MAX_EXPAND, MAX_ITERATIONS, NO_NEGATIVE_PART,
     NO_POSITIVE_PART, NON_FINITE_SUM, STOP_EXHAUSTED, STOP_LIMIT, STOP_NAN,
-    STOP_NO_SIGN_CHANGE, STOP_WIDTH, SignChangeResult, _Itp, _step_toward)
+    STOP_NO_SIGN_CHANGE, STOP_WIDTH, SignChangeResult, _Itp, _step_toward,
+    expansion_reach)
 
 
 def reference_bisection(value, positive, theta, cfg):
@@ -136,6 +137,35 @@ class TestSearchLimit:
         res = solve_sign_change(self.GAMMA, sample)
         assert res.iterations == seed_and_expansion + 5
         assert res.phase_evals == (1, seed_and_expansion - 1, 5)
+
+
+# Half-lines, the real line, a bounded interval and ones at the ends of the
+# doubles, where the walk's steps round or overflow.
+_REACH_THETAS = [(0.0, math.inf), (-math.inf, math.inf), (0.0, 1.0),
+                 (1e300, math.inf), (-math.inf, -1e-300), (-1.7e308, 1.79e308)]
+
+
+class TestExpansionReach:
+    """expansion_reach is where the search's own expansion arrives in
+    MAX_EXPAND // 2 steps: a value that never changes sign makes the search
+    walk its whole expansion, and the (MAX_EXPAND // 2)-th t it evaluates
+    toward each end is the reach, to the bit."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.one_of(
+        st.sampled_from(_REACH_THETAS),
+        st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False))
+        .map(sorted).filter(lambda ends: ends[0] < ends[1])))
+    def test_reach_is_the_searchs_walk(self, ends):
+        theta = OpenInterval(*ends)
+        walked = []
+        for sign in (-1.0, 1.0):  # never > 0: toward lo; always > 0: toward hi
+            seen = []
+            res = solver._solve_predicate(lambda t: seen.append(t) or sign,
+                                          theta, SolverConfig())
+            assert res.phase_evals == (1, MAX_EXPAND, 0)
+            walked.append(seen[MAX_EXPAND // 2])  # seen[0] is the seed
+        assert repr(expansion_reach(theta)) == repr(tuple(walked))
 
 
 class TestSolveSignChange:
