@@ -83,65 +83,67 @@ def _records(path: str):
                 yield lineno, line
 
 
+def _number(text: str, lineno: int, what: str, shown: str) -> float:
+    """float(text), or a DataParseError at lineno: `bad {what} {shown!r}`,
+    shown stripped.  The message is built only when the parse fails."""
+    try:
+        return float(text)
+    except ValueError:
+        raise DataParseError(lineno, f"bad {what} {shown.strip()!r}") from None
+
+
+def _weight(text: str, lineno: int, what: str, shown: str) -> float:
+    """_number(...), and a NegativeWeight at lineno where it is below 0."""
+    w = _number(text, lineno, what, shown)
+    if w < 0.0:
+        raise NegativeWeight(lineno)
+    return w
+
+
 def read_data(source: str, weights_path: Optional[str] = None) -> WeightedSample:
-    """Load a sample from a file (one `value` or `value,weight` per line,
-    `#` comments) or an inline `[a,b,c]` literal."""
-    xs: list[float] = []
+    """Load a sample from an inline `[a,b,c]` literal or a file: one `value`
+    or `value,weight` per line, `#` comments and blank lines skipped.  A
+    weights file, one weight per line, replaces the sample's weights.
+
+    Every number goes through _number, which names the line (1 for the
+    literal) and the text that did not parse, and every weight through
+    _weight, which rejects one below 0.  An empty literal or a file without
+    records is EmptyData."""
+    text = source.strip()
     ws: list[float] = []
-    if source.strip().startswith("["):
-        body = source.strip()
-        if not body.endswith("]"):
+    if text.startswith("["):
+        if not text.endswith("]"):
             raise DataParseError(1, "inline literal must end with ']'")
-        inner = body[1:-1].strip()
+        inner = text[1:-1].strip()
         if not inner:
             raise EmptyData("inline literal is empty")
-        for part in inner.split(","):
-            try:
-                xs.append(float(part))
-            except ValueError:
-                raise DataParseError(1, f"bad number {part.strip()!r}") from None
-            ws.append(1.0)
+        xs = [_number(part, 1, "number", part) for part in inner.split(",")]
     else:
         # A file of plain numbers, one a line, goes through float in one map
-        # call: float strips the same whitespace as str.strip, and a line it
+        # call: float strips no whitespace that str.strip keeps, and a line it
         # takes holds no `#` or `,`, so it reads as the records below.  Any
         # other file is read again, record by record.
         with open(source, "r", encoding="utf-8") as fh:
             try:
                 xs = list(map(float, fh))
             except ValueError:  # not plain numbers, or bytes that do not decode
-                pass
-        if xs:
-            ws = [1.0] * len(xs)
-        else:
+                xs = []
+        if not xs:
             for lineno, line in _records(source):
                 cols = [c.strip() for c in line.split(",")]
                 if len(cols) > 2:
                     raise DataParseError(lineno, "expected `value` or `value,weight`")
-                try:
-                    x = float(cols[0])
-                    w = float(cols[1]) if len(cols) == 2 else 1.0
-                except ValueError:
-                    raise DataParseError(lineno, f"bad number in {line!r}") from None
-                if w < 0.0:
-                    raise NegativeWeight(lineno)
-                xs.append(x)
-                ws.append(w)
-        if not xs:
-            raise EmptyData(f"no records in {source}")
+                xs.append(_number(cols[0], lineno, "number in", line))
+                ws.append(_weight(cols[1], lineno, "number in", line)
+                          if len(cols) == 2 else 1.0)
+            if not xs:
+                raise EmptyData(f"no records in {source}")
     if weights_path is not None:
-        ws = []
-        for lineno, line in _records(weights_path):
-            try:
-                w = float(line)
-            except ValueError:
-                raise DataParseError(lineno, f"bad weight {line!r}") from None
-            if w < 0.0:
-                raise NegativeWeight(lineno)
-            ws.append(w)
+        ws = [_weight(line, lineno, "weight", line)
+              for lineno, line in _records(weights_path)]
         if len(ws) != len(xs):
             raise DataParseError(len(ws), "weights file length mismatch")
-    return WeightedSample(tuple(xs), tuple(ws))
+    return WeightedSample(tuple(xs), tuple(ws or [1.0] * len(xs)))
 
 
 def _parse_params(pairs: Sequence[str]) -> dict:
@@ -170,21 +172,19 @@ def _parse_theta(text: str) -> OpenInterval:
         raise InvalidArgument(f"bad interval {text!r}") from None
 
 
-def _expr_kernel(source: str, theta: OpenInterval, name: str) -> PsiKernel:
-    from . import exprparse
-
-    e = exprparse.parse(source)
-    return PsiKernel(theta, exprparse.compile_expr(e), domain_check=math.isfinite,
-                     name=name, terms=exprparse.compile_terms(e))
+# Each kernel's --family, --psi and --param option strings, keyed by the
+# suffix of their attribute names: compare's psi kernel and estimate's
+# kernel take "", compare's phi kernel "_phi".
+_KERNEL_FLAGS = {"": ("--family", "--psi", "--param"),
+                 "_phi": ("--family-phi", "--phi", "--param-phi")}
 
 
 def _build_kernel(args, suffix: str = ""):
     """Returns (kernel, echo dict, family spec or None)."""
-    family = getattr(args, "family" + suffix, None)
-    psi = getattr(args, "psi" + suffix, None)
-    params = _parse_params(getattr(args, "param" + suffix, None) or [])
-    flags = (("--family-phi", "--phi", "--param-phi") if suffix
-             else ("--family", "--psi", "--param"))
+    family = getattr(args, "family" + suffix)
+    psi = getattr(args, "psi" + suffix)
+    params = _parse_params(getattr(args, "param" + suffix))
+    flags = _KERNEL_FLAGS[suffix]
     if family is not None:
         if psi is not None:
             raise InvalidArgument(f"{flags[0]} and {flags[1]} are exclusive")
@@ -195,11 +195,15 @@ def _build_kernel(args, suffix: str = ""):
         raise InvalidArgument(f"supply {flags[0]} or {flags[1]}")
     if params:
         raise InvalidArgument(f"{flags[2]} applies only to {flags[0]}")
-    if getattr(args, "theta", None) is None:
+    if args.theta is None:
         raise InvalidArgument(f"{flags[1]} requires --theta lo,hi")
+    from . import exprparse
+
     theta = _parse_theta(args.theta)
-    echo = {"psi": psi, "interval": [theta.lo, theta.hi]}
-    return _expr_kernel(psi, theta, "psi"), echo, None
+    e = exprparse.parse(psi)
+    kernel = PsiKernel(theta, exprparse.compile_expr(e), domain_check=math.isfinite,
+                       name="psi", terms=exprparse.compile_terms(e))
+    return kernel, {"psi": psi, "interval": [theta.lo, theta.hi]}, None
 
 
 def _check_theta_used(args, *specs) -> None:
@@ -210,7 +214,7 @@ def _check_theta_used(args, *specs) -> None:
 
 
 def _seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("PSIEST_SEED")
     if not env:
@@ -222,8 +226,7 @@ def _seed(args) -> int:
 
 
 def _cfg(args) -> SolverConfig:
-    tol = getattr(args, "tol", None)
-    return SolverConfig() if tol is None else SolverConfig(tol)
+    return SolverConfig() if args.tol is None else SolverConfig(args.tol)
 
 
 def cmd_estimate(args) -> int:
@@ -412,11 +415,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
 
+    def add_kernel(p, suffix, theta_help=None):
+        """The kernel's three flags, and --theta ahead of --param if helped."""
+        family, psi, param = _KERNEL_FLAGS[suffix]
+        p.add_argument(family, dest="family" + suffix, choices=families.FAMILY_IDS)
+        p.add_argument(psi, dest="psi" + suffix, help="kernel expression in x and t")
+        if theta_help:
+            p.add_argument("--theta", help=theta_help)
+        p.add_argument(param, dest="param" + suffix, action="append", default=[],
+                       metavar="K=V")
+
     p_est = sub.add_parser("estimate", help="estimate from a data sample")
-    p_est.add_argument("--family", choices=families.FAMILY_IDS)
-    p_est.add_argument("--psi", help="kernel expression in x and t")
-    p_est.add_argument("--theta", help="lo,hi open interval for --psi")
-    p_est.add_argument("--param", action="append", default=[], metavar="K=V")
+    add_kernel(p_est, "", "lo,hi open interval for --psi")
     p_est.add_argument("--data", required=True)
     p_est.add_argument("--weights", default=None)
     p_est.add_argument("--closed-form", action="store_true", dest="closed_form")
@@ -424,15 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=cmd_estimate)
 
     p_cmp = sub.add_parser("compare", help="compare two kernels")
-    p_cmp.add_argument("--family", choices=families.FAMILY_IDS)
-    p_cmp.add_argument("--psi")
-    p_cmp.add_argument("--param", action="append", default=[], metavar="K=V")
-    p_cmp.add_argument("--family-phi", dest="family_phi",
-                       choices=families.FAMILY_IDS)
-    p_cmp.add_argument("--phi", dest="psi_phi")
-    p_cmp.add_argument("--param-phi", dest="param_phi", action="append",
-                       default=[], metavar="K=V")
-    p_cmp.add_argument("--theta")
+    add_kernel(p_cmp, "")
+    add_kernel(p_cmp, "_phi")
+    p_cmp.add_argument("--theta", help="lo,hi open interval for --psi and --phi")
     p_cmp.add_argument("--data", required=True)
     p_cmp.add_argument("--condition", default="all",
                        choices=_CONDITIONS + ("all",))

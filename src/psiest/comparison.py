@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 
 from .errors import (DegenerateDerivative, DomainError, EmptyLowerSet, InvalidArgument,
                      PsiEstError)
-from .kernel import PsiKernel, WeightedSample, _clamp, _column_sums, weighted_sum
+from .kernel import (PsiKernel, WeightedSample, _clamp, _column_sums, _uniform,
+                     weighted_sum)
 from .solver import (SolverConfig, empirical_theta1_hull, expansion_reach,
                      solve_sign_change, theta1)
 
@@ -91,12 +92,16 @@ def build_witness_set(
         grid.extend(hull.probe_grid(grid_points))
         a, b = hull.probe_window()
         rng = random.Random(seed)
-        grid.extend(rng.uniform(a, b) for _ in range(random_points))
+        grid.extend(_uniform(rng, a, b) for _ in range(random_points))
     return WitnessSet(tuple(observations), tuple(grid), seed)
 
 
 def _slack(lhs: float, rhs: float, rel: float) -> float:
-    return rel * max(abs(lhs), abs(rhs), 1.0)
+    """The rounding allowed a test lhs <= rhs of two products or quotients
+    of kernel values: rel times the larger operand, with no absolute floor,
+    since such a value has no natural unit and a floor would forgive every
+    instance of small values."""
+    return rel * max(abs(lhs), abs(rhs))
 
 
 def _pair_tol(cfg: SolverConfig, ta: float, tb: float) -> float:
@@ -216,13 +221,15 @@ def _grid_sums(kpsi, kphi, sample: WeightedSample, grid, columns):
 
 def _sign_witness(kpsi, kphi, sample: WeightedSample, grid, columns) -> Optional[dict]:
     """The first grid t where the two weighted sums have opposite signs,
-    both clear of zero, or None.  The sums are added from psi columns where
-    the columns are defined and come from weighted_sum past them
-    (_grid_sums), so the witness and any error are those of calling
+    both clear of zero by 1e-9 max(|sum_psi|, |sum_phi|, 1), or None.  The
+    floor 1 stands in for the sums' rounding scale, which is sum |w psi|,
+    not the |sum| that may have cancelled.  The sums are added from psi
+    columns where the columns are defined and come from weighted_sum past
+    them (_grid_sums), so the witness and any error are those of calling
     weighted_sum at every t."""
     for t, sp, sq in _grid_sums(kpsi, kphi, sample, grid, columns):
         if (sp > 0) != (sq > 0):
-            slack = _slack(sp, sq, 1e-9)
+            slack = 1e-9 * max(abs(sp), abs(sq), 1.0)
             if not (abs(sp) <= slack or abs(sq) <= slack):
                 return {"t": t, "sum_psi": sp, "sum_phi": sq}
     return None
@@ -300,14 +307,16 @@ def _theta1_pairs(kpsi, kphi, ws: WitnessSet, cfg: SolverConfig):
 def _on_shared_theta1(kpsi, kphi, ws: WitnessSet, cfg: SolverConfig, then):
     """Findings: Inconclusive at the first witness observation where the
     kernels' theta1 differ, computing no further theta1; else those of
-    then([(x, common theta1), ...])."""
+    then([(x, common theta1), ...]).  The common theta1 is the two's
+    midpoint, halved before the sum where the sum overflows."""
     common = []
     for x, a, b in _theta1_pairs(kpsi, kphi, ws, cfg):
         if abs(a - b) > 1e-8 * (1.0 + max(abs(a), abs(b))):
             yield INCONCLUSIVE, {"reason": "theta1 values differ", "x": x,
                                  "theta1_psi": a, "theta1_phi": b}
             return
-        common.append((x, 0.5 * (a + b)))
+        mid = 0.5 * (a + b)
+        common.append((x, mid if math.isfinite(mid) else 0.5 * a + 0.5 * b))
     yield from then(common)
 
 

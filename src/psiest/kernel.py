@@ -59,21 +59,26 @@ class OpenInterval:
     def probe_window(self) -> tuple[float, float]:
         """(lo, hi) shrunk by a 1e-6 relative margin; an infinite endpoint is
         first clamped to a window of width 200 next to the finite one (or
-        around 0)."""
+        around 0).  Where hi - lo overflows, the margin is taken from each
+        end apart."""
         lo, hi = self.lo, self.hi
         if not math.isfinite(lo):
             lo = (hi - 200.0) if math.isfinite(hi) else -100.0
         if not math.isfinite(hi):
             hi = lo + 200.0
-        margin = 1e-6 * (hi - lo)
+        width = hi - lo
+        margin = 1e-6 * width if math.isfinite(width) else 1e-6 * hi - 1e-6 * lo
         return lo + margin, hi - margin
 
     def probe_grid(self, n: int) -> list[float]:
-        """n equispaced probes spanning probe_window(), ends included."""
+        """n equispaced probes spanning probe_window(), ends included; where
+        its width overflows, each probe is lo (1 - s) + hi s, s = k/(n-1)."""
         if n < 2:
             raise InvalidArgument(f"probe grid needs n >= 2, got {n!r}")
         lo, hi = self.probe_window()
-        return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+        if math.isfinite(hi - lo):
+            return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+        return [lo * (1.0 - k / (n - 1)) + hi * (k / (n - 1)) for k in range(n)]
 
 
 def _always_admissible(x: float) -> bool:
@@ -330,6 +335,13 @@ def rises(f: Callable[[float], float], points: Sequence[float],
     return all(a < b for a, b in zip(vals, vals[1:]))
 
 
+def _uniform(rng: random.Random, lo: float, hi: float) -> float:
+    """rng.uniform(lo, hi), which is lo + (hi - lo) u for one u = rng.random(),
+    from the same u as lo (1 - u) + hi u where hi - lo overflows."""
+    u = rng.random()
+    return lo + (hi - lo) * u if math.isfinite(hi - lo) else lo * (1.0 - u) + hi * u
+
+
 def validate_monotone(f: Callable[[float], float], theta: OpenInterval) -> bool:
     """True iff f is strictly increasing (rises) on theta.probe_grid(513)
     and on each of 100 random sorted pairs (seed 0) from theta.probe_window().
@@ -339,7 +351,7 @@ def validate_monotone(f: Callable[[float], float], theta: OpenInterval) -> bool:
     """
     lo, hi = theta.probe_window()
     rng = random.Random(0)
-    pairs = (sorted((rng.uniform(lo, hi), rng.uniform(lo, hi)))
+    pairs = (sorted((_uniform(rng, lo, hi), _uniform(rng, lo, hi)))
              for _ in range(100))
     return rises(f, theta.probe_grid(513)) and all(
         rises(f, pair) for pair in pairs if pair[0] < pair[1])

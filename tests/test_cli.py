@@ -658,6 +658,90 @@ class TestEstimate:
         assert json.loads(capsys.readouterr().out)["seed"] == 0
 
 
+class TestKernelFlags:
+    # Each subparser's (option strings, dest) in order, as they were before
+    # the kernel flags came from one table (cli._KERNEL_FLAGS).
+    OPTIONS = {
+        "estimate": [
+            (("-h", "--help"), "help"), (("--family",), "family"),
+            (("--psi",), "psi"), (("--theta",), "theta"), (("--param",), "param"),
+            (("--data",), "data"), (("--weights",), "weights"),
+            (("--closed-form",), "closed_form"), (("--tol",), "tol"),
+            (("--seed",), "seed")],
+        "compare": [
+            (("-h", "--help"), "help"), (("--family",), "family"),
+            (("--psi",), "psi"), (("--param",), "param"),
+            (("--family-phi",), "family_phi"), (("--phi",), "psi_phi"),
+            (("--param-phi",), "param_phi"), (("--theta",), "theta"),
+            (("--data",), "data"), (("--condition",), "condition"),
+            (("--grid",), "grid"), (("--trials",), "trials"),
+            (("--max-n",), "max_n"), (("--max-km",), "max_km"),
+            (("--tol",), "tol"), (("--seed",), "seed")],
+        "mobius-test": [
+            (("-h", "--help"), "help"), (("--f",), "f"), (("--g",), "g"),
+            (("--theta",), "theta"), (("--probes",), "probes"),
+            (("--tol",), "tol"), (("--seed",), "seed")],
+        "bounds": [
+            (("-h", "--help"), "help"), (("--alpha",), "alpha"),
+            (("--data",), "data"), (("--tol",), "tol"), (("--seed",), "seed")],
+    }
+
+    def test_options_and_dests_as_before(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+        got = {name: [(tuple(a.option_strings), a.dest) for a in p._actions]
+               for name, p in sub.choices.items()}
+        assert got == self.OPTIONS
+
+    FAMILY = ["--family", "expectile", "--param", "alpha=0.5"]
+    FAMILY_PHI = ["--family-phi", "expectile", "--param-phi", "alpha=0.5"]
+
+    # each of _build_kernel's errors, for each kernel, as before the table
+    @pytest.mark.parametrize("argv, err", [
+        (["estimate", "--family", "expectile", "--psi", "x-t"],
+         "--family and --psi are exclusive"),
+        (["estimate"], "supply --family or --psi"),
+        (["estimate", "--psi", "x-t", "--param", "a=1"],
+         "--param applies only to --family"),
+        (["estimate", "--psi", "x-t"], "--psi requires --theta lo,hi"),
+        (["estimate", *FAMILY, "--theta", "0,1"],
+         "--theta applies only to an expression kernel"),
+        (["compare", *FAMILY, "--family-phi", "expectile", "--phi", "x-t"],
+         "--family-phi and --phi are exclusive"),
+        (["compare", *FAMILY], "supply --family-phi or --phi"),
+        (["compare", *FAMILY, "--phi", "x-t", "--param-phi", "a=1"],
+         "--param-phi applies only to --family-phi"),
+        (["compare", *FAMILY, "--phi", "x-t"], "--phi requires --theta lo,hi"),
+        (["compare", "--psi", "x-t", *FAMILY_PHI], "--psi requires --theta lo,hi"),
+        (["compare", *FAMILY, *FAMILY_PHI, "--theta", "0,1"],
+         "--theta applies only to an expression kernel"),
+    ])
+    def test_kernel_errors_name_the_flags(self, argv, err, capsys):
+        assert main(argv + ["--data", "[1]"]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+class TestLargestDoubles:
+    REVERSED = ["compare", "--family", "expectile", "--param", "alpha=0.7",
+                "--family-phi", "expectile", "--param-phi", "alpha=0.3"]
+
+    @pytest.mark.parametrize("data", ["[1e307,1.5e307]", "[1e308,1.5e308]"])
+    def test_derivative_past_half_the_largest_double(self, data, capsys):
+        # past 9e307 the sum of the two theta1 values overflows
+        assert main(self.REVERSED + ["--data", data, "--condition", "derivative"]) == 3
+        verdict = json.loads(capsys.readouterr().out)["verdicts"][0]
+        assert (verdict["status"], verdict["witness"]["t0"]) == (
+            "Counterexample", float(data[1:].split(",")[0]))
+
+    @pytest.mark.parametrize("data", ["[-1e307,1e307]", "[-1e308,1e308]"])
+    def test_ratio_on_a_window_wider_than_the_largest_double(self, data, capsys):
+        # the width of (-1e308, 1e308) overflows; every grid t must be finite
+        assert main(self.REVERSED + ["--data", data, "--condition", "ratio"]) == 2
+        verdict = json.loads(capsys.readouterr().out)["verdicts"][0]
+        assert verdict["status"] == "Inconclusive"
+        assert verdict["witness"]["stage"] == "cross"
+        assert math.isfinite(verdict["witness"]["t"])
+
+
 class TestGoldenDeterminism:
     @pytest.mark.parametrize("name", sorted(golden_cases.CASES))
     def test_matches_golden_and_repeats(self, name):

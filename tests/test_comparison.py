@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gen
-from strategies import family_pairs
+from strategies import MATHIEU_FS, family_pairs
 from psiest import (
     DegenerateDerivative,
     DomainError,
@@ -136,6 +136,80 @@ class TestRatioCondition:
         kp = expectile(0.4)
         v = check_ratio_condition(kp, kp, ws_for(kp, (0.0, 1.0, 5.0)))
         assert v.status == "NoCounterexample"
+
+
+@st.composite
+def scalable_pairs(draw):
+    """(psi, phi, observations) that a power of two scales exactly: two
+    expectile kernels, or two mathieu kernels with f(u) of u, 2u, u^2 or
+    u^3, on 1..5 distinct multiples of 1/4 in [-5, 5]."""
+    if draw(st.booleans()):
+        kp, kq = (expectile(draw(st.floats(0.05, 0.95))) for _ in range(2))
+    else:
+        kp, kq = (make_kernel(FamilySpec("mathieu", {}, f=draw(
+            st.sampled_from(MATHIEU_FS[:4])))) for _ in range(2))
+    obs = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=5, unique=True))
+    return kp, kq, tuple(x / 4 for x in obs)
+
+
+def _status(check, kp, kq, ws):
+    try:
+        return check(kp, kq, ws).status
+    except PsiEstError as exc:
+        return type(exc).__name__
+
+
+class TestSlackScales:
+    """The ratio cross stage and the derivative check take their slack from
+    the operands, so scaling every observation and grid point by 2**k,
+    which scales these kernels' values exactly, keeps each verdict.  Both
+    kernels' theta1 is x, so the ratio check's theta1 stage finds nothing
+    and its verdict is the cross stage's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scalable_pairs(), st.integers(-60, 60))
+    @example((make_kernel(FamilySpec("mathieu", {}, f=MATHIEU_FS[2])),
+              make_kernel(FamilySpec("mathieu", {}, f=MATHIEU_FS[0])),
+              (0.0, 1.0, 0.25)), -30)
+    @example((expectile(0.7), expectile(0.3), (0.0, 1.0, 3.0, -2.0)), -60)
+    def test_same_status_at_every_scale(self, case, k):
+        kp, kq, obs = case
+        ws = build_witness_set(kq, obs, grid_points=9, random_points=4)
+        scaled = WitnessSet([math.ldexp(x, k) for x in ws.observations],
+                            [math.ldexp(t, k) for t in ws.parameter_grid])
+        assert _status(check_ratio_condition, kp, kq, scaled) == \
+            _status(check_ratio_condition, kp, kq, ws)
+        # Where a kernel has no d2, its central difference takes the step
+        # _FD_STEP * max(1, |t0|), and a derivative below 1e-8 is degenerate:
+        # both bounds are absolute, and u^3's derivative at its root, about
+        # -step^2, falls under the second at small scales.  Compared wherever
+        # the check gets past them.
+        got, want = (_status(check_derivative_condition, kp, kq, w)
+                     for w in (scaled, ws))
+        if "DegenerateDerivative" not in (got, want):
+            assert got == want
+
+    @pytest.mark.parametrize("certify", [True, False])
+    def test_near_tie_ordered(self, certify, monkeypatch):
+        # grid points at an observation and one ulp to either side, where
+        # x - t cancels to 0 or to an ulp, on an ordered pair; the pairwise
+        # scan runs too, with the certificate set aside
+        from psiest import comparison
+
+        if not certify:
+            monkeypatch.setattr(comparison, "_multiplier_certifies",
+                                lambda *args: False)
+        obs = (-2.0, 0.0, 1e-8, 1.0, 3.0)
+        grid = [u for x in obs for u in (math.nextafter(x, -math.inf), x,
+                                         math.nextafter(x, math.inf))]
+        ws = WitnessSet(obs, grid)
+        for kp, kq in ((expectile(0.3), expectile(0.7)), (expectile(0.5), expectile(0.5))):
+            assert check_ratio_condition(kp, kq, ws).status == NO_COUNTEREXAMPLE
+            assert check_derivative_condition(kp, kq, ws).status == NO_COUNTEREXAMPLE
+
+    def test_slack_has_no_floor(self):
+        assert _slack(1e-20, -3e-20, 1e-10) == 1e-10 * 3e-20
+        assert _slack(0.0, 0.0, 1e-8) == 0.0
 
 
 class TestConstructMultiplier:
@@ -521,8 +595,9 @@ def reference_sign_witness(kpsi, kphi, sample: WeightedSample, grid) -> Optional
     for t in grid:
         sp = weighted_sum(kpsi, sample, t)
         sq = weighted_sum(kphi, sample, t)
-        zp = abs(sp) <= _slack(sp, sq, 1e-9)
-        zq = abs(sq) <= _slack(sp, sq, 1e-9)
+        slack = 1e-9 * max(abs(sp), abs(sq), 1.0)  # _slack as it was then
+        zp = abs(sp) <= slack
+        zq = abs(sq) <= slack
         if not (zp or zq) and (sp > 0) != (sq > 0):
             return {"t": t, "sum_psi": sp, "sum_phi": sq}
     return None

@@ -21,18 +21,20 @@ times the ratio check's slack on its products.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gen
-from strategies import family_pairs
+from strategies import MATHIEU_FS, family_pairs
 from psiest import (
+    FamilySpec,
     SolverConfig,
     WeightedSample,
     build_witness_set,
     check_direct,
     check_ratio_condition,
     check_two_point,
+    make_kernel,
     solve_sign_change,
 )
 from psiest.comparison import COUNTEREXAMPLE, WitnessSet
@@ -111,9 +113,16 @@ class TestRatioImpliesSample:
         assert ratio_implies_sample(kp, kq, obs) == "cross"
 
 
+def _mathieu(i):
+    return make_kernel(FamilySpec("mathieu", {}, f=MATHIEU_FS[i]))
+
+
 class TestSampleImpliesRatio:
     @settings(max_examples=50, deadline=None)
     @given(family_pairs(), st.integers(0, 5))
+    # f(u) = u^2 against f(u) = u orders the sample (0, 1e-8, 0, 0) the wrong
+    # way, with every product of kernel values below 1e-10 in size
+    @example(("mathieu f2 vs f0", _mathieu(2), _mathieu(0), (0.0, 1e-8)), 1)
     def test_family_pairs(self, case, seed):
         _, kp, kq, obs = case
         sample_implies_ratio(kp, kq, obs, seed)

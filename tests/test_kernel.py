@@ -2,6 +2,7 @@ import ast
 import math
 import os
 import random
+import sys
 import types
 
 import pytest
@@ -26,7 +27,7 @@ from psiest import (
     weighted_sum,
 )
 from psiest.kernel import (
-    _ADD_IN_C_MIN, _add, _clamp, _column_sums, _weighted_mean, rises)
+    _ADD_IN_C_MIN, _add, _clamp, _column_sums, _uniform, _weighted_mean, rises)
 
 
 def expectile(alpha):
@@ -86,6 +87,32 @@ class TestOpenInterval:
     def test_probe_grid_needs_two_points(self, n):
         with pytest.raises(InvalidArgument):
             OpenInterval(0.0, 1.0).probe_grid(n)
+
+    @pytest.mark.parametrize("lo,hi", [
+        (-1e308, 1e308), (-1e308, 8e307), (-sys.float_info.max, sys.float_info.max)])
+    def test_window_wider_than_the_largest_double(self, lo, hi):
+        # hi - lo overflows
+        iv = OpenInterval(lo, hi)
+        a, b = iv.probe_window()
+        assert lo < a < b < hi
+        grid = iv.probe_grid(513)
+        assert all(map(math.isfinite, grid)) and grid == sorted(grid)
+        assert (grid[0], grid[-1]) == (a, b)
+        assert all(a <= t <= b for t in grid)
+        assert validate_monotone(lambda t: t, iv)
+        assert not validate_monotone(lambda t: -t, iv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 2 ** 32))
+    def test_uniform_draws_as_random_uniform(self, a, b, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        got, want = _uniform(ours, a, b), theirs.uniform(a, b)
+        if math.isfinite(b - a):
+            assert repr(got) == repr(want)
+        else:  # random.uniform gives inf, -inf or NaN here
+            assert math.isfinite(got) and min(a, b) <= got <= max(a, b)
+        assert ours.random() == theirs.random()  # the same one draw taken
 
 
 class TestWeightedSample:

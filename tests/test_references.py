@@ -288,7 +288,7 @@ LINES = st.one_of(
     st.tuples(NUMBERS, st.sampled_from((",", " , ", ", ")),
               st.one_of(NUMBERS, st.sampled_from(("-1", "-0.0", "0")))).map("".join),
     st.sampled_from(("foo", "1 2", ",", "1,2,3", "1,", "1,,", "1\x1c", "\x1c1",
-                     "nan,nan", "1_", "--1", "1,x")),
+                     "nan,nan", "1_", "--1", "1,x", "1\x1c,2", "2,\x1c1")),
 )
 ENDINGS = st.sampled_from(("\n", "\r\n", "\r"))
 
@@ -310,9 +310,38 @@ def files(draw, lines=LINES):
 WEIGHT_LINES = st.one_of(NUMBERS, st.sampled_from(("", "# w", "-1", "x", "2 # two")))
 
 
+@st.composite
+def inline_literals(draw):
+    """An inline literal: drawn parts joined by commas, whitespace or none
+    around the brackets, and now and then no closing bracket."""
+    parts = draw(st.lists(st.one_of(NUMBERS, st.sampled_from(("", " ", "1e", "1,"))),
+                          max_size=6))
+    opening = draw(st.sampled_from(("[", " [", "\t[")))
+    closing = draw(st.sampled_from(("]", "] ", "]\n", " ]", "")))
+    return opening + ",".join(parts) + closing
+
+
 class TestReadData:
     @settings(max_examples=500, deadline=None)
+    @given(inline_literals())
+    @example("[ ]")
+    @example("[]")
+    @example("[1,2")
+    @example("[")
+    @example("[1,,2]")
+    @example("[\x1c1]")
+    @example("[1\x1c]")
+    @example("[ 1e ]")
+    def test_inline_literal_reads_as_before(self, literal):
+        got = outcome(lambda: (lambda s: (s.xs, s.weights))(read_data(literal)))
+        want = outcome(lambda: (lambda s: (s.xs, s.weights))(
+            reference_read_data(literal)))
+        assert got == want
+
+    @settings(max_examples=500, deadline=None)
     @given(files(), st.one_of(st.none(), files(WEIGHT_LINES)))
+    # float strips no \x1c, which str.strip strips from each column
+    @example(b"1\x1c,2\n", None)
     def test_file_reads_as_before(self, data, weights):
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "data.txt")
