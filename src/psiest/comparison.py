@@ -98,9 +98,9 @@ def build_witness_set(
 
 def _slack(lhs: float, rhs: float, rel: float) -> float:
     """The rounding allowed a test lhs <= rhs of two products or quotients
-    of kernel values: rel times the larger operand, with no absolute floor,
-    since such a value has no natural unit and a floor would forgive every
-    instance of small values."""
+    of kernel values: rel times the larger operand.  There is no absolute
+    floor, which would forgive every instance of small values; an instance
+    that carries its own slack in its units adds it (_pointwise)."""
     return rel * max(abs(lhs), abs(rhs))
 
 
@@ -285,13 +285,14 @@ def _scan(kpsi, kphi, cases, cfg: SolverConfig, equal_on=None):
 
 def _pointwise(instances, keys, rel: float):
     """Findings of the inequalities lhs <= rhs given as tuples
-    (values..., lhs, rhs), witnesses keyed by keys: Counterexample where lhs
-    is above rhs beyond the slack, else Inconclusive where a side is inf or
-    NaN (an overflowed product has lost its size, and the slack test then
-    always passes, inf - inf being NaN)."""
+    (values..., lhs, rhs, floor), witnesses keyed by keys (floor is not
+    one): Counterexample where lhs is above rhs beyond _slack plus floor,
+    else Inconclusive where a side is inf or NaN (an overflowed product has
+    lost its size, and the slack test then always passes, inf - inf being
+    NaN)."""
     for inst in instances:
-        lhs, rhs = inst[-2], inst[-1]
-        if lhs > rhs + _slack(lhs, rhs, rel):
+        lhs, rhs, floor = inst[-3:]
+        if lhs > rhs + _slack(lhs, rhs, rel) + floor:
             yield COUNTEREXAMPLE, dict(zip(keys, inst))
         elif not (math.isfinite(lhs) and math.isfinite(rhs)):
             yield INCONCLUSIVE, dict(zip(keys, inst))
@@ -425,7 +426,7 @@ def check_ratio_condition(
         if _multiplier_certifies(kpsi, kphi, t1, ws.parameter_grid):
             return
         instances = (("cross", x, y, t, kpsi.eval(x, t) * kphi.eval(y, t),
-                      kpsi.eval(y, t) * kphi.eval(x, t))
+                      kpsi.eval(y, t) * kphi.eval(x, t), 0.0)
                      for x, _, bx in t1 for y, _, by in t1 if bx < by
                      for t in ws.parameter_grid if bx < t < by)
         keys = ("stage", "x", "y", "t", "lhs", "rhs")
@@ -475,11 +476,16 @@ def check_derivative_condition(
     t0 = theta1(x).  Requires both kernels to share theta1 on the witnesses
     (else Inconclusive) and nonvanishing parameter derivatives; a kernel
     without d2 takes a central difference with the relative step
-    _FD_STEP * max(1, |t0|).  Without a counterexample, the first instance
-    with a side inf or NaN makes the verdict Inconclusive."""
+    _FD_STEP * max(1, |t0|).  An instance fails beyond 1e-8 max(|lhs|, |rhs|)
+    plus |lhs| + |rhs| at y = x (0 where not finite): how far t0 lies from
+    each kernel's own root, in units of t.  theta1 is shared only to a tolerance and solved
+    only to cfg.tol, so the instance y = x, and those near it, tie only to
+    within that; the sides at y = x are evaluated first, once.  Without a
+    counterexample, the first instance with a side inf or NaN makes the
+    verdict Inconclusive."""
 
     def slopes(common):
-        for x, t0 in common:
+        for i, (x, t0) in enumerate(common):  # x is ws.observations[i]
             if not (kpsi.theta.contains(t0) and kphi.theta.contains(t0)):
                 continue
             dp = _d2(kpsi, x, t0)
@@ -487,8 +493,13 @@ def check_derivative_condition(
             if abs(dp) < 1e-8 or abs(dq) < 1e-8:
                 raise DegenerateDerivative(
                     f"parameter derivative vanishes at theta1({x!r})")
-            for y in ws.observations:
-                yield x, y, t0, -kpsi.eval(y, t0) / dp, -kphi.eval(y, t0) / dq
+            at_x = -kpsi.eval(x, t0) / dp, -kphi.eval(x, t0) / dq
+            off = abs(at_x[0]) + abs(at_x[1])
+            off = off if off < math.inf else 0.0  # y = x is then Inconclusive
+            for j, y in enumerate(ws.observations):
+                lhs, rhs = at_x if j == i else (
+                    -kpsi.eval(y, t0) / dp, -kphi.eval(y, t0) / dq)
+                yield x, y, t0, lhs, rhs, off
 
     keys = ("x", "y", "t0", "lhs", "rhs")
     findings = _on_shared_theta1(

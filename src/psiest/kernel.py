@@ -71,12 +71,13 @@ class OpenInterval:
         return lo + margin, hi - margin
 
     def probe_grid(self, n: int) -> list[float]:
-        """n equispaced probes spanning probe_window(), ends included; where
-        its width overflows, each probe is lo (1 - s) + hi s, s = k/(n-1)."""
+        """n equispaced probes spanning probe_window(), ends included: probe k
+        is lo + (hi - lo) k / (n-1), or, where (hi - lo) (n-1) overflows,
+        lo (1 - s) + hi s, s = k/(n-1)."""
         if n < 2:
             raise InvalidArgument(f"probe grid needs n >= 2, got {n!r}")
         lo, hi = self.probe_window()
-        if math.isfinite(hi - lo):
+        if math.isfinite((hi - lo) * (n - 1)):
             return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
         return [lo * (1.0 - k / (n - 1)) + hi * (k / (n - 1)) for k in range(n)]
 

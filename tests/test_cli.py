@@ -6,7 +6,8 @@ import os
 import pytest
 
 import golden_cases
-from psiest import DataParseError, EmptyData, NegativeWeight, cli, solver
+from psiest import (DataParseError, EmptyData, FamilySpec, NegativeWeight, build_witness_set,
+                    cli, make_kernel, solver)
 from psiest.cli import _max_abs, main, read_data
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -732,14 +733,17 @@ class TestLargestDoubles:
         assert (verdict["status"], verdict["witness"]["t0"]) == (
             "Counterexample", float(data[1:].split(",")[0]))
 
-    @pytest.mark.parametrize("data", ["[-1e307,1e307]", "[-1e308,1e308]"])
+    @pytest.mark.parametrize("data", ["[-1e307,1e307]", "[-1e308,1e308]", "[0,1e308]"])
     def test_ratio_on_a_window_wider_than_the_largest_double(self, data, capsys):
-        # the width of (-1e308, 1e308) overflows; every grid t must be finite
+        # the width of (-1e308, 1e308) overflows, and the grid's step sum
+        # (hi - lo) k on all three; every grid t must be finite
         assert main(self.REVERSED + ["--data", data, "--condition", "ratio"]) == 2
         verdict = json.loads(capsys.readouterr().out)["verdicts"][0]
         assert verdict["status"] == "Inconclusive"
         assert verdict["witness"]["stage"] == "cross"
-        assert math.isfinite(verdict["witness"]["t"])
+        kphi = make_kernel(FamilySpec("expectile", {"alpha": 0.3}))
+        grid = build_witness_set(kphi, json.loads(data)).parameter_grid
+        assert len(grid) == 513 and all(map(math.isfinite, grid))
 
 
 class TestGoldenDeterminism:

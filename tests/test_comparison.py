@@ -308,6 +308,36 @@ class TestDerivativeCondition:
             assert (v.status, v.grid) == ("NoCounterexample", {"fd_step": _FD_STEP})
         assert abs(_d2(diff, obs[1], obs[1]) + 1.0) <= 1e-9
 
+    def test_theta1_one_ulp_apart(self):
+        # phi's root is one ulp below psi's at every x in [1, 2): theta1 is
+        # shared, and t0, their midpoint, is off one kernel's root by an ulp,
+        # which is the most any instance's sides may differ by
+        below = lambda x: math.nextafter(x, -math.inf)  # noqa: E731
+        kp = PsiKernel(LINE, lambda x, t: x - t, theta1=lambda x: x,
+                       d2=lambda x, t: -1.0, name="psi")
+        kq = PsiKernel(LINE, lambda x, t: below(x) - t, theta1=below,
+                       d2=lambda x, t: -1.0, name="phi")
+        ws = WitnessSet((1.25, 1.5, 1.75), ())
+        for a, b in ((kp, kq), (kq, kp)):
+            assert check_derivative_condition(a, b, ws).status == NO_COUNTEREXAMPLE
+
+    @pytest.mark.parametrize("phi", ["exp(x)-exp(t)", "exp(x/3)-exp(t/3)",
+                                     "exp(x/7)-exp(t/7)"])
+    @pytest.mark.parametrize("obs", [(0.71021398,), (-2.7570937309153347, -0.0844338206),
+                                     (0.5002922, 0.0281211349), (-1.4, -2.4403688138855, 1.3)])
+    def test_solved_theta1_ties_at_y_equal_x(self, phi, obs):
+        # both theta1 solved, each to its own rounding of the root, and
+        # exp(x/c) - exp(t/c) cancels there: the instance y = x is a tie,
+        # and x - t orders below the convex phi everywhere else
+        line = OpenInterval(-50.0, 50.0)
+        kp = PsiKernel(line, compile_expr(parse("x-t")), name="psi")
+        kq = PsiKernel(line, compile_expr(parse(phi)), name="phi")
+        ws = WitnessSet(obs, ())
+        assert check_derivative_condition(kp, kq, ws).status == NO_COUNTEREXAMPLE
+        v = check_derivative_condition(kq, kp, ws)
+        assert v.status == (COUNTEREXAMPLE if len(obs) > 1 else NO_COUNTEREXAMPLE)
+        assert v.witness is None or v.witness["x"] != v.witness["y"]
+
 
 class TestCheckEquality:
     def test_mathieu_scaled(self):
@@ -396,6 +426,16 @@ class TestNonFiniteSides:
     instance makes the check Inconclusive unless a counterexample is found."""
 
     OBS = (0.0, 1000.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_derivative_side_at_y_equal_x_not_finite(self, bad):
+        # phi is bad at x = 1 alone, so the instance y = x = 1 gives no
+        # slack; the reversed pair's counterexample at x = 1, y = 0 stands
+        kq = expectile(0.3)
+        odd = dataclasses.replace(
+            kq, eval=lambda x, t: bad if x == 1.0 else kq.eval(x, t), terms=None)
+        v = check_derivative_condition(expectile(0.7), odd, WitnessSet((1.0, 0.0), ()))
+        assert (v.status, v.witness["x"], v.witness["y"]) == (COUNTEREXAMPLE, 1.0, 0.0)
 
     def test_ratio_cross_product_overflow(self):
         # At t = 100, rhs = psi(1000, t) phi(0, t) is really about -1e393,
@@ -743,7 +783,9 @@ def reference_derivative(
     """Pointwise slope condition at shared single-observation estimates:
     -psi(y, t0)/d2_psi(x, t0) <= -phi(y, t0)/d2_phi(x, t0) with
     t0 = theta1(x).  Requires both kernels to share theta1 on the witnesses
-    (else Inconclusive) and nonvanishing parameter derivatives.  Without a
+    (else Inconclusive) and nonvanishing parameter derivatives.  An
+    instance fails beyond 1e-8 max(|lhs|, |rhs|) plus |lhs| + |rhs| at
+    y = x, whose sides are evaluated first, once.  Without a
     counterexample, the first instance with a side inf or NaN makes the
     verdict Inconclusive."""
     meta = {"fd_step": _FD_STEP}
@@ -751,7 +793,7 @@ def reference_derivative(
     if differ is not None:
         return ComparisonVerdict(INCONCLUSIVE, "derivative", differ, meta)
     unsure = None
-    for x in ws.observations:
+    for i, x in enumerate(ws.observations):
         t0 = t1s[x]
         if not (kpsi.theta.contains(t0) and kphi.theta.contains(t0)):
             continue
@@ -760,10 +802,15 @@ def reference_derivative(
         if abs(dp) < 1e-8 or abs(dq) < 1e-8:
             raise DegenerateDerivative(
                 f"parameter derivative vanishes at theta1({x!r})")
-        for y in ws.observations:
-            lhs = -kpsi.eval(y, t0) / dp
-            rhs = -kphi.eval(y, t0) / dq
-            bad = lhs > rhs + _slack(lhs, rhs, 1e-8)
+        at_x = (-kpsi.eval(x, t0) / dp, -kphi.eval(x, t0) / dq)
+        for j, y in enumerate(ws.observations):
+            if j == i:
+                lhs, rhs = at_x
+            else:
+                lhs = -kpsi.eval(y, t0) / dp
+                rhs = -kphi.eval(y, t0) / dq
+            slack = 1e-8 * max(abs(lhs), abs(rhs)) + abs(at_x[0]) + abs(at_x[1])
+            bad = lhs > rhs + slack
             if bad or (unsure is None and _non_finite(lhs, rhs)):
                 witness = {"x": x, "y": y, "t0": t0, "lhs": lhs, "rhs": rhs}
                 if bad:

@@ -89,9 +89,10 @@ class TestOpenInterval:
             OpenInterval(0.0, 1.0).probe_grid(n)
 
     @pytest.mark.parametrize("lo,hi", [
-        (-1e308, 1e308), (-1e308, 8e307), (-sys.float_info.max, sys.float_info.max)])
+        (-1e308, 1e308), (-1e308, 8e307), (-sys.float_info.max, sys.float_info.max),
+        (0.0, 1e308), (-1e307, 1e307)])
     def test_window_wider_than_the_largest_double(self, lo, hi):
-        # hi - lo overflows
+        # hi - lo, or (hi - lo) times 512, the step count, overflows
         iv = OpenInterval(lo, hi)
         a, b = iv.probe_window()
         assert lo < a < b < hi
