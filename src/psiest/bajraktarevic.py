@@ -165,6 +165,11 @@ def apply_mobius(spec: BajraktarevicSpec, m: MobiusCoefficients) -> Bajraktarevi
     return BajraktarevicSpec(g, q, G, spec.theta, fprime=gprime)
 
 
+def _step(s: float) -> float:
+    """schwarzian's default step at s."""
+    return max(1e-2, 2.0 ** -20 * abs(s))
+
+
 def schwarzian(
     h: Callable[[float], float], s: float, step: Optional[float] = None
 ) -> float:
@@ -175,7 +180,7 @@ def schwarzian(
     at s.  Raises DegenerateDerivative when the first derivative estimate is
     below 1e-8.
     """
-    e = step if step is not None else max(1e-2, 2.0 ** -20 * abs(s))
+    e = step if step is not None else _step(s)
     hm2, hm1, h0, hp1, hp2 = h(s - 2 * e), h(s - e), h(s), h(s + e), h(s + 2 * e)
     d1 = (hp1 - hm1) / (2.0 * e)
     if abs(d1) < 1e-8:

@@ -69,18 +69,25 @@ def emit(report: dict) -> None:
     sys.stdout.write(_ser(report) + "\n")
 
 
-def _records(path: str):
+def _lines(path: str) -> list:
+    """The lines of a text file, read once, so a pipe reads as a regular
+    file; bytes that are not UTF-8 are kept (as surrogates) for _records
+    to name."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return fh.readlines()
+
+
+def _records(lines):
     """(line number, text) of each record line: `#` comments, blanks skipped.
     A line holding bytes that are not UTF-8 is a DataParseError."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.encode("utf-8")  # a byte that did not decode fails here
-            except UnicodeEncodeError:
-                raise DataParseError(lineno, "not UTF-8 text") from None
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            raw.encode("utf-8")  # a byte that did not decode fails here
+        except UnicodeEncodeError:
+            raise DataParseError(lineno, "not UTF-8 text") from None
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def _number(text: str, lineno: int, what: str, shown: str) -> float:
@@ -122,14 +129,14 @@ def read_data(source: str, weights_path: Optional[str] = None) -> WeightedSample
         # A file of plain numbers, one a line, goes through float in one map
         # call: float strips no whitespace that str.strip keeps, and a line it
         # takes holds no `#` or `,`, so it reads as the records below.  Any
-        # other file is read again, record by record.
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
-                xs = list(map(float, fh))
-            except ValueError:  # not plain numbers, or bytes that do not decode
-                xs = []
+        # other file is read record by record, from the same lines.
+        lines = _lines(source)
+        try:
+            xs = list(map(float, lines))
+        except ValueError:  # not plain numbers, or bytes that did not decode
+            xs = []
         if not xs:
-            for lineno, line in _records(source):
+            for lineno, line in _records(lines):
                 cols = [c.strip() for c in line.split(",")]
                 if len(cols) > 2:
                     raise DataParseError(lineno, "expected `value` or `value,weight`")
@@ -140,7 +147,7 @@ def read_data(source: str, weights_path: Optional[str] = None) -> WeightedSample
                 raise EmptyData(f"no records in {source}")
     if weights_path is not None:
         ws = [_weight(line, lineno, "weight", line)
-              for lineno, line in _records(weights_path)]
+              for lineno, line in _records(_lines(weights_path))]
         if len(ws) != len(xs):
             raise DataParseError(len(ws), "weights file length mismatch")
     return WeightedSample(tuple(xs), tuple(ws or [1.0] * len(xs)))
@@ -350,7 +357,11 @@ def cmd_mobius_test(args) -> int:
     f_lo, f_hi = f_vals[0][1], f_vals[-1][1]
     pad = 0.05 * (f_hi - f_lo)
     s_probes = [f_lo + pad + (f_hi - f_lo - 2 * pad) * k / 16 for k in range(17)]
-    max_schwarz = _max_abs(bajraktarevic.schwarzian(h, s) for s in s_probes)
+    # The stencil s +- 2 step stays within [f_lo, f_hi], where h is defined:
+    # next to a finite end past ~1e5 the default step outgrows the window.
+    max_schwarz = _max_abs(
+        bajraktarevic.schwarzian(h, s, min(bajraktarevic._step(s), 0.5 * pad))
+        for s in s_probes)
 
     try:
         fit = bajraktarevic.mobius_fit(f_vals, g_vals)

@@ -190,33 +190,36 @@ def _grid_sums(kpsi, kphi, sample: WeightedSample, grid, columns):
     a sample whose weights are all 1.0 (_random_cases draws no other).
 
     columns is a pair of dicts, one per kernel, caching each observation's
-    values along the grid (_columns) for the whole check, so psi(x, t) is
-    evaluated once per kernel, x and t; the observations a sample brings
-    that are not cached yet are evaluated together.  Over the grid's prefix
-    where every column of the sample is defined, the sums are added from the
-    columns (_column_sums); past it, weighted_sum runs at each t, so an
-    error is raised at the same t as without the columns.  The checks
-    weighted_sum makes at the first t come first, in its order: t in Theta,
-    then the sample's domain, for psi, then phi."""
-    n = len(grid)
-    terms = []
-    for kernel, cols in zip((kpsi, kphi), columns):
-        if not (n and kernel.theta.contains(grid[0])):
-            n = 0
-            break
+    values along the grid (_columns) for the whole check; _kernel_sums
+    reads them.  Each kernel's sums are taken lazily, psi's before phi's at
+    each t, so the checks weighted_sum makes at the first t come first, in
+    its order: t in Theta, then the sample's domain, for psi, then phi."""
+    return zip(grid, *(_kernel_sums(kernel, sample, grid, cols)
+                       for kernel, cols in zip((kpsi, kphi), columns)))
+
+
+def _kernel_sums(kernel, sample: WeightedSample, grid, cols):
+    """weighted_sum(kernel, sample, t) for each grid t, lazily.  A kernel
+    without (q, g) is evaluated once per observation and t, as a column
+    along the grid (_columns, cached in cols); the observations a sample
+    brings that are not cached yet are evaluated together.  Over the grid's
+    prefix where every column of the sample is defined, the sums are added
+    from the columns (_column_sums); past it, and for a kernel with (q, g),
+    whose sums cost O(1) a t, weighted_sum runs at each t, so an error is
+    raised at the same t as without the columns."""
+    n = 0
+    if kernel._affine is None and grid and kernel.theta.contains(grid[0]):
         sample.check(kernel)
         # psi may tell -0.0 from 0.0
         keys = [(x, math.copysign(1.0, x)) for x in sample.xs]
         new = {key: key[0] for key in keys if key not in cols}
         if new:
             cols.update(zip(new, _columns(kernel, list(new.values()), grid)))
-        kernel_terms = [cols[key] for key in keys]
-        n = min(n, *map(len, kernel_terms))
-        terms.append(kernel_terms)
-    if n:
-        yield from zip(grid, *(_column_sums(ts, n) for ts in terms))
+        terms = [cols[key] for key in keys]
+        n = min(len(grid), *map(len, terms))
+        yield from _column_sums(terms, n)
     for t in grid[n:]:
-        yield t, weighted_sum(kpsi, sample, t), weighted_sum(kphi, sample, t)
+        yield weighted_sum(kernel, sample, t)
 
 
 def _sign_witness(kpsi, kphi, sample: WeightedSample, grid, columns) -> Optional[dict]:

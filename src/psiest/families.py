@@ -138,6 +138,14 @@ def _first(x: float, v) -> float:
     return x
 
 
+def _one(t: float, v) -> float:
+    return 1.0
+
+
+def _minus_one(t: float, v) -> float:
+    return -1.0
+
+
 def _ln_one_minus_pow(x: float, beta: float) -> float:
     """ln(1 - x^beta) for x in (0,1), stable as x^beta -> 1: where x^beta
     rounds to 1, ln(-expm1(beta ln x)); DomainError where that is ln 0."""
@@ -316,12 +324,14 @@ class _Family:
     admissible its range and what the range in words.  build maps the known
     value to (column or None, terms, d2 or None, domain check).  A
     quasi-arithmetic family has psi = q(t) (F(x) - g(t)) with q of one sign,
-    F its column (x itself where the column is None), and gives F_inv, the
-    inverse of g, taking the known value as a second argument; then
-    theta1(x) = F_inv(F(x)) and the estimator is F_inv(weighted mean of
-    F(x_i)).  Other families may give theta1(x, value) directly, and their
-    estimator as estimate(columns, weights, value) over the positive-weight
-    terms.
+    F its column (x itself where the column is None).  It gives q and g,
+    each taking t and the known value, so weighted_sum takes its sum as
+    q(t) (S - W g(t)) from S = sum w F(x) and W = sum w; q raises where the
+    terms raise.  Where it also gives F_inv, the inverse of g, taking the
+    known value as a second argument, theta1(x) = F_inv(F(x)) and the
+    estimator is F_inv(weighted mean of F(x_i)).  Other families may give
+    theta1(x, value) directly, and their estimator as estimate(columns,
+    weights, value) over the positive-weight terms.
     """
 
     key: Optional[str]
@@ -329,6 +339,8 @@ class _Family:
     what: Optional[str]
     theta: OpenInterval
     build: Callable
+    q: Optional[Callable[[float, float], float]] = None
+    g: Optional[Callable[[float, float], float]] = None
     F_inv: Optional[Callable[[float, float], float]] = None
     theta1: Optional[Callable[[float, float], float]] = None
     estimate: Optional[Callable] = None
@@ -338,21 +350,30 @@ _FAMILIES = {
     "expectile": _Family("alpha", _unit, "in (0,1)", _REAL_LINE, _expectile,
                          theta1=_first, estimate=_expectile_estimate),
     "mathieu": _Family(None, None, None, _REAL_LINE, _mathieu, theta1=_first),
-    "normal_var": _Family("m", _any, "finite", _POSITIVE, _normal_var, F_inv=_first),
+    "normal_var": _Family("m", _any, "finite", _POSITIVE, _normal_var,
+                          q=lambda t, m: 1.0 / (2.0 * t * t), g=_first,
+                          F_inv=_first),
     "beta_alpha": _Family("beta", _positive, "> 0", _POSITIVE, _beta_alpha,
+                          q=_one, g=lambda t, beta: -1.0 / t,
                           F_inv=lambda y, beta: -1.0 / y),
     "beta_beta": _Family("alpha", _positive, "> 0", _POSITIVE, _beta_beta),
-    "gamma_shape": _Family("lambda", _positive, "> 0", _POSITIVE, _gamma_shape),
+    "gamma_shape": _Family("lambda", _positive, "> 0", _POSITIVE, _gamma_shape,
+                           q=_one, g=lambda t, lam: digamma(t) - math.log(lam)),
     "gamma_rate": _Family("p", _positive, "> 0", _POSITIVE, _gamma_rate,
+                          q=_minus_one, g=lambda t, p: p / t,
                           F_inv=lambda y, p: p / y),
     "lomax_rate_lambda": _Family("alpha", _positive, "> 0", _POSITIVE,
                                  _lomax_rate_lambda,
                                  theta1=lambda x, alpha: alpha * x),
     "lomax_shape_alpha": _Family("lambda", _positive, "> 0", _POSITIVE,
-                                 _lomax_shape_alpha, F_inv=lambda y, lam: 1.0 / y),
+                                 _lomax_shape_alpha, q=_minus_one,
+                                 g=lambda t, lam: 1.0 / t,
+                                 F_inv=lambda y, lam: 1.0 / y),
     "lognormal_mu": _Family("sigma2", _positive, "> 0", _REAL_LINE, _lognormal_mu,
+                            q=lambda t, sigma2: 1.0 / sigma2, g=_first,
                             F_inv=_first),
     "laplace_scale": _Family("mu", _any, "finite", _POSITIVE, _laplace_scale,
+                             q=lambda t, mu: 1.0 / (t * t), g=_first,
                              F_inv=_first),
 }
 
@@ -375,12 +396,15 @@ def _pointwise(column, terms):
 
 def make_kernel(spec: FamilySpec) -> PsiKernel:
     """Build the PsiKernel for a family, with closed-form theta1 and the
-    partial derivative in t where elementary, and its weighted estimator
-    (PsiKernel._estimate) where the row gives one.  Its eval is the row's
-    batched formula at one point."""
+    partial derivative in t where elementary, its weighted estimator
+    (PsiKernel._estimate) and its (q, g) (PsiKernel._affine) where the row
+    gives them.  Its eval is the row's batched formula at one point."""
     row = _FAMILIES[spec.family]
     v = _known(spec, row)
     column, terms, d2, check = row.build(v)
+    if row.g is not None:  # PsiKernel._affine reads it
+        q, g = row.q, row.g
+        terms._affine = (lambda t: q(t, v), lambda t: g(t, v))
     th1 = estimate = None
     if row.F_inv is not None:
         F, F_inv = column or _identity, row.F_inv

@@ -12,6 +12,7 @@ import functools
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -20,6 +21,7 @@ from .errors import DomainError, InvalidArgument
 # Magnitude cap applied per term: kernels like Beta/Lomax blow up toward the
 # endpoints of Theta, but the limit sign is always definite.
 _CAP = 1e300
+_MAX = sys.float_info.max
 # The fewest unit-weight terms weighted_sum adds by _add.  Below it the
 # guard's min and max cost more than the loop they replace: 4-20% slower at
 # n <= 4, even at n = 6-8 (gamma_rate, laplace_scale and expectile terms,
@@ -60,7 +62,14 @@ class OpenInterval:
         """(lo, hi) shrunk by a 1e-6 relative margin; an infinite endpoint is
         first clamped to a window of width 200 next to the finite one (or
         around 0).  Where hi - lo overflows, the margin is taken from each
-        end apart."""
+        end apart.
+
+        Where that window is not two points strictly inside (lo, hi), since
+        200 or the margin is below an ulp of the ends (|end| past about
+        1e12), an infinite end is clamped 2**20 ulps of the finite end away
+        instead, and each end of the window lies at least one ulp inside; so
+        the window is two points strictly inside wherever (lo, hi) holds two
+        doubles."""
         lo, hi = self.lo, self.hi
         if not math.isfinite(lo):
             lo = (hi - 200.0) if math.isfinite(hi) else -100.0
@@ -68,7 +77,16 @@ class OpenInterval:
             hi = lo + 200.0
         width = hi - lo
         margin = 1e-6 * width if math.isfinite(width) else 1e-6 * hi - 1e-6 * lo
-        return lo + margin, hi - margin
+        window = (lo + margin, hi - margin)
+        if self.lo < window[0] < window[1] < self.hi:
+            return window
+        span = 2.0 ** 20 * math.ulp(self.hi if math.isfinite(self.hi) else self.lo)
+        lo = self.lo if math.isfinite(self.lo) else max(self.hi - span, -_MAX)
+        hi = self.hi if math.isfinite(self.hi) else min(self.lo + span, _MAX)
+        margin = 1e-6 * hi - 1e-6 * lo
+        lo = max(lo + margin, math.nextafter(self.lo, math.inf))
+        hi = min(hi - margin, math.nextafter(self.hi, -math.inf))
+        return (lo, hi) if self.lo < lo < hi < self.hi else window
 
     def probe_grid(self, n: int) -> list[float]:
         """n equispaced probes spanning probe_window(), ends included: probe k
@@ -102,6 +120,12 @@ class PsiKernel:
     dataclasses.replace copies terms as they are: replacing eval that way
     changes only the per-point calls, unless terms=None is passed too.
 
+    _affine is (q, g) for psi = q(t) (F(x) - g(t)), F the column, where the
+    terms function carries it as its attribute _affine (families.make_kernel
+    sets it): weighted_sum then takes q(t) (S - W g(t)) from the sample's
+    sums S of w F(x) and W of w.  It goes with terms, so
+    dataclasses.replace keeps it unless terms=None is passed.
+
     _estimate, set by families.make_kernel alone, is the weighted estimator
     as a formula: sample -> the point of sign change, raising (DomainError,
     or what the formula's arithmetic raises) where it has none.  It is
@@ -121,6 +145,8 @@ class PsiKernel:
         default=None, compare=False)
     _estimate: Optional[Callable[["WeightedSample"], float]] = field(
         default=None, init=False, compare=False, repr=False)
+    _affine: Optional[tuple] = field(default=None, init=False, compare=False,
+                                     repr=False)
 
     def __post_init__(self):
         if self.terms is None:
@@ -128,6 +154,7 @@ class PsiKernel:
                 raise InvalidArgument(f"{self.name}: a column needs its terms")
             ev = self.eval
             object.__setattr__(self, "terms", lambda cs, t: [ev(x, t) for x in cs])
+        object.__setattr__(self, "_affine", getattr(self.terms, "_affine", None))
 
     def columns(self, xs: Sequence[float]) -> Sequence[float]:
         """column(x) for each x of xs, in order; xs itself without a column."""
@@ -150,8 +177,9 @@ class WeightedSample:
     The terms weighted_sum adds are those of positive weight.  For each
     kernel it sums, the sample checks every x against the kernel's domain
     once (check) and computes the kernel's column of each summed x once
-    (columns); both are cached on the sample, outside ==, hash and repr,
-    as is whether weighted_sum may add the terms in C (_add_in_c).
+    (columns), and for an affine kernel the sums of its column once (sums);
+    all are cached on the sample, outside ==, hash and repr, as is whether
+    weighted_sum may add the terms in C (_add_in_c).
     """
 
     xs: tuple
@@ -166,6 +194,8 @@ class WeightedSample:
     _add_in_c: bool = field(default=False, init=False, repr=False, compare=False)
     # column function -> its values over _live_xs, None -> _live_xs; see columns().
     _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # column function -> (S, W) or None; see sums().
+    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "xs", tuple(map(float, self.xs)))
@@ -215,6 +245,25 @@ class WeightedSample:
             cs = self._columns[kernel.column] = kernel.columns(self._live_xs)
         return cs
 
+    def sums(self, kernel: PsiKernel):
+        """(S, W) for kernel's column F, after columns(kernel): S the sum of
+        w F(x) and W that of w over the positive-weight terms, each by
+        math.fsum, so correctly rounded and independent of their order.
+        None where either is not finite, or fsum raises (OverflowError at
+        [1e308, 1e308], ValueError at [inf, -inf]).  Computed once per
+        column function, and kept."""
+        cs = self.columns(kernel)
+        key = kernel.column
+        if key not in self._sums:
+            try:
+                s = math.fsum(map(operator.mul, self._live_weights, cs))
+                w = math.fsum(self._live_weights)
+            except (OverflowError, ValueError):
+                s = w = math.nan
+            finite = math.isfinite(s) and math.isfinite(w)
+            self._sums[key] = (s, w) if finite else None
+        return self._sums[key]
+
     def __len__(self) -> int:
         return len(self.xs)
 
@@ -228,15 +277,24 @@ def _clamp(v: float) -> float:
 
 
 def weighted_sum(kernel: PsiKernel, sample: WeightedSample, t: float) -> float:
-    """sum_i lambda_i * psi(x_i, t), summed left to right over the terms of
-    positive weight (psi is not evaluated where lambda_i = 0).
+    """sum_i lambda_i * psi(x_i, t) over the terms of positive weight (psi
+    is not evaluated where lambda_i = 0).
 
-    Summation order is fixed for reproducibility of sign decisions near zero.
-    Individual terms are clamped to +-1e300 so endpoint blowups keep their
-    limit sign instead of producing inf - inf.  The terms come from one
-    kernel.terms call on the sample's columns (WeightedSample.columns), so
-    the sample is checked against the kernel's domain and its columns are
-    computed once, not per term or per t.
+    A kernel with psi = q(t) (F(x) - g(t)) (PsiKernel._affine) gives the
+    sum as q(t) (S - W g(t)), clamped to +-1e300, from the sample's sums S
+    of w F(x) and W of w (WeightedSample.sums), taken once per sample by
+    math.fsum: each t costs O(1), kernel.terms is not called, and the sum
+    depends neither on the order of the sample nor on the Python version.
+    q raises where the row's terms raise (1/(t t) where t t underflows to
+    0).  Where S or W is not finite, or q(t) (S - W g(t)) is NaN (0 inf),
+    the terms are summed as for any other kernel.
+
+    Otherwise the terms are summed left to right, for reproducibility of
+    sign decisions near zero.  Individual terms are clamped to +-1e300 so
+    endpoint blowups keep their limit sign instead of producing inf - inf.
+    The terms come from one kernel.terms call on the sample's columns
+    (WeightedSample.columns), so the sample is checked against the kernel's
+    domain and its columns are computed once, not per term or per t.
 
     Where the sample has at least _ADD_IN_C_MIN live weights, all 1.0
     (WeightedSample._add_in_c), and min and max put every term within
@@ -247,6 +305,14 @@ def weighted_sum(kernel: PsiKernel, sample: WeightedSample, t: float) -> float:
     theta = kernel.theta
     if not theta.lo < t < theta.hi:  # theta.contains(t), inline on this hot path
         kernel.check_parameter(t)
+    affine = kernel._affine
+    if affine is not None:
+        sums = sample.sums(kernel)
+        if sums is not None:
+            q, g = affine
+            total = q(t) * (sums[0] - sums[1] * g(t))
+            if total == total:  # not NaN
+                return _CAP if total > _CAP else -_CAP if total < -_CAP else total
     # sample.columns(kernel), its two lookups inline on this hot path
     cs = None
     if kernel.domain_check in sample._passed:
@@ -275,13 +341,14 @@ def weighted_sum(kernel: PsiKernel, sample: WeightedSample, t: float) -> float:
 
 
 def _column_sums(columns, n: int) -> list:
-    """weighted_sum's total at each of the first n points of a grid for a
-    sample of unit weights, given for each term, in the sample's order, its
-    column: psi(x, t) along the grid, already clamped to +-1e300.  Each
+    """weighted_sum's total, for a kernel without (q, g), at each of the
+    first n points of a grid for a sample of unit weights, given for each
+    term, in the sample's order, its column: psi(x, t) along the grid,
+    already clamped to +-1e300.  Each
     weight is 1.0, so weighted_sum's multiply and second clamp leave a term
     as it is; the columns are added left to right as weighted_sum adds the
     terms, one column at a time, the additions by map in C; so each total
-    is the same float.  The equality sign scan (comparison._grid_sums) is
+    is the same float.  The equality sign scan (comparison._kernel_sums) is
     the one caller, and its samples come from comparison._random_cases."""
     acc = [0.0] * n
     for col in columns:

@@ -4,8 +4,8 @@ Run `python3 golden_cases.py` from this directory to regenerate the files in
 golden/ after an intentional output change, and
 `PYTHONPATH=src python3 tests/golden_cases.py --check` from the repository
 root to compare every case with its golden file under any interpreter: it
-writes nothing, prints how many cases match, and exits non-zero on a
-mismatch.
+writes nothing, prints each JSON key path that moved with its golden and
+new value, then how many cases match, and exits non-zero on a mismatch.
 """
 
 import io
@@ -75,14 +75,22 @@ def regenerate(golden_dir):
 
 
 def check(golden_dir):
-    """The names of the cases whose exit code or stdout differs from
-    EXPECTED_EXIT and the golden file."""
-    bad = []
+    """{case name: what moved} for each case whose exit code or stdout
+    differs from EXPECTED_EXIT and the golden file; what moved is a list of
+    lines: the exit code, then each moved JSON key path (golden_moves)."""
+    from golden_moves import moved, parse
+
+    bad = {}
     for name, argv in CASES.items():
         code, out = run_case(argv)
         with open(os.path.join(golden_dir, name + ".json"), encoding="utf-8") as fh:
-            if code != EXPECTED_EXIT[name] or out != fh.read():
-                bad.append(name)
+            want = fh.read()
+        lines = [] if code == EXPECTED_EXIT[name] else [
+            f"exit code: {EXPECTED_EXIT[name]} -> {code}"]
+        if out != want:
+            lines += moved(parse(want), parse(out)) or ["(bytes outside the values)"]
+        if lines:
+            bad[name] = lines
     return bad
 
 
@@ -90,6 +98,9 @@ if __name__ == "__main__":
     golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
     if sys.argv[1:] == ["--check"]:
         bad = check(golden)
+        for name, lines in bad.items():
+            for line in lines:
+                print(f"{name}: {line}")
         version = ".".join(map(str, sys.version_info[:3]))
         print(f"{len(CASES) - len(bad)} of {len(CASES)} goldens match on Python {version}")
         sys.exit(f"mismatch: {', '.join(bad)}" if bad else 0)

@@ -80,6 +80,52 @@ class TestReadData:
             read_data(str(d), str(w))
         assert bad.value.line == 3
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("text", [
+        b"1,2\n3,0.5\n", b"# w\n1\n2,3\n", b"1\n2\n", b"1,2\nx\n", b"1\n\xff\n", b"# none\n"])
+    def test_pipe_reads_as_a_file(self, text, tmp_path):
+        # a pipe can be read once: `--data <(printf '1,2\n')` in a shell
+        def outcome(path, weights=None):
+            try:
+                s = read_data(path, weights)
+            except Exception as exc:
+                return type(exc).__name__, getattr(exc, "line", None)
+            return s.xs, s.weights
+
+        def pipe():
+            r, w = os.pipe()
+            os.write(w, text)
+            os.close(w)
+            return r
+
+        f = tmp_path / "d.txt"
+        f.write_bytes(text)
+        r = pipe()
+        try:
+            assert outcome(f"/dev/fd/{r}") == outcome(str(f))
+        finally:
+            os.close(r)
+        if outcome(str(f))[0] == (1.0, 2.0):  # the same lines as weights
+            d = tmp_path / "x.txt"
+            d.write_text("5\n6\n")
+            r = pipe()
+            try:
+                assert outcome(str(d), f"/dev/fd/{r}") == outcome(str(d), str(f))
+            finally:
+                os.close(r)
+
+    def test_pipe_estimate_exits_0(self, capsys):
+        r, w = os.pipe()
+        os.write(w, b"1,2\n")
+        os.close(w)
+        try:
+            code = main(["estimate", "--family", "expectile", "--param", "alpha=0.5",
+                         "--data", f"/dev/fd/{r}"])
+        finally:
+            os.close(r)
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 1
+
     def test_weights_length_mismatch(self, tmp_path):
         d = tmp_path / "d.txt"
         d.write_text("1\n2\n")
@@ -296,6 +342,16 @@ class TestExitCodes:
         else:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("theta", ["1e20,inf", "-inf,1e19", "-inf,1e15", "1e8,inf"])
+    def test_mobius_next_to_a_huge_end(self, theta, capsys):
+        # the probe window used to collapse to one point (f read as not
+        # increasing), and the Schwarzian's stencil to reach below f's range
+        code = main(["mobius-test", "--f", "t", "--g", "2*t", f"--theta={theta}"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["determinant"]["max_abs"] == 0
+        assert abs(report["schwarzian_max_abs"]) < 1e-6
 
     @pytest.mark.parametrize("theta,x", [("1e20,inf", 1e21), ("-inf,-1e20", -1e21)])
     def test_far_half_line_converges(self, theta, x, capsys):
@@ -758,14 +814,35 @@ class TestGoldenDeterminism:
             assert out1 == fh.read()
 
     def test_check_names_each_mismatch(self, tmp_path):
-        assert golden_cases.check(GOLDEN_DIR) == []
+        assert golden_cases.check(GOLDEN_DIR) == {}
+        edits = {
+            "mobius_cube": [("t ^ 3", "t ^ 2")],
+            # a number's digits, a nested key and a list item
+            "estimate_laplace": [('"iterations":7', '"iterations":7.0'),
+                                 ('"mu":0', '"mu":1'), ("[1.9999999999995,", "[1.5,")],
+            "bounds_alpha_one": [('"status"', '"state"')],
+            "estimate_expectile": [("", "[")],  # not JSON
+        }
         for name in golden_cases.CASES:
             with open(os.path.join(GOLDEN_DIR, name + ".json"), encoding="utf-8") as fh:
                 text = fh.read()
-            if name == "mobius_cube":
-                text = text.replace("t ^ 3", "t ^ 2")
+            for old, new in edits.get(name, ()):
+                assert old in text
+                text = text.replace(old, new, 1) if old else new + text
             (tmp_path / (name + ".json")).write_text(text, encoding="utf-8")
-        assert golden_cases.check(str(tmp_path)) == ["mobius_cube"]
+        bad = golden_cases.check(str(tmp_path))
+        assert list(bad) == [name for name in golden_cases.CASES if name in edits]
+        assert bad["mobius_cube"] == ['g: "t ^ 2" -> "t ^ 3"']
+        assert bad["estimate_laplace"] == [
+            "params.mu: 1 -> 0", "bracket[0]: 1.5 -> 1.9999999999995",
+            "iterations: 7.0 -> 7"]
+        assert bad["bounds_alpha_one"] == [
+            'state: "Converged" -> <missing>', 'status: <missing> -> "Converged"']
+        assert bad["estimate_expectile"][0].startswith('(document): "[{')
+
+    def test_check_names_a_wrong_exit_code(self, monkeypatch):
+        monkeypatch.setitem(golden_cases.EXPECTED_EXIT, "estimate_laplace", 2)
+        assert golden_cases.check(GOLDEN_DIR) == {"estimate_laplace": ["exit code: 2 -> 0"]}
 
     @pytest.mark.parametrize("name", sorted(golden_cases.CASES))
     def test_golden_is_valid_json(self, name):

@@ -47,6 +47,7 @@ from psiest.comparison import (
     ComparisonVerdict,
     WitnessSet,
     _d2,
+    _grid_sums,
     _multiplier_certifies,
     _pair_tol,
     _random_cases,
@@ -1118,6 +1119,44 @@ class TestEqualityColumns:
         got = _outcome(lambda: _sign_witness(kp, kq, sample, grid, ({}, {})))
         want = _outcome(lambda: reference_sign_witness(kp, kq, sample, grid))
         assert got == want == {"raises": "DomainError", "message": message}
+
+
+def _sums_outcome(rows):
+    """repr of each float of each row rows yields, up to the error it
+    raises, and that error."""
+    got = []
+    try:
+        for row in rows:
+            got.append(tuple(map(repr, row)))
+    except Exception as exc:
+        return got, (type(exc).__name__, str(exc))
+    return got, None
+
+
+class TestGridSums:
+    """The equality scan's sums are weighted_sum's floats: from columns for
+    a kernel without (q, g), from weighted_sum itself on an affine row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(family_pairs(), st.sampled_from([
+        ("mixed", make_kernel(FamilySpec("gamma_shape", {"lambda": 2.0})),
+         make_kernel(FamilySpec("lomax_rate_lambda", {"alpha": 2.0})), (0.3, 1.0, 4.5)),
+        ("mixed reversed", make_kernel(FamilySpec("lomax_rate_lambda", {"alpha": 0.5})),
+         make_kernel(FamilySpec("lomax_shape_alpha", {"lambda": 2.0})), (0.3, 1.0, 4.5)),
+    ])), st.data())
+    def test_same_floats_as_weighted_sum(self, pair, data):
+        _, kp, kq, obs = pair
+        grid = build_witness_set(kq, obs, grid_points=9, random_points=0).parameter_grid
+        grid = grid + (kp.theta.lo - 1.0,)  # a last t outside a half-line
+        columns = ({}, {})
+        for _ in range(3):  # later samples read the columns kept so far
+            xs = data.draw(st.lists(st.sampled_from(obs), min_size=1, max_size=6))
+            sample = WeightedSample.uniform(xs)
+            got = _sums_outcome(_grid_sums(kp, kq, sample, grid, columns))
+            want = _sums_outcome(
+                (t, weighted_sum(kp, sample, t), weighted_sum(kq, sample, t)) for t in grid)
+            assert got == want
+            assert len(got[0]) == len(grid) - 1 and got[1][0] == "DomainError"
 
 
 _SPECIAL_PAIRS = [p for p in ORACLE_PAIRS

@@ -4,7 +4,8 @@ A sign-change estimator depends on the sample only through the weighted sum
 t -> sum_i w_i psi(x_i, t), so it does not see the order of the sample,
 k copies of an observation count as weight k, and it lies in the hull of
 the single-observation estimates theta1(x_i).  Each family property holds to
-1e-9 * (1 + |theta|): the solver's width plus the rounding of the sum.  A
+1e-9 * (1 + |theta|): the solver's width plus the rounding of the sum; the
+seven affine rows are permutation invariant exactly.  A
 Bajraktarevic estimator is unchanged by a Mobius transform of (f, F).
 """
 
@@ -64,10 +65,15 @@ def close(a, b):
 @PROPERTY
 @given(family_samples(), st.data())
 def test_permutation_invariance(case, data):
+    # exact on the seven affine rows: their sums come from S and W, each
+    # correctly rounded (math.fsum), so the solver sees the same floats
     spec, xs, ws = case
     order = data.draw(st.permutations(range(len(xs))))
     permuted = estimate(spec, [xs[i] for i in order], [ws[i] for i in order])
-    assert close(estimate(spec, xs, ws), permuted)
+    if make_kernel(spec)._affine is not None:
+        assert repr(estimate(spec, xs, ws)) == repr(permuted)
+    else:
+        assert close(estimate(spec, xs, ws), permuted)
 
 
 @PROPERTY

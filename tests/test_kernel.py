@@ -30,6 +30,18 @@ from psiest.kernel import (
     _ADD_IN_C_MIN, _add, _clamp, _column_sums, _uniform, _weighted_mean, rises)
 
 
+def reference_probe_window(lo, hi):
+    """OpenInterval.probe_window as it was before it kept its window inside
+    next to a huge end."""
+    if not math.isfinite(lo):
+        lo = (hi - 200.0) if math.isfinite(hi) else -100.0
+    if not math.isfinite(hi):
+        hi = lo + 200.0
+    width = hi - lo
+    margin = 1e-6 * width if math.isfinite(width) else 1e-6 * hi - 1e-6 * lo
+    return lo + margin, hi - margin
+
+
 def expectile(alpha):
     return make_kernel(FamilySpec("expectile", {"alpha": alpha}))
 
@@ -102,6 +114,44 @@ class TestOpenInterval:
         assert all(a <= t <= b for t in grid)
         assert validate_monotone(lambda t: t, iv)
         assert not validate_monotone(lambda t: -t, iv)
+
+    @pytest.mark.parametrize("lo,hi", [
+        (-math.inf, 1e19), (1e20, math.inf), (-math.inf, 1e15), (-1e20, math.inf),
+        (-math.inf, -1e20), (-math.inf, 2.0 ** 61), (-1e308, math.inf),
+        (1e15, 1e15 + 1.0), (1.0, 1.0 + 4.0 * sys.float_info.epsilon),
+        (math.nextafter(math.nextafter(sys.float_info.max, 0.0), 0.0), math.inf)])
+    def test_window_next_to_a_huge_end(self, lo, hi):
+        # 200 or the 1e-6 margin below an ulp of the end: the window used to
+        # collapse to one point, or end on the interval's own open end
+        iv = OpenInterval(lo, hi)
+        a, b = iv.probe_window()
+        assert lo < a < b < hi
+        grid = iv.probe_grid(513)
+        assert grid == sorted(grid) and all(map(iv.contains, grid))
+        if b - a > 512 * math.ulp(b):  # room for 513 distinct probes
+            assert validate_monotone(lambda t: t, iv)
+        assert not validate_monotone(lambda t: -t, iv)
+
+    @pytest.mark.parametrize("lo,hi", [
+        (1.0, math.nextafter(1.0, 2.0)),  # no double inside
+        (1.0, math.nextafter(math.nextafter(1.0, 2.0), 2.0)),  # one
+        (sys.float_info.max, math.inf)])  # none finite
+    def test_window_of_fewer_than_two_doubles(self, lo, hi):
+        # no window can be two points inside: the first window is kept
+        assert OpenInterval(lo, hi).probe_window() == reference_probe_window(lo, hi)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False), st.floats(allow_nan=False))
+    def test_window_kept_where_it_lies_inside(self, a, b):
+        lo, hi = min(a, b), max(a, b)
+        if not lo < hi:
+            return
+        want = reference_probe_window(lo, hi)
+        got = OpenInterval(lo, hi).probe_window()
+        if lo < want[0] < want[1] < hi:
+            assert repr(got) == repr(want)
+        else:
+            assert lo < got[0] < got[1] < hi or got == want
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False),

@@ -1,5 +1,7 @@
 """The C-level paths of weighted_sum, WeightedSample and read_data against
-the per-observation loops they replace, kept here verbatim as references.
+the per-observation loops they replace, kept here verbatim as references;
+and weighted_sum on the seven affine family rows, q(t) (S - W g(t)) from
+sums taken once per sample, against the same loop, by sign.
 
 weighted_sum sums a sample of at least _ADD_IN_C_MIN unit weights by _add
 where no clamp applies, the sample checks its weights and its domain with
@@ -20,14 +22,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from strategies import FAMILY_ROWS
 from psiest import (
     DataParseError,
     EmptyData,
+    FamilySpec,
     InvalidArgument,
     NegativeWeight,
     OpenInterval,
     PsiKernel,
     WeightedSample,
+    make_kernel,
+    solve_sign_change,
     weighted_sum,
 )
 from psiest.cli import read_data
@@ -225,6 +231,124 @@ class TestWeightedSum:
     def test_add_is_the_loop(self, vs):
         assert repr(_add(vs)) == repr(reference_add(vs))
         assert repr(_add(iter(vs))) == repr(reference_add(vs))
+
+
+# --------------------------------------------------------------------------
+# The affine rows: q(t) (S - W g(t)) against the loop, by sign
+
+EPS = 2.0 ** -52
+AFFINE_ROWS = [row for row in FAMILY_ROWS if row[1] is not None
+               and make_kernel(FamilySpec(row[0], {row[1]: row[2][0]}))._affine]
+
+
+@st.composite
+def affine_cases(draw):
+    """(kernel, xs, weights, t) on an affine row: observations that often
+    repeat one value, unit, integer, zero and fractional weights, and t
+    within a few ulps of the root (where the sum cancels), anywhere in a
+    wide range, or so small or large that t t underflows or overflows."""
+    family, key, known, (lo, hi) = draw(st.sampled_from(AFFINE_ROWS))
+    kernel = make_kernel(FamilySpec(family, {key: draw(st.floats(*known))}))
+    n = draw(st.integers(1, 12))
+    base = draw(st.floats(lo, hi))
+    xs = tuple(draw(st.lists(st.one_of(st.just(base), st.floats(lo, hi)),
+                             min_size=n, max_size=n)))
+    ws = tuple(draw(st.lists(st.one_of(st.sampled_from((0.0, 1.0, 2.0, 3.0)),
+                                       st.floats(1e-3, 1e3)),
+                             min_size=n, max_size=n).filter(any)))
+    positive = kernel.theta.lo == 0.0
+    kind = draw(st.sampled_from(("root", "wide", "extreme")))
+    if kind == "root":
+        root = solve_sign_change(kernel, WeightedSample(xs, ws)).theta
+        t = root * (1.0 + draw(st.integers(-40, 40)) * EPS)
+    elif kind == "wide":
+        t = draw(st.floats(1e-3, 60.0) if positive else st.floats(-60.0, 60.0))
+    else:
+        t = draw(st.sampled_from((1e-300, 1e-160, 5e-324, 1e150, 1e300) if positive
+                                 else (-1e300, -1e150, 1e150, 1e300)))
+    return kernel, xs, ws, t
+
+
+class TestAffineSum:
+    @settings(max_examples=400, deadline=None)
+    @given(affine_cases())
+    def test_sign_of_the_loop(self, case):
+        """Where either raises, both raise the same class.  Where no term is
+        clamped and the loop's sum is clear of the two sums' rounding, the
+        affine sum has its sign.  The loop rounds on the
+        scale n eps sum |w psi|; the affine sum on eps |q| (sum w |F| +
+        W |g|), from rounding S and W g(t) before they cancel, so it alone
+        decides a sum within that of 0 (observations and t within a few ulps
+        of each other)."""
+        kernel, xs, ws, t = case
+        got = outcome(lambda: weighted_sum(kernel, WeightedSample(xs, ws), t))
+        want = outcome(lambda: reference_weighted_sum(kernel, WeightedSample(xs, ws), t))
+        if isinstance(want, tuple) or isinstance(got, tuple):
+            assert got[:2] == want[:2]
+            return
+        got, want = float(got), float(want)
+        sample = WeightedSample(xs, ws)
+        live = sample._live_weights
+        cs = sample.columns(kernel)
+        weighted = [w * v for v, w in zip(kernel.terms(cs, t), live)]
+        if not all(abs(v) <= _CAP for v in weighted):
+            return  # the loop clamps a term: its sum is not psi's
+        q, g = kernel._affine
+        scale = (len(live) * EPS * math.fsum(map(abs, weighted))
+                 + 4.0 * EPS * abs(q(t)) * (math.fsum(abs(w * c) for c, w in zip(cs, live))
+                                            + math.fsum(live) * abs(g(t))))
+        if abs(want) > scale:
+            # the solver reads value > 0 alone
+            assert (got > 0.0) == (want > 0.0)
+            # where t t overflows, q(t) = 1/(t t) is 0 and so is the affine
+            # sum, not positive, as the loop's terms are (their t t overflows
+            # too), but no longer negative
+            if q(t) != 0.0:
+                assert (got < 0.0) == (want < 0.0)
+
+    @pytest.mark.parametrize("family,params,xs,ws", [
+        ("gamma_rate", {"p": 2.0}, (1e308, 1e308), (1.0, 1.0)),  # fsum overflows
+        ("lognormal_mu", {"sigma2": 1.0}, (1e300, 1e-300), (1e308, 1e308)),  # inf - inf
+        ("lognormal_mu", {"sigma2": 1.0}, (math.inf, 2.0), (1.0, 1.0)),  # an inf column
+        ("laplace_scale", {"mu": 0.0}, (1.0, 2.0), (1e308, 1e308)),  # W overflows
+        ("lomax_shape_alpha", {"lambda": 1.0}, (math.inf, 1.0, 1.0), (1.0, 0.0, 2.0)),
+    ])
+    def test_loop_where_the_sums_are_not_finite(self, family, params, xs, ws):
+        kernel = make_kernel(FamilySpec(family, params))
+        sample = WeightedSample(xs, ws)
+        for t in (0.5, 1.0, 3.0, 1e300):
+            got = outcome(lambda: weighted_sum(kernel, sample, t))
+            assert got == outcome(lambda: reference_weighted_sum(
+                kernel, WeightedSample(xs, ws), t))
+        assert sample._sums == {kernel.column: None}
+
+    @pytest.mark.parametrize("family,params", [
+        ("normal_var", {"m": 0.0}), ("laplace_scale", {"mu": 0.0})])
+    def test_raises_where_t_t_underflows(self, family, params):
+        # q = 1/(t t) raises where the terms' division by t t raises
+        kernel = make_kernel(FamilySpec(family, params))
+        for t in (1e-170, 5e-324):
+            want = outcome(lambda: reference_weighted_sum(
+                kernel, WeightedSample.uniform((2.0, 3.0)), t))
+            got = outcome(lambda: weighted_sum(kernel, WeightedSample.uniform((2.0, 3.0)), t))
+            assert got == want and got[1] == "ZeroDivisionError"
+
+    def test_fsum_raises_where_the_loop_does_not(self):
+        # why the sums fall back: fsum raises on these
+        with pytest.raises(OverflowError):
+            math.fsum([1e308, 1e308])
+        with pytest.raises(ValueError):
+            math.fsum([math.inf, -math.inf])
+
+    def test_loop_where_the_affine_sum_is_nan(self):
+        # t t overflows, so q(t) is 0, and W t overflows: 0 (-inf) is NaN
+        kernel = make_kernel(FamilySpec("normal_var", {"m": 0.0}))
+        xs, ws = (1.5, 2.0), (1e10, 1e10)
+        sample = WeightedSample(xs, ws)
+        got = weighted_sum(kernel, sample, 1e300)
+        assert sample._sums[kernel.column] is not None
+        assert repr(got) == repr(reference_weighted_sum(kernel, WeightedSample(xs, ws), 1e300))
+        assert not math.isnan(got)
 
 
 # --------------------------------------------------------------------------

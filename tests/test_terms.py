@@ -4,8 +4,10 @@ for bit.
 Two references are kept here verbatim: the family formulas as the scalar
 closures they were written as before each family row gave its formula once
 as (column, terms), and the per-term loop weighted_sum ran before it summed
-kernel.terms.  Floats are compared by identity of value: -0.0 is told from
-0.0 by copysign and NaN is matched by isnan.
+kernel.terms.  A third is written out apart from the rows: the seven rows
+psi = q(t) (F(x) - g(t)) as (F, q, g), and their sum q(t) (S - W g(t)).
+Floats are compared by identity of value: -0.0 is told from 0.0 by copysign
+and NaN is matched by isnan.
 """
 
 import dataclasses
@@ -27,10 +29,11 @@ from psiest import (
     digamma,
     make_kernel,
     parse,
+    solve_sign_change,
     weighted_sum,
 )
 from psiest.exprparse import compile_terms
-from psiest.families import _ln_one_minus_pow, _pow
+from psiest.families import _FAMILIES, _ln_one_minus_pow, _pow
 from psiest.kernel import _CAP, _clamp
 
 LINE = OpenInterval(-math.inf, math.inf)
@@ -110,6 +113,45 @@ def reference_weighted_sum(kernel: PsiKernel, sample: WeightedSample, t: float) 
     return _clamp(total)
 
 
+# The seven affine rows psi = q(t) (F(x) - g(t)): known value -> (F, q, g).
+AFFINE = {
+    "normal_var": lambda m: (lambda x: _pow(x - m, 2), lambda t: 1.0 / (2.0 * t * t),
+                             lambda t: t),
+    "laplace_scale": lambda mu: (lambda x: abs(x - mu), lambda t: 1.0 / (t * t),
+                                 lambda t: t),
+    "lognormal_mu": lambda sigma2: (math.log, lambda t: 1.0 / sigma2, lambda t: t),
+    "beta_alpha": lambda beta: (lambda x: _ln_one_minus_pow(x, beta), lambda t: 1.0,
+                                lambda t: -1.0 / t),
+    "gamma_rate": lambda p: (lambda x: x, lambda t: -1.0, lambda t: p / t),
+    "lomax_shape_alpha": lambda lam: (lambda x: math.log1p(x / lam), lambda t: -1.0,
+                                      lambda t: 1.0 / t),
+    "gamma_shape": lambda lam: (math.log, lambda t: 1.0,
+                                lambda t: digamma(t) - math.log(lam)),
+}
+
+
+def reference_affine_sum(reference: PsiKernel, affine, xs, weights, t: float) -> float:
+    """weighted_sum on an affine row: q(t) (S - W g(t)) clamped to +-1e300,
+    S = fsum of w F(x) and W = fsum of w over the positive weights; the
+    per-term loop where S or W is not finite, fsum raises, or the value is
+    NaN."""
+    F, q, g = affine
+    reference.check_parameter(t)
+    for x in xs:
+        reference.check_observation(x)
+    live = [(x, w) for x, w in zip(xs, weights) if w > 0.0]
+    try:
+        s = math.fsum([w * F(x) for x, w in live])
+        total_w = math.fsum([w for _, w in live])
+    except (OverflowError, ValueError):
+        s = total_w = math.nan
+    if math.isfinite(s) and math.isfinite(total_w):
+        total = q(t) * (s - total_w * g(t))
+        if not math.isnan(total):
+            return _clamp(total)
+    return reference_weighted_sum(reference, WeightedSample(xs, weights), t)
+
+
 def _key(v):
     """A float as (NaN, sign, value): equal keys are the same float, -0.0
     apart from 0.0 and every NaN alike."""
@@ -131,10 +173,10 @@ WEIGHTS = st.sampled_from((0.0, 1.0, 1.0, 2.0, 3.0, 7.0))
 
 @st.composite
 def family_cases(draw):
-    """(new kernel, scalar-closure kernel, xs, weights, t) for a family row
-    at a drawn known value.  t is drawn from a wide range, one of the xs
-    (a kink), or a value so small or large that terms overflow, clamp or
-    divide by zero."""
+    """(new kernel, scalar-closure kernel, xs, weights, t, affine) for a
+    family row at a drawn known value, affine its (F, q, g) from AFFINE or
+    None.  t is drawn from a wide range, one of the xs (a kink), or a value
+    so small or large that terms overflow, clamp or divide by zero."""
     family, key, known, (lo, hi) = draw(st.sampled_from(FAMILY_ROWS))
     if key is None:
         v = MATHIEU_FS[draw(st.integers(0, len(MATHIEU_FS) - 1))]
@@ -153,7 +195,8 @@ def family_cases(draw):
         t = abs(t) or 1.0
     reference = PsiKernel(kernel.theta, SCALAR[family](v),
                           domain_check=kernel.domain_check, name=kernel.name)
-    return kernel, reference, tuple(xs), tuple(weights), t
+    affine = AFFINE[family](v) if family in AFFINE else None
+    return kernel, reference, tuple(xs), tuple(weights), t, affine
 
 
 def _expr_kernel(source, theta):
@@ -186,7 +229,7 @@ def expression_cases(draw):
     kernel = _expr_kernel(source, theta)
     reference = PsiKernel(theta, compile_expr(parse(source)),
                           domain_check=math.isfinite)
-    return kernel, reference, tuple(xs), tuple(weights), t
+    return kernel, reference, tuple(xs), tuple(weights), t, None
 
 
 def _raising_at(k):
@@ -216,7 +259,7 @@ def plain_cases(draw):
                        min_size=1, max_size=8))
     weights = draw(st.lists(WEIGHTS, min_size=len(xs), max_size=len(xs)).filter(any))
     t = draw(st.sampled_from((0.0, -0.0, 1.0, 2.5, -3.0, 1e300)))
-    return kernel, kernel, tuple(xs), tuple(weights), t
+    return kernel, kernel, tuple(xs), tuple(weights), t, None
 
 
 ALL_CASES = st.one_of(family_cases(), expression_cases(), plain_cases())
@@ -225,7 +268,7 @@ ALL_CASES = st.one_of(family_cases(), expression_cases(), plain_cases())
 class TestTermsBitwise:
     @given(ALL_CASES)
     def test_terms_are_pointwise_psi(self, case):
-        kernel, reference, xs, _, t = case
+        kernel, reference, xs, _, t, _ = case
         for x in xs:
             if not kernel.domain_check(x):
                 return
@@ -235,13 +278,19 @@ class TestTermsBitwise:
 
     @given(ALL_CASES)
     def test_weighted_sum_is_the_per_term_loop(self, case):
-        kernel, reference, xs, weights, t = case
+        # the loop for a kernel without (q, g), q(t) (S - W g(t)) for the
+        # seven with
+        kernel, reference, xs, weights, t, affine = case
+        assert (kernel._affine is None) == (affine is None)
         sample = WeightedSample(xs, weights)
         got = _outcome(lambda: weighted_sum(kernel, sample, t))
-        want = _outcome(lambda: reference_weighted_sum(
-            reference, WeightedSample(xs, weights), t))
+        if affine is None:
+            want = _outcome(lambda: reference_weighted_sum(
+                reference, WeightedSample(xs, weights), t))
+        else:
+            want = _outcome(lambda: reference_affine_sum(reference, affine, xs, weights, t))
         assert got == want
-        # a second sum reads the columns kept on the sample
+        # a second sum reads the columns, or the sums, kept on the sample
         assert _outcome(lambda: weighted_sum(kernel, sample, t)) == want
 
 
@@ -291,3 +340,87 @@ class TestTermsExamples:
         assert swapped.terms([1.0], 0.0) == [1.0]
         rederived = dataclasses.replace(k, eval=lambda x, t: t - x, terms=None)
         assert rederived.terms([1.0], 0.0) == [-1.0]
+
+
+def _row(family):
+    """(kernel, known value, observation range) of a family row at the
+    middle of its known range."""
+    _, key, known, obs = next(r for r in FAMILY_ROWS if r[0] == family)
+    v = 0.5 * (known[0] + known[1])
+    return make_kernel(FamilySpec(family, {key: v})), v, obs
+
+
+class TestAffineSum:
+    def test_the_seven_rows(self):
+        rows = {f for f, row in _FAMILIES.items() if row.g is not None}
+        assert rows == set(AFFINE)
+        assert all(_FAMILIES[f].q is not None for f in rows)
+        assert {f for f, row in _FAMILIES.items() if row.F_inv is not None} == (
+            rows - {"gamma_shape"})
+
+    @given(st.sampled_from(sorted(AFFINE)), st.data())
+    def test_F_inv_inverts_g(self, family, data):
+        # (q, g) and F_inv sit side by side in a row: g must not drift from
+        # the inverse of F_inv over Theta
+        row = _FAMILIES[family]
+        _, key, known, _ = next(r for r in FAMILY_ROWS if r[0] == family)
+        v = data.draw(st.floats(*known))
+        lo = -1e300 if row.theta.lo == -math.inf else 1e-300
+        t = data.draw(st.floats(lo, 1e300))
+        if row.F_inv is None:  # gamma_shape: no psi_0 inverse yet
+            return
+        back = row.F_inv(row.g(t, v), v)
+        assert abs(back - t) <= 4.0 * math.ulp(t)
+
+    @pytest.mark.parametrize("family", sorted(AFFINE))
+    def test_solve_makes_no_terms_call(self, family):
+        kernel, _, (lo, hi) = _row(family)
+        calls = []
+        terms = kernel.terms
+
+        def counted(cs, t):
+            calls.append(t)
+            return terms(cs, t)
+
+        object.__setattr__(kernel, "terms", counted)
+        xs = [lo + (hi - lo) * k / 40.0 for k in range(1, 40)]
+        res = solve_sign_change(kernel, WeightedSample.uniform(xs))
+        assert res.converged
+        assert res.iterations > 1 and calls == []
+        # the same terms without (q, g) are summed at every t
+        plain = PsiKernel(kernel.theta, kernel.eval, domain_check=kernel.domain_check,
+                          column=kernel.column, terms=counted)
+        assert plain._affine is None
+        solve_sign_change(plain, WeightedSample.uniform(xs))
+        assert len(calls) > 1
+
+    def test_replace_keeps_q_and_g_with_terms(self):
+        # as the terms go, so do (q, g): a replaced eval sums as before
+        kernel, _, _ = _row("laplace_scale")
+        counted = dataclasses.replace(kernel, eval=lambda x, t: kernel.eval(x, t))
+        assert counted._affine is kernel._affine is not None
+        sample = WeightedSample.uniform((1.5, 2.5, 4.0))
+        assert repr(weighted_sum(counted, sample, 2.0)) == repr(
+            weighted_sum(kernel, sample, 2.0))
+        assert dataclasses.replace(kernel, column=None, terms=None)._affine is None
+
+    def test_sums_taken_once_per_column_function(self, monkeypatch):
+        calls = []
+        kernel, v, _ = _row("lognormal_mu")
+        other, _, _ = _row("gamma_shape")  # the same column, math.log
+        sample = WeightedSample((1.5, 2.5, 4.0), (1.0, 0.0, 2.0))
+        real_fsum = math.fsum
+
+        def fsum(values):
+            calls.append(1)
+            return real_fsum(values)
+
+        monkeypatch.setattr(math, "fsum", fsum)
+        for t in (0.1, 0.5, 1.0):
+            weighted_sum(kernel, sample, t)
+            weighted_sum(other, sample, t)
+        monkeypatch.undo()
+        assert len(calls) == 2  # S and W, once
+        s = math.fsum([math.log(1.5), 2.0 * math.log(4.0)])
+        assert sample._sums == {math.log: (s, 3.0)}
+        assert weighted_sum(kernel, sample, 0.5) == (s - 3.0 * 0.5) / v
