@@ -231,6 +231,15 @@ def _orth(v: Sequence[float], basis: Sequence[Sequence[float]]) -> list[float]:
     return v
 
 
+def _centre(values: Sequence[float]) -> tuple[float, float]:
+    """(c, s), the midpoint and the half-width of the values' range, so each
+    (v - c) / s lies in [-1, 1]; (0, 1) where the half-width is 0, or is not
+    finite."""
+    lo, hi = min(values), max(values)
+    c, s = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
+    return (c, s) if 0.0 < s < math.inf else (0.0, 1.0)
+
+
 def mobius_fit(
     f_vals: Sequence[tuple[float, float]],
     g_vals: Sequence[tuple[float, float]],
@@ -239,9 +248,13 @@ def mobius_fit(
     relation explains all probes.
 
     Three anchors (smallest, median, largest f) give a 3x4 homogeneous system
-    whose nullspace is the coefficient vector; the fit is accepted only if
-    the residual |(c f + d) g - (a f + b)| stays within 1e-8 of scale at
-    every probe.  A NaN determinant or residual means no fit.
+    whose nullspace is the coefficient vector.  The system is written in f
+    and g centred and scaled at the anchors (_centre), where a Mobius
+    relation is again one, so its rank test does not depend on where the
+    probes lie or how far apart; the coefficients are then mapped back to f
+    and g.  The fit is accepted only if the residual
+    |(c f + d) g - (a f + b)| stays within 1e-8 of scale at every probe.
+    A NaN determinant or residual means no fit.
     """
     if len(f_vals) < 4 or len(g_vals) != len(f_vals):
         raise InvalidArgument("need at least 4 paired probes")
@@ -252,7 +265,12 @@ def mobius_fit(
 
     order = sorted(range(len(fs)), key=lambda i: fs[i])
     anchors = [order[0], order[len(order) // 2], order[-1]]
-    rows = [[fs[i], 1.0, -fs[i] * gs[i], -gs[i]] for i in anchors]
+    cf, sf = _centre([fs[i] for i in anchors])
+    cg, sg = _centre([gs[i] for i in anchors])
+    rows = []
+    for i in anchors:
+        u, v = (fs[i] - cf) / sf, (gs[i] - cg) / sg
+        rows.append([u, 1.0, -u * v, -v])
     # Orthonormal basis of the row space; a row with (almost) nothing
     # outside the span of the earlier ones leaves the coefficients
     # underdetermined.
@@ -266,8 +284,11 @@ def mobius_fit(
         basis.append([x / n for x in v])
     # The nullspace is the orthogonal complement: project out the row space
     # from the unit vector e_k with the largest remainder (norm >= 1/2).
-    coeffs = max((_orth([float(j == k) for j in range(4)], basis) for k in range(4)),
-                 key=lambda v: math.hypot(*v))
+    a, b, c, d = max((_orth([float(j == k) for j in range(4)], basis) for k in range(4)),
+                     key=lambda v: math.hypot(*v))
+    # a u + b - c u v - d v, times sf sg, in f = cf + sf u and g = cg + sg v
+    coeffs = [a * sg + c * cg, b * sf * sg - a * sg * cf + d * sf * cg - c * cf * cg,
+              c, d * sf - c * cf]
     # unit norm, and fix the overall sign deterministically
     n = math.copysign(math.hypot(*coeffs), max(coeffs, key=abs))
     a, b, c, d = (v / n for v in coeffs)

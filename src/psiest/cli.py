@@ -208,8 +208,9 @@ def _build_kernel(args, suffix: str = ""):
 
     theta = _parse_theta(args.theta)
     e = exprparse.parse(psi)
+    column, terms = exprparse.compile_terms(e)
     kernel = PsiKernel(theta, exprparse.compile_expr(e), domain_check=math.isfinite,
-                       name="psi", terms=exprparse.compile_terms(e))
+                       name="psi", column=column, terms=terms)
     return kernel, {"psi": psi, "interval": [theta.lo, theta.hi]}, None
 
 
@@ -416,7 +417,12 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_VALUE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args reads it and
+    leaves it as it was, and every call gets a new namespace, its `append`
+    lists copied before they grow, so one call's options do not reach the
+    next."""
     parser = _Parser(
         prog="psiest",
         description="Sign-change estimators, comparison checks, and Mobius tests")

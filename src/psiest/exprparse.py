@@ -6,11 +6,15 @@ ln, exp, abs, sign, sqrt.  `^` is right-associative and binds tighter than
 unary minus.  Mathematically undefined points (ln or sqrt out of domain,
 division by zero, 0^negative, negative^non-integer) raise DomainError.
 Overflow gives a signed inf, and inf - inf, 0 * inf or inf / inf then give
-NaN, which evaluation returns as it is.
+NaN, which evaluation returns as it is (sign of NaN is NaN).
 
 compile_expr turns a tree into one generated Python function of (x, t), so
-a term costs one call, not one per node; compile_terms turns it into one
-function of (xs, t), so the terms of a whole sample cost one call.
+a term costs one call, not one per node.  compile_terms turns it into the
+batched form of a kernel: a column function of x, holding the subtrees that
+read x alone and cannot raise, and a function of (columns, t) that
+evaluates the subtrees reading t alone once per call and the rest once per
+x, so the terms of a whole sample cost one call; each value and each error
+are compile_expr's.
 Expressions nest at most MAX_DEPTH levels deep; parse and compile_expr
 reject deeper ones with an ExprSyntaxError that carries an offset.
 """
@@ -21,7 +25,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
@@ -230,7 +234,7 @@ def _sign(v, offset):
         return 1.0
     if v < 0.0:
         return -1.0
-    return 0.0
+    return 0.0 if v == 0.0 else v  # NaN as it is
 
 
 def _sqrt(v, offset):
@@ -240,61 +244,180 @@ def _sqrt(v, offset):
 
 
 # Everything generated code can name; no builtins.
-_SCOPE = {"__builtins__": {}, "abs": abs, "inf": math.inf, "_div": _div,
-          "_pow": _pow, "_ln": _ln, "_exp": _exp, "_sign": _sign, "_sqrt": _sqrt}
+_SCOPE = {"__builtins__": {}, "abs": abs, "inf": math.inf, "DomainError": DomainError,
+          "_div": _div, "_pow": _pow, "_ln": _ln, "_exp": _exp, "_sign": _sign,
+          "_sqrt": _sqrt}
 _HELPERS = {"/": "_div", "^": "_pow"}
+# The variables a subtree reads, as bits.
+_X, _T = 1, 2
 
 
-def _source(e: Expr, room: int = MAX_DEPTH) -> str:
-    """Python source for e over x and t, every operation parenthesised."""
+def _children(e: Expr) -> tuple:
+    if isinstance(e, Bin):
+        return e.left, e.right
+    if isinstance(e, Neg):
+        return (e.operand,)
+    if isinstance(e, Fn):
+        return (e.arg,)
+    return ()
+
+
+def _nonzero_num(e: Expr) -> bool:
+    return isinstance(e, Num) and e.value != 0.0
+
+
+def _may_raise(e: Expr) -> bool:
+    """Whether e's own operation can raise, whatever its operands' values:
+    ln and sqrt; / but by a nonzero number; ^ but of a positive number or to
+    a finite integer power of at least 0."""
+    if isinstance(e, Fn):
+        return e.name in ("ln", "sqrt")
+    if isinstance(e, Bin) and e.op == "/":
+        return not _nonzero_num(e.right)
+    if isinstance(e, Bin) and e.op == "^":
+        base, power = e.left, e.right
+        return not ((isinstance(base, Num) and base.value > 0.0)
+                    or (isinstance(power, Num) and power.value >= 0.0
+                        and power.value.is_integer()))
+    return False
+
+
+class _Batch:
+    """The batched form of one expression, as _walk builds it: its maximal
+    subtrees that read x alone and cannot raise (the columns) and, unless
+    in_place, its maximal subtrees that read t but not x (the per-call
+    values), each by source, with the name the rest of e reads it by."""
+
+    def __init__(self, in_place: bool = False):
+        self.in_place = in_place
+        self.columns: dict = {}  # source -> name
+        self.values: dict = {}  # source -> name
+        self.divisors: list = []  # the values written as the right operand of /
+
+    def ref(self, e: Expr, walked: tuple, reads: int, raises: bool) -> str:
+        """The batched source of child e of a node that reads `reads` and
+        can raise if `raises`: a name where e is a maximal subtree to hoist,
+        e's own batched source otherwise."""
+        src, e_reads, e_raises, batched = walked
+        if e_reads == _X and not e_raises and (reads & _T or raises):
+            return self.columns.setdefault(
+                src, "x" if src == "x" else f"c{len(self.columns)}")
+        if not self.in_place and e_reads == _T and reads & _X and src != "t":
+            return self.values.setdefault(src, f"u{len(self.values)}")
+        return batched
+
+
+def _walk(e: Expr, room: int = MAX_DEPTH, batch: Optional[_Batch] = None) -> tuple:
+    """(source, reads, raises, batched) of e: the Python source of e over x
+    and t, every operation parenthesised; the variables it reads (_X, _T
+    bits); whether evaluating it can raise; and, given a batch, its source
+    with its maximal hoisted subtrees named by the batch (else None).  The
+    two sources write one operation for each node, in the same order."""
     if room == 0:
         raise ExprSyntaxError(e.offset, _TOO_DEEP)
     if isinstance(e, Num):
-        return f"({e.value!r})"
+        return f"({e.value!r})", 0, False, f"({e.value!r})"
     if isinstance(e, Var):
-        return e.name
+        return e.name, _X if e.name == "x" else _T, False, e.name
+    children = _children(e)
+    walked = [_walk(k, room - 1, batch) for k in children]
+    reads = walked[0][1] | walked[-1][1]  # of its one child or two
+    raises = _may_raise(e) or any(w[2] for w in walked)
+    source = _op_source(e, [w[0] for w in walked])
+    if batch is None:
+        return source, reads, raises, None
+    refs = [batch.ref(k, w, reads, raises) for k, w in zip(children, walked)]
+    if isinstance(e, Bin) and e.op == "/" and refs[1] in batch.values.values():
+        # terms writes this / only once the value is known to be nonzero
+        batch.divisors.append(refs[1])
+        return source, reads, raises, f"({refs[0]} / {refs[1]})"
+    return source, reads, raises, _op_source(e, refs)
+
+
+def _op_source(e: Expr, operands: list) -> str:
+    """The source of e's operation on its operands' sources: + - * unary
+    minus, abs and / by a nonzero number inline, the rest as helper calls
+    that carry e's offset."""
     if isinstance(e, Neg):
-        return f"(-{_source(e.operand, room - 1)})"
+        return f"(-{operands[0]})"
     if isinstance(e, Fn):
-        arg = _source(e.arg, room - 1)
+        arg = operands[0]
         return f"abs({arg})" if e.name == "abs" else f"_{e.name}({arg}, {e.offset})"
-    if isinstance(e, Bin):
-        a, b = _source(e.left, room - 1), _source(e.right, room - 1)
-        if e.op in _HELPERS:
-            return f"{_HELPERS[e.op]}({a}, {b}, {e.offset})"
-        return f"({a} {e.op} {b})"
-    raise AssertionError(type(e))
+    a, b = operands
+    if e.op in _HELPERS and not (e.op == "/" and _nonzero_num(e.right)):
+        return f"{_HELPERS[e.op]}({a}, {b}, {e.offset})"
+    return f"({a} {e.op} {b})"
+
+
+def _source(e: Expr) -> str:
+    """Python source for e over x and t, every operation parenthesised."""
+    return _walk(e)[0]
 
 
 @functools.lru_cache(maxsize=256)
-def _compile_source(source: str) -> tuple:
-    """(eval, terms) of one generated source, compiled together."""
-    return eval(f"(lambda x, t: {source}), (lambda xs, t: [{source} for x in xs])",
-                _SCOPE)
+def _compiled(source: str) -> dict:
+    """The names one generated source defines, compiled once per source."""
+    names: dict = {}
+    exec(source, _SCOPE, names)
+    return names
 
 
 def compile_expr(e: Expr) -> Callable[[float, float], float]:
     """The expression as one generated function of (x, t).
 
     One walk of the tree writes the source of a single `lambda x, t: ...`:
-    + - * unary minus and abs inline, the other operations as calls to
-    this module's helpers with the node's offset.  The source holds only
-    x, t, numbers and those names, so no user text reaches `compile`;
-    compiled functions are cached by source.  Evaluation is in IEEE
-    doubles, left operand before right; undefined points raise DomainError
-    at the offset of the failing node, not NaN.  A tree deeper than
-    MAX_DEPTH raises ExprSyntaxError.
+    + - * unary minus, abs and / by a nonzero number inline, the other
+    operations as calls to this module's helpers with the node's offset.
+    The source holds only x, t, numbers and those names, so no user text
+    reaches `compile`; compiled functions are cached by source.  Evaluation
+    is in IEEE doubles, left operand before right; undefined points raise
+    DomainError at the offset of the failing node, not NaN.  A tree deeper
+    than MAX_DEPTH raises ExprSyntaxError.
     """
-    return _compile_source(_source(e))[0]
+    return _compiled(f"ev = lambda x, t: {_source(e)}")["ev"]
 
 
-def compile_terms(e: Expr) -> Callable[[Sequence[float], float], list]:
-    """The expression as one generated function of (xs, t) giving the list
-    of its values at each x of xs, in order: compile_expr's source in a
-    list comprehension, so each value is the float compile_expr(e)(x, t)
-    gives, and an error is raised at the first x where it raises.  This is
-    an expression kernel's PsiKernel.terms."""
-    return _compile_source(_source(e))[1]
+def _batched(e: Expr, batch: _Batch) -> str:
+    """e's values over the columns cs, as a list comprehension."""
+    body = batch.ref(e, _walk(e, batch=batch), _X | _T, True)
+    return f"[{body} for {', '.join(batch.columns.values()) or 'x'} in cs]"
+
+
+def compile_terms(e: Expr) -> tuple[Optional[Callable[[float], object]],
+                                     Callable[[Sequence, float], list]]:
+    """The expression in the batched form of PsiKernel: (column, terms).
+
+    column(x) is the value of e's maximal subtree that reads x but not t
+    and cannot raise (abs(x), exp(x), x^2, ...), or the tuple of their
+    values where e has several; column is None where x itself is the one.
+    terms(cs, t) is the list of e's values at the xs whose columns are cs,
+    in order.  It evaluates e's maximal subtrees that read t but not x
+    (t*t, 1/t, ...) once per call, then the rest of e once per x, and
+    divides by such a value with / once it is known to be nonzero.  The
+    operations and their order are compile_expr's, so each value is the
+    float compile_expr(e)(x, t) gives.  Where such a value raises, or one
+    it divides by is 0, terms runs the comprehension with each of them in
+    place, so an error is the one compile_expr raises at the first x where
+    one is: its type, its offset, and the left one of two.  Both functions
+    are cached by source, so the kernels of one expression share their
+    columns on a WeightedSample.  This is an expression kernel's
+    PsiKernel.column and terms."""
+    hoisted, in_place = _Batch(), _Batch(in_place=True)
+    fast, slow = _batched(e, hoisted), _batched(e, in_place)
+    lines = []
+    if list(hoisted.columns) not in ([], ["x"]):
+        lines.append(f"column = lambda x: ({', '.join(hoisted.columns)})")
+    lines.append("def terms(cs, t):")
+    if hoisted.values:  # the helpers raise DomainError alone
+        lines += ["    try:",
+                  *(f"        {name} = {src}" for src, name in hoisted.values.items()),
+                  "    except DomainError:", f"        return {slow}"]
+    if hoisted.divisors:
+        zero = " or ".join(f"{d} == 0.0" for d in dict.fromkeys(hoisted.divisors))
+        lines += [f"    if {zero}:", f"        return {slow}"]
+    lines.append(f"    return {fast}")
+    names = _compiled("\n".join(lines))
+    return names.get("column"), names["terms"]
 
 
 def eval_expr(e: Expr, x: float = 0.0, t: float = 0.0) -> float:

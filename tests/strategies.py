@@ -9,6 +9,7 @@ import math
 from hypothesis import strategies as st
 
 from psiest import FamilySpec, make_kernel
+from psiest.exprparse import Bin, Fn, Neg, Num, Var
 
 # Every family row: (family, known-parameter key, range of the known value,
 # observation range inside the family's domain).  mathieu takes a function f
@@ -48,3 +49,18 @@ def family_pairs(draw, max_obs=6):
         name = f"{family} {key}={vs[0]!r} vs {vs[1]!r}"
     obs = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=max_obs))
     return name, make_kernel(specs[0]), make_kernel(specs[1]), tuple(obs)
+
+
+# Expression trees over x and t: every node type, function and operator,
+# numbers from WIDE (no NaN: the DSL cannot write one).
+WIDE = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0])
+OFFSETS = st.integers(0, 99)
+TREES = st.recursive(
+    st.builds(Num, WIDE, OFFSETS) | st.builds(Var, st.sampled_from(("x", "t")), OFFSETS),
+    lambda sub: (st.builds(Neg, sub, OFFSETS)
+                 | st.builds(Fn, st.sampled_from(("ln", "exp", "abs", "sign", "sqrt")),
+                             sub, OFFSETS)
+                 | st.builds(Bin, st.sampled_from(("+", "-", "*", "/", "^")), sub, sub,
+                             OFFSETS)),
+    max_leaves=12,
+)

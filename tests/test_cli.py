@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -320,6 +322,24 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert captured.err == message
+
+    @pytest.mark.parametrize("theta", ["1e5,inf", "1e8,inf"])
+    def test_mobius_fit_far_from_zero(self, theta, capsys):
+        # an exact pair in a narrow window far from 0: the anchor system
+        # used to read as rank-deficient there
+        assert main(["mobius-test", "--f", "t", "--g", "2*t", f"--theta={theta}"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "Fit"
+        fit = report["fit"]
+        assert fit["a"] == pytest.approx(2.0 * fit["d"], rel=1e-9)
+
+    def test_sign_of_nan_sum_exits_2(self, capsys):
+        # past t = 709.78, exp(x) - exp(t) is inf - inf at x = 1000; sign
+        # of it was 0, and the estimate a Converged 709.78
+        code = main(["estimate", "--psi", "sign(exp(x) - exp(t))", "--theta=-inf,inf",
+                     "--data", "[1000,1000,1000,0]"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["status"] == "NonFiniteSum"
 
     def test_mobius_nan_determinant_maxima(self, capsys):
         # g is finite at every probe, but f*g*f*g overflows and most
@@ -713,6 +733,39 @@ class TestEstimate:
         monkeypatch.delenv("PSIEST_SEED")
         main(argv)
         assert json.loads(capsys.readouterr().out)["seed"] == 0
+
+
+class TestParserReuse:
+    LAPLACE = ["estimate", "--family", "laplace_scale", "--param", "mu=0",
+               "--data", "[1,2]"]
+
+    def test_two_calls_build_one_parser(self, capsys):
+        cli.build_parser.cache_clear()
+        assert main(self.LAPLACE) == main(self.LAPLACE) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        capsys.readouterr()
+
+    def test_param_does_not_leak(self, capsys):
+        assert main(self.LAPLACE + ["--param", "x=1"]) == 1
+        # --param given twice above, none here: "--param applies only to
+        # --family" would be the error had the list kept them
+        assert main(["estimate", "--psi", "x - t", "--theta=-9,9", "--data", "[1,2]"]) == 0
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+        params = [a for a in sub.choices["estimate"]._actions if a.dest == "param"]
+        assert [a.default for a in params] == [[]]
+        capsys.readouterr()
+
+    def test_later_call_writes_to_redirected_streams(self, capsys):
+        assert main(["bounds", "-h"]) == 0
+        assert capsys.readouterr().out.startswith("usage: psiest bounds")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["estimate", "-h"]) == 0
+            assert main(self.LAPLACE + ["--nope"]) == 1
+        assert out.getvalue().startswith("usage: psiest estimate")
+        assert "unrecognized arguments: --nope" in err.getvalue()
+        assert capsys.readouterr() == ("", "")
 
 
 class TestKernelFlags:

@@ -17,7 +17,8 @@ from psiest import (
     pretty,
     validate_monotone,
 )
-from psiest.exprparse import MAX_DEPTH, Bin, Fn, Neg, Num, Var
+from psiest.exprparse import MAX_DEPTH, Bin, Fn, Neg, Num, Var, compile_terms
+from strategies import TREES, WIDE
 
 # Sources nested `levels` deep, in the tree or (for parens) in the source.
 DEEP_SHAPES = {
@@ -161,6 +162,14 @@ class TestEval:
     def test_nan_is_returned(self):
         assert math.isnan(eval_expr(parse("exp(x) - exp(x)"), x=1000.0))
 
+    @pytest.mark.parametrize("src", ["sign(exp(x) - exp(x))", "sign(exp(x) - exp(t))"])
+    def test_sign_of_nan_is_nan(self, src):
+        # sign(NaN) was 0.0, which turned inf - inf into a zero term
+        assert math.isnan(eval_expr(parse(src), x=1000.0, t=1000.0))
+        column, terms = compile_terms(parse(src))
+        (value,) = terms([1000.0 if column is None else column(1000.0)], 1000.0)
+        assert math.isnan(value)
+
     @given(st.floats(-50, 50), st.floats(-50, 50))
     @settings(max_examples=100, deadline=None)
     def test_no_nan_results(self, x, t):
@@ -266,7 +275,7 @@ def tree_walk(e, x=0.0, t=0.0):
                 return 1.0
             if v < 0.0:
                 return -1.0
-            return 0.0
+            return v if math.isnan(v) else 0.0
         if e.name == "sqrt":
             if v < 0.0:
                 raise DomainError(f"at offset {e.offset}: sqrt of negative value {v!r}")
@@ -306,19 +315,6 @@ def outcome(fn, *args):
         return repr(fn(*args))
     except Exception as exc:  # the oracle's own errors must match too
         return type(exc).__name__, str(exc)
-
-
-WIDE = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0])
-OFFSETS = st.integers(0, 99)
-TREES = st.recursive(
-    st.builds(Num, WIDE, OFFSETS) | st.builds(Var, st.sampled_from(("x", "t")), OFFSETS),
-    lambda sub: (st.builds(Neg, sub, OFFSETS)
-                 | st.builds(Fn, st.sampled_from(("ln", "exp", "abs", "sign", "sqrt")),
-                             sub, OFFSETS)
-                 | st.builds(Bin, st.sampled_from(("+", "-", "*", "/", "^")), sub, sub,
-                             OFFSETS)),
-    max_leaves=12,
-)
 
 
 class TestCompiled:
@@ -370,6 +366,11 @@ class TestFuzz:
     def test_deep_shapes_never_crash(self, shape, levels):
         try:
             compile_expr(parse(DEEP_SHAPES[shape](levels)))(0.5, 1.5)
+        except (ExprError, DomainError):
+            pass
+        try:
+            column, terms = compile_terms(parse(DEEP_SHAPES[shape](levels)))
+            terms([0.5 if column is None else column(0.5)], 1.5)
         except (ExprError, DomainError):
             pass
 

@@ -12,6 +12,10 @@ compared by repr (so -0.0 is told from 0.0 and NaN matches NaN), errors by
 type, message and line.  The one departure: where the old reader ended in a
 UnicodeDecodeError on a file that is not UTF-8, read_data raises a
 DataParseError naming a line.
+
+compile_terms hoists subtrees out of its comprehension, and is held to
+the comprehension it replaced, kept here too: value by value in bits, and
+error by type and message (so by offset).
 """
 
 import math
@@ -22,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from strategies import FAMILY_ROWS
+from strategies import FAMILY_ROWS, TREES
 from psiest import (
     DataParseError,
     EmptyData,
@@ -36,7 +40,10 @@ from psiest import (
     solve_sign_change,
     weighted_sum,
 )
+from psiest import exprparse
 from psiest.cli import read_data
+from psiest.exprparse import (_HELPERS, _TOO_DEEP, MAX_DEPTH, Bin, Expr, ExprSyntaxError,
+                              Fn, Neg, Num, Var, compile_terms, parse)
 from psiest.kernel import _ADD_IN_C_MIN, _CAP, _add
 
 LINE = OpenInterval(-math.inf, math.inf)
@@ -159,6 +166,32 @@ def reference_read_data(source, weights_path=None) -> WeightedSample:
         if len(ws) != len(xs):
             raise DataParseError(len(ws), "weights file length mismatch")
     return WeightedSample(tuple(xs), tuple(ws))
+
+
+def reference_source(e: Expr, room: int = MAX_DEPTH) -> str:
+    """Python source for e over x and t, every operation parenthesised."""
+    if room == 0:
+        raise ExprSyntaxError(e.offset, _TOO_DEEP)
+    if isinstance(e, Num):
+        return f"({e.value!r})"
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Neg):
+        return f"(-{reference_source(e.operand, room - 1)})"
+    if isinstance(e, Fn):
+        arg = reference_source(e.arg, room - 1)
+        return f"abs({arg})" if e.name == "abs" else f"_{e.name}({arg}, {e.offset})"
+    if isinstance(e, Bin):
+        a, b = reference_source(e.left, room - 1), reference_source(e.right, room - 1)
+        if e.op in _HELPERS:
+            return f"{_HELPERS[e.op]}({a}, {b}, {e.offset})"
+        return f"({a} {e.op} {b})"
+    raise AssertionError(type(e))
+
+
+def reference_terms(e: Expr):
+    source = reference_source(e)
+    return eval(f"(lambda xs, t: [{source} for x in xs])", exprparse._SCOPE)
 
 
 def outcome(fn):
@@ -513,3 +546,34 @@ class TestReadData:
                       + end.encode() + b"x\xff" + end.encode())
         assert outcome(lambda: read_data(str(p))) == (
             "raises", "DataParseError", "line 5: not UTF-8 text", 5)
+
+
+# --------------------------------------------------------------------------
+# compile_terms
+
+# NaN, +-0.0, infinities, and 1e-170, whose square underflows to 0
+POINTS = st.one_of(st.sampled_from(SPECIAL + (1e-170, -1e-170)), st.floats(),
+                   st.floats(-4.0, 4.0))
+
+
+class TestCompileTerms:
+    @given(TREES, st.lists(POINTS, max_size=5), POINTS)
+    # a raising divisor that reads t, and one that reads x, on either side
+    @example(parse("abs(x)/(t*t) - 1/t"), [1.0, 2.0], 0.0)
+    @example(parse("abs(x)/(t*t) - 1/t"), [1.0, 2.0], 1e-170)
+    @example(parse("1/t - abs(x)/(t*t)"), [1.0, 2.0], 0.0)
+    @example(parse("1/t - abs(x)/(t*t)"), [1.0, 2.0], 1e-170)
+    @example(parse("x/(x - x) + 1/t"), [1.0], 0.0)
+    @example(parse("1/t + x/(x - x)"), [1.0], 0.0)
+    @example(parse("ln(t) * x + sqrt(x) / t"), [-1.0], 0.0)
+    @example(parse("(x^2 - t)/(2*t*t)"), [-0.0, math.nan, 3.0], -0.0)
+    # powers that raise at some x, behind an error on their left: a column
+    # must not raise
+    @example(parse("ln(x - 3) + t * x^0.5"), [4.0, -1.0], 1.0)
+    @example(parse("ln(x - 3) + t * 0^x - 2^x"), [4.0, -1.0], 1.0)
+    @example(parse("sign(exp(x) - exp(t))"), [1000.0, 0.0], 800.0)
+    @example(parse("x*t + abs(x) - ln(abs(x)) / (t*t)"), [2.0, -0.0], math.nan)
+    def test_hoisted_terms_are_the_comprehension(self, e, xs, t):
+        column, terms = compile_terms(e)
+        got = outcome(lambda: terms(xs if column is None else [column(x) for x in xs], t))
+        assert got == outcome(lambda: reference_terms(e)(xs, t))

@@ -201,7 +201,8 @@ def family_cases(draw):
 
 def _expr_kernel(source, theta):
     e = parse(source)
-    return PsiKernel(theta, compile_expr(e), terms=compile_terms(e),
+    column, terms = compile_terms(e)
+    return PsiKernel(theta, compile_expr(e), column=column, terms=terms,
                      domain_check=math.isfinite)
 
 
@@ -295,6 +296,14 @@ class TestTermsBitwise:
 
 
 class TestTermsExamples:
+    def test_kernels_of_one_expression_share_columns(self):
+        # compile_terms is cached by source: a second kernel of the same
+        # expression reads the columns the first left on the sample
+        k1, k2 = (_expr_kernel("abs(x)/(t*t) - 1/t", POSITIVE) for _ in range(2))
+        assert k1.column is k2.column is not None and k1.terms is k2.terms
+        sample = WeightedSample.uniform([1.0, -2.0, 3.0])
+        assert sample.columns(k1) is sample.columns(k2) == [1.0, 2.0, 3.0]
+
     def test_raises_at_the_kth_x(self):
         k = PsiKernel(LINE, _raising_at(3))
         sample = WeightedSample((1.0, 2.0, 3.0, 4.0), (1.0, 1.0, 1.0, 1.0))
