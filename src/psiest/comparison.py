@@ -28,8 +28,10 @@ COUNTEREXAMPLE = "Counterexample"
 INCONCLUSIVE = "Inconclusive"
 
 # Central-difference step for a kernel without a closed-form d2, relative:
-# at t the step is _FD_STEP * max(1, |t|), so the rounding of t +- step stays
-# far below the derivative check's slack however large |t| is.
+# at t the step is _FD_STEP * |t| (_FD_STEP at t = 0), halved until t +- step
+# lies inside Theta, so the rounding of t +- step stays far below the
+# derivative check's slack however large |t| is, and psi is never evaluated
+# outside Theta however small.
 _FD_STEP = 1e-6
 
 # The least tol at which the ordering scans take an order the kernels' own
@@ -464,7 +466,9 @@ def construct_multiplier(
 def _d2(kernel: PsiKernel, x: float, t: float) -> float:
     if kernel.d2 is not None:
         return kernel.d2(x, t)
-    h = _FD_STEP * max(1.0, abs(t))
+    h = _FD_STEP * abs(t) or _FD_STEP
+    while not (kernel.theta.contains(t - h) and kernel.theta.contains(t + h)):
+        h *= 0.5
     return (kernel.eval(x, t + h) - kernel.eval(x, t - h)) / (2.0 * h)
 
 
@@ -479,9 +483,10 @@ def check_derivative_condition(
     t0 = theta1(x).  Requires both kernels to share theta1 on the witnesses
     (else Inconclusive) and nonvanishing parameter derivatives; a kernel
     without d2 takes a central difference with the relative step
-    _FD_STEP * max(1, |t0|).  An instance fails beyond 1e-8 max(|lhs|, |rhs|)
-    plus |lhs| + |rhs| at y = x (0 where not finite): how far t0 lies from
-    each kernel's own root, in units of t.  theta1 is shared only to a tolerance and solved
+    _FD_STEP * |t0| (_FD_STEP at t0 = 0), halved to fit inside Theta.  An
+    instance fails beyond 1e-8 max(|lhs|, |rhs|) plus |lhs| + |rhs| at
+    y = x (0 where not finite): how far t0 lies from each kernel's own
+    root, in units of t.  theta1 is shared only to a tolerance and solved
     only to cfg.tol, so the instance y = x, and those near it, tie only to
     within that; the sides at y = x are evaluated first, once.  Without a
     counterexample, the first instance with a side inf or NaN makes the

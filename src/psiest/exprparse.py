@@ -369,18 +369,45 @@ def compile_expr(e: Expr) -> Callable[[float, float], float]:
     + - * unary minus, abs and / by a nonzero number inline, the other
     operations as calls to this module's helpers with the node's offset.
     The source holds only x, t, numbers and those names, so no user text
-    reaches `compile`; compiled functions are cached by source.  Evaluation
-    is in IEEE doubles, left operand before right; undefined points raise
-    DomainError at the offset of the failing node, not NaN.  A tree deeper
-    than MAX_DEPTH raises ExprSyntaxError.
+    reaches `compile`; compiled functions are cached by source, and the
+    function of each tree object is kept on it, outside ==, hash and repr
+    (Num(0.0) == Num(-0.0), but their sources differ), so a second call on
+    the same tree does not walk it again.  Evaluation is in IEEE doubles,
+    left operand before right; undefined points raise DomainError at the
+    offset of the failing node, not NaN.  A tree deeper than MAX_DEPTH
+    raises ExprSyntaxError.
     """
-    return _compiled(f"ev = lambda x, t: {_source(e)}")["ev"]
+    ev = e.__dict__.get("_ev")
+    if ev is None:
+        ev = _compiled(f"ev = lambda x, t: {_source(e)}")["ev"]
+        object.__setattr__(e, "_ev", ev)
+    return ev
 
 
 def _batched(e: Expr, batch: _Batch) -> str:
     """e's values over the columns cs, as a list comprehension."""
     body = batch.ref(e, _walk(e, batch=batch), _X | _T, True)
     return f"[{body} for {', '.join(batch.columns.values()) or 'x'} in cs]"
+
+
+def _linear(e: Expr) -> bool:
+    """Whether e is affine in its columns: every node on each path from e
+    down to a subtree that reads x alone and cannot raise (a column, x
+    itself included) is + - unary minus, a * whose other operand reads no
+    x, or a / whose divisor reads no x."""
+    _, reads, raises, _ = _walk(e)
+    if not reads & _X or (reads == _X and not raises):
+        return True
+    if isinstance(e, Neg):
+        return _linear(e.operand)
+    if not isinstance(e, Bin):
+        return False
+    if e.op in ("+", "-"):
+        return _linear(e.left) and _linear(e.right)
+    x_free = [not _walk(k)[1] & _X for k in (e.left, e.right)]
+    if e.op == "*":
+        return (x_free[0] and _linear(e.right)) or (x_free[1] and _linear(e.left))
+    return e.op == "/" and x_free[1] and _linear(e.left)
 
 
 def compile_terms(e: Expr) -> tuple[Optional[Callable[[float], object]],
@@ -401,7 +428,12 @@ def compile_terms(e: Expr) -> tuple[Optional[Callable[[float], object]],
     one is: its type, its offset, and the left one of two.  Both functions
     are cached by source, so the kernels of one expression share their
     columns on a WeightedSample.  This is an expression kernel's
-    PsiKernel.column and terms."""
+    PsiKernel.column and terms.
+
+    Where e has one column c and is affine in it (_linear), psi(x, t) =
+    A(t) c(x) + B(t), and terms carries the attribute _linear = True: the
+    solver then proposes the root of t -> psi at the weighted mean of c
+    (solver._propose), which the sum itself must certify."""
     hoisted, in_place = _Batch(), _Batch(in_place=True)
     fast, slow = _batched(e, hoisted), _batched(e, in_place)
     lines = []
@@ -417,7 +449,10 @@ def compile_terms(e: Expr) -> tuple[Optional[Callable[[float], object]],
         lines += [f"    if {zero}:", f"        return {slow}"]
     lines.append(f"    return {fast}")
     names = _compiled("\n".join(lines))
-    return names.get("column"), names["terms"]
+    terms = names["terms"]
+    if len(hoisted.columns) == 1 and _linear(e):  # the same for one source
+        terms._linear = True
+    return names.get("column"), terms
 
 
 def eval_expr(e: Expr, x: float = 0.0, t: float = 0.0) -> float:

@@ -9,8 +9,9 @@ parameters, Gamma, Lomax, lognormal location, Laplace scale).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, Mapping, Optional
 
 from .errors import DomainError, InvalidParameter, MissingClosedForm
@@ -113,16 +114,32 @@ def digamma(x: float) -> float:
     return total + acc
 
 
-def _finite(x: float) -> bool:
-    return math.isfinite(x)
-
-
+# A column or domain check may carry its batched form as the attribute
+# batch, as a terms function carries _affine: check.batch(xs) is
+# all(map(check, xs)), and column.batch(xs) is list(map(column, xs)), the
+# same floats, or None (or a raise) where the per-x path must run, to give
+# the values or the error of the first bad x (PsiKernel.columns,
+# WeightedSample.check).
 def _positive(x: float) -> bool:
     return x > 0.0
 
 
 def _unit(x: float) -> bool:
     return 0.0 < x < 1.0
+
+
+def _finite_not(m: float):
+    """The check math.isfinite(x) and x != m, with its batched form."""
+    def check(x):
+        return math.isfinite(x) and x != m
+
+    check.batch = lambda xs: all(map(math.isfinite, xs)) and m not in xs
+    return check
+
+
+_positive.batch = lambda xs: all(map(operator.lt, repeat(0.0), xs))
+_unit.batch = lambda xs: (all(map(operator.lt, repeat(0.0), xs))
+                          and all(map(operator.lt, xs, repeat(1.0))))
 
 
 def _any(v: float) -> bool:
@@ -159,6 +176,15 @@ def _ln_one_minus_pow(x: float, beta: float) -> float:
     return math.log(gap)
 
 
+def _ln_one_minus_pows(xs, beta: float):
+    """_ln_one_minus_pow at each x, its first branch in C; None where some
+    x^beta is not below 1 (or NaN)."""
+    ps = list(map(math.exp, map(operator.mul, repeat(beta), map(math.log, xs))))
+    if not all(map(operator.lt, ps, repeat(1.0))):
+        return None
+    return list(map(math.log1p, map(operator.neg, ps)))
+
+
 def _minus_inv_square(x: float, t: float) -> float:
     return -1.0 / (t * t)
 
@@ -182,7 +208,7 @@ def _expectile(alpha):
             return -below
         return -0.5
 
-    return None, terms, d2, _finite
+    return None, terms, d2, math.isfinite
 
 
 def _expectile_estimate(xs, ws, alpha: float) -> float:
@@ -225,7 +251,7 @@ def _mathieu(f):
     def terms(xs, t):
         return [0.0 if x == t else copysign(f(abs(x - t)), x - t) for x in xs]
 
-    return None, terms, None, _finite
+    return None, terms, None, math.isfinite
 
 
 def _pow(u: float, k: int) -> float:
@@ -242,9 +268,15 @@ def _normal_var(m):
         d = 2.0 * t * t
         return [(c - t) / d for c in cs]
 
-    return ((lambda x: _pow(x - m, 2)), terms,
+    def column(x):
+        return _pow(x - m, 2)
+
+    # OverflowError where a square overflows: the per-x path gives inf
+    column.batch = lambda xs: list(map(operator.pow, map(operator.sub, xs, repeat(m)),
+                                       repeat(2)))
+    return (column, terms,
             (lambda x, t: (t - 2.0 * _pow(x - m, 2)) / (2.0 * _pow(t, 3))),
-            (lambda x: _finite(x) and x != m))
+            _finite_not(m))
 
 
 def _beta_alpha(beta):
@@ -252,7 +284,11 @@ def _beta_alpha(beta):
         inv = 1.0 / t
         return [inv + c for c in cs]
 
-    return (lambda x: _ln_one_minus_pow(x, beta)), terms, _minus_inv_square, _unit
+    def column(x):
+        return _ln_one_minus_pow(x, beta)
+
+    column.batch = lambda xs: _ln_one_minus_pows(xs, beta)
+    return column, terms, _minus_inv_square, _unit
 
 
 def _beta_beta(alpha):
@@ -296,7 +332,11 @@ def _lomax_shape_alpha(lam):
         inv = 1.0 / t
         return [inv - c for c in cs]
 
-    return (lambda x: math.log1p(x / lam)), terms, _minus_inv_square, _positive
+    def column(x):
+        return math.log1p(x / lam)
+
+    column.batch = lambda xs: list(map(math.log1p, map(operator.truediv, xs, repeat(lam))))
+    return column, terms, _minus_inv_square, _positive
 
 
 def _lognormal_mu(sigma2):
@@ -311,9 +351,13 @@ def _laplace_scale(mu):
         tt, inv = t * t, 1.0 / t
         return [c / tt - inv for c in cs]
 
-    return ((lambda x: abs(x - mu)), terms,
+    def column(x):
+        return abs(x - mu)
+
+    column.batch = lambda xs: list(map(abs, map(operator.sub, xs, repeat(mu))))
+    return (column, terms,
             (lambda x, t: -2.0 * abs(x - mu) / _pow(t, 3) + 1.0 / (t * t)),
-            (lambda x: _finite(x) and x != mu))
+            _finite_not(mu))
 
 
 @dataclass(frozen=True)
@@ -398,7 +442,9 @@ def make_kernel(spec: FamilySpec) -> PsiKernel:
     """Build the PsiKernel for a family, with closed-form theta1 and the
     partial derivative in t where elementary, its weighted estimator
     (PsiKernel._estimate) and its (q, g) (PsiKernel._affine) where the row
-    gives them.  Its eval is the row's batched formula at one point."""
+    gives them.  A row's own estimate formula is also the terms' _proposal,
+    which the solver certifies.  Its eval is the row's batched formula at
+    one point."""
     row = _FAMILIES[spec.family]
     v = _known(spec, row)
     column, terms, d2, check = row.build(v)
@@ -424,9 +470,12 @@ def make_kernel(spec: FamilySpec) -> PsiKernel:
             return explicit(x, v)
     if row.estimate is not None:
         formula = row.estimate
+        # the solver's proposal (solver._propose), kept with terms by
+        # dataclasses.replace, as _affine is
+        terms._proposal = lambda cs, ws: formula(cs, ws, v)
 
         def estimate(sample):
-            return formula(sample.columns(kernel), sample._live_weights, v)
+            return terms._proposal(sample.columns(kernel), sample._live_weights)
     kernel = PsiKernel(row.theta, _pointwise(column, terms), theta1=th1, d2=d2,
                        domain_check=check, name=spec.family, column=column,
                        terms=terms)

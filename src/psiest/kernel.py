@@ -126,11 +126,18 @@ class PsiKernel:
     sums S of w F(x) and W of w.  It goes with terms, so
     dataclasses.replace keeps it unless terms=None is passed.
 
+    Two more attributes of terms go with it in the same way, and make the
+    solver certify a proposal before any search (solver._propose):
+    _proposal(columns, weights), a family row's own estimate formula
+    (families.make_kernel), and _linear, set where an expression is affine
+    in its one column (exprparse.compile_terms).
+
     _estimate, set by families.make_kernel alone, is the weighted estimator
     as a formula: sample -> the point of sign change, raising (DomainError,
     or what the formula's arithmetic raises) where it has none.  It is
     not an argument, and dataclasses.replace leaves it None: a replaced
-    kernel may have another psi, so its estimator is solved.
+    kernel may have another psi, so its estimator is solved.  It is
+    trusted without a sum (comparison._settled), where a proposal is not.
     """
 
     theta: OpenInterval
@@ -157,9 +164,23 @@ class PsiKernel:
         object.__setattr__(self, "_affine", getattr(self.terms, "_affine", None))
 
     def columns(self, xs: Sequence[float]) -> Sequence[float]:
-        """column(x) for each x of xs, in order; xs itself without a column."""
+        """column(x) for each x of xs, in order; xs itself without a column.
+        A column that carries its batched form column.batch (families sets
+        it) gives them from it, the same floats; where the batch gives None
+        or raises, column(x) runs x by x, so any error is that of the first
+        x that has one."""
         col = self.column
-        return xs if col is None else [col(x) for x in xs]
+        if col is None:
+            return xs
+        batch = getattr(col, "batch", None)
+        if batch is not None:
+            try:
+                cs = batch(xs)
+            except (ArithmeticError, ValueError):
+                cs = None
+            if cs is not None:
+                return cs
+        return list(map(col, xs))
 
     def check_observation(self, x: float) -> None:
         if not self.domain_check(x):
@@ -180,6 +201,11 @@ class WeightedSample:
     (columns), and for an affine kernel the sums of its column once (sums);
     all are cached on the sample, outside ==, hash and repr, as is whether
     weighted_sum may add the terms in C (_add_in_c).
+
+    A sample whose weights are all 1.0 is told by one count of 1.0 and
+    skips the other scans of its weights.  Where every positive weight is
+    1.0 (_unit), its sums are S = fsum of the column and W = n, the floats
+    fsum gives with the weights.
     """
 
     xs: tuple
@@ -189,6 +215,8 @@ class WeightedSample:
     # The xs and weights of the positive-weight terms, the only ones summed.
     _live_xs: tuple = field(default=(), init=False, repr=False, compare=False)
     _live_weights: tuple = field(default=(), init=False, repr=False, compare=False)
+    # Every positive weight 1.0.
+    _unit: bool = field(default=False, init=False, repr=False, compare=False)
     # At least _ADD_IN_C_MIN live weights, each 1.0: weighted_sum may then
     # add the terms by _add, skipping the multiply.
     _add_in_c: bool = field(default=False, init=False, repr=False, compare=False)
@@ -205,19 +233,21 @@ class WeightedSample:
         if len(self.xs) == 0:
             raise InvalidArgument("sample must contain at least one observation")
         xs, ws = self.xs, self.weights
-        low, high = min(ws), max(ws)  # read only once every w is finite
-        if not (all(map(math.isfinite, ws)) and low >= 0.0):
-            raise InvalidArgument("weights must be finite and nonnegative")
-        if not high > 0.0:
-            raise InvalidArgument("at least one weight must be positive")
-        if low == 0.0:  # else the live terms are xs and weights themselves
-            xs = tuple(x for x, w in zip(xs, ws) if w > 0.0)
-            ws = tuple(w for w in ws if w > 0.0)
-            low = min(ws)
+        unit = ws.count(1.0) == len(ws)
+        if not unit:
+            low, high = min(ws), max(ws)  # read only once every w is finite
+            if not (all(map(math.isfinite, ws)) and low >= 0.0):
+                raise InvalidArgument("weights must be finite and nonnegative")
+            if not high > 0.0:
+                raise InvalidArgument("at least one weight must be positive")
+            if low == 0.0:  # else the live terms are xs and weights themselves
+                xs = tuple(x for x, w in zip(xs, ws) if w > 0.0)
+                ws = tuple(w for w in ws if w > 0.0)
+                unit = ws.count(1.0) == len(ws)
         object.__setattr__(self, "_live_xs", xs)
         object.__setattr__(self, "_live_weights", ws)
-        object.__setattr__(self, "_add_in_c",
-                           low == high == 1.0 and len(ws) >= _ADD_IN_C_MIN)
+        object.__setattr__(self, "_unit", unit)
+        object.__setattr__(self, "_add_in_c", unit and len(ws) >= _ADD_IN_C_MIN)
         self._columns[None] = xs
 
     @classmethod
@@ -230,7 +260,9 @@ class WeightedSample:
         check = kernel.domain_check
         if check in self._passed:
             return
-        if not all(map(check, self.xs)):  # find the first x outside X
+        batch = getattr(check, "batch", None)  # all(map(check, xs)), in C
+        if not (all(map(check, self.xs)) if batch is None else batch(self.xs)):
+            # find the first x outside X
             for x in self.xs:
                 kernel.check_observation(x)
         self._passed.add(check)
@@ -256,8 +288,11 @@ class WeightedSample:
         key = kernel.column
         if key not in self._sums:
             try:
-                s = math.fsum(map(operator.mul, self._live_weights, cs))
-                w = math.fsum(self._live_weights)
+                if self._unit:
+                    s, w = math.fsum(cs), float(len(cs))
+                else:
+                    s = math.fsum(map(operator.mul, self._live_weights, cs))
+                    w = math.fsum(self._live_weights)
             except (OverflowError, ValueError):
                 s = w = math.nan
             finite = math.isfinite(s) and math.isfinite(w)

@@ -11,6 +11,11 @@ at most one step more than bisection (and MAX_BISECT caps the refinement as
 it capped bisection), and a jump or kink costs speed, not correctness.
 A NaN sum has no sign, so the search stops at the first one.  The
 generalized left inverse f^-1(y) is the same search on t -> y - f(t).
+
+Where the estimate is known up to rounding before any search (a proposal:
+the expectile's exact formula, or the root at the weighted mean of the
+column for an expression affine in it), two sums on either side of it
+certify it in place of the search, if their signs straddle zero.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import DomainError, InvalidArgument, OutOfRange, SolverError
+from .errors import DomainError, InvalidArgument, OutOfRange, PsiEstError, SolverError
 from .kernel import _CAP, OpenInterval, PsiKernel, WeightedSample, weighted_sum
 
 CONVERGED = "Converged"
@@ -36,6 +41,7 @@ STOP_EXHAUSTED = "BracketExhausted"
 STOP_LIMIT = "IterationLimit"
 STOP_NO_SIGN_CHANGE = "NoSignChange"
 STOP_NAN = "NaNSum"
+STOP_CERTIFIED = "Certified"
 
 # Steps allowed in each phase of a search: bracket expansion, then ITP
 # refinement, which needs at most _ITP_N0 steps more than bisection would,
@@ -75,10 +81,12 @@ class SignChangeResult:
     1 + 1 + 200 = 202, as (1, 1, 200).
 
     stop says why the search ended.  Under status Converged it is
-    WidthReached (the bracket is narrow enough) or BracketExhausted (no
+    WidthReached (the bracket is narrow enough), BracketExhausted (no
     double lies strictly between its ends, as with a tol below the spacing
-    of doubles at theta); otherwise IterationLimit (MaxIterations),
-    NoSignChange (NoPositivePart, NoNegativePart) or NaNSum (NonFiniteSum).
+    of doubles at theta) or Certified (two sums on either side of a
+    proposal bracket it, and no search ran: iterations 2, as (2, 0, 0));
+    otherwise IterationLimit (MaxIterations), NoSignChange (NoPositivePart,
+    NoNegativePart) or NaNSum (NonFiniteSum).
     """
 
     theta: float
@@ -251,12 +259,67 @@ class _Itp:
         return t if a < t < b else mid
 
 
+def _propose(kernel: PsiKernel, sample: WeightedSample, cfg: SolverConfig):
+    """Where the estimate should lie, or None.  Where the kernel's terms
+    carry a _proposal (the expectile's formula, families.make_kernel), its
+    value at the sample's columns and weights.  Where they are an
+    expression's, affine in its one column c (terms._linear,
+    exprparse.compile_terms), the root of t -> psi(c, t) at c = S / W, the
+    weighted mean of the column (WeightedSample.sums), searched to a
+    quarter of cfg.tol at O(1) cost a step, so that its midpoint lies
+    inside the certificate's bracket.  It may raise."""
+    terms = kernel.terms
+    proposal = getattr(terms, "_proposal", None)
+    if proposal is not None:
+        return proposal(sample.columns(kernel), sample._live_weights)
+    if not getattr(terms, "_linear", False):
+        return None
+    sums = sample.sums(kernel)
+    if sums is None:
+        return None
+    c = (sums[0] / sums[1],)
+    res = _solve_predicate(lambda t: terms(c, t)[0], kernel.theta,
+                           SolverConfig(0.25 * cfg.tol))
+    return res.theta if res.converged else None
+
+
+def _certified(value: Callable[[float], float], t, theta: OpenInterval,
+               cfg: SolverConfig) -> Optional[SignChangeResult]:
+    """The result at proposal t, or None where the search must run: t is
+    None or outside theta, or the bracket [a, b] = [t - h, t + h], h =
+    width_tol(t) / 4 and at least one ulp each side, leaves theta or fails
+    the search's stop test, or not value(a) > 0 >= value(b) (a NaN, or a
+    raise, fails it).  Two sums at most."""
+    if t is None or not theta.contains(t):
+        return None
+    h = 0.25 * cfg.width_tol(t)
+    a = min(t - h, math.nextafter(t, -math.inf))
+    b = max(t + h, math.nextafter(t, math.inf))
+    mid = 0.5 * (a + b)
+    if not (theta.contains(a) and theta.contains(b) and math.isfinite(mid)
+            and b - a <= cfg.width_tol(mid)):
+        return None
+    try:
+        if not (value(a) > 0.0 and value(b) <= 0.0):
+            return None
+    except (PsiEstError, ArithmeticError, ValueError):
+        return None
+    return SignChangeResult(mid, a, b, 2, CONVERGED, STOP_CERTIFIED, (2, 0, 0))
+
+
 def solve_sign_change(
     kernel: PsiKernel,
     sample: WeightedSample,
     cfg: SolverConfig = SolverConfig(),
 ) -> SignChangeResult:
     """Point of sign change of t -> sum_i lambda_i psi(x_i, t) on Theta.
+
+    A kernel whose sum is taken term by term (no PsiKernel._affine) and
+    that has a proposal (_propose) is first certified there: where the sum
+    is > 0 just below the proposal and <= 0 just above it (_certified), the
+    result is Converged with stop Certified after those 2 sums.  Every
+    other case runs the search, as if no proposal had been made.  The
+    affine rows' sums cost O(1), so a proposal would save them nothing.
 
     A non-converged status means the required sign was never observed
     (the kernel violates the sign-change premise numerically, or Theta is
@@ -266,8 +329,16 @@ def solve_sign_change(
     sum, since the kernel may jump across zero.
     """
     sample.check(kernel)
-    return _solve_predicate(functools.partial(weighted_sum, kernel, sample),
-                            kernel.theta, cfg)
+    value = functools.partial(weighted_sum, kernel, sample)
+    if kernel._affine is None:
+        try:
+            t = _propose(kernel, sample, cfg)
+        except (PsiEstError, ArithmeticError, ValueError):
+            t = None
+        res = _certified(value, t, kernel.theta, cfg)
+        if res is not None:
+            return res
+    return _solve_predicate(value, kernel.theta, cfg)
 
 
 def theta1(kernel: PsiKernel, x: float, cfg: SolverConfig = SolverConfig()) -> float:

@@ -309,6 +309,33 @@ class TestDerivativeCondition:
             assert (v.status, v.grid) == ("NoCounterexample", {"fd_step": _FD_STEP})
         assert abs(_d2(diff, obs[1], obs[1]) + 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("k", range(-20, 41, 4))
+    def test_difference_step_stays_inside_theta(self, k):
+        # ln(x) - ln(t) against itself near 0: an absolute step of 1e-6
+        # from t0 = 2^k 1e-9 would evaluate ln at t0 - h < 0
+        x0 = 2.0 ** k * 1e-9
+        kernels = [PsiKernel(OpenInterval(0.0, math.inf),
+                             compile_expr(parse("ln(x) - ln(t)")), name=n)
+                   for n in ("psi", "phi")]
+        v = check_derivative_condition(*kernels, WitnessSet((x0, 2 * x0, 3 * x0), ()))
+        assert (v.status, v.grid) == (NO_COUNTEREXAMPLE, {"fd_step": _FD_STEP})
+
+    @pytest.mark.parametrize("theta, t", [((0.0, 1.0), 1e-9), ((0.0, 1.0), 1.0 - 1e-12),
+                                          ((-1e-7, 1e-7), 0.0), ((5.0, math.inf), 5.5),
+                                          ((-math.inf, -3.0), -3.0000001)])
+    def test_difference_step_is_halved_to_fit(self, theta, t):
+        theta = OpenInterval(*theta)
+        seen = []
+
+        def ev(x, s):
+            seen.append(s)
+            return x - s
+
+        d = _d2(PsiKernel(theta, ev, name="counting"), t, t)
+        assert len(seen) == 2 and all(theta.contains(s) for s in seen)
+        # t +- h rounds on the scale of the end that it fits next to
+        assert abs(d + 1.0) <= 1e-3
+
     def test_theta1_one_ulp_apart(self):
         # phi's root is one ulp below psi's at every x in [1, 2): theta1 is
         # shared, and t0, their midpoint, is off one kernel's root by an ulp,

@@ -17,6 +17,7 @@ from psiest import (
     pretty,
     validate_monotone,
 )
+from psiest import exprparse
 from psiest.exprparse import MAX_DEPTH, Bin, Fn, Neg, Num, Var, compile_terms
 from strategies import TREES, WIDE
 
@@ -331,11 +332,46 @@ class TestCompiled:
             for t in (0.0, -0.0, 1.5, -0.25, 2.0, 700.0, -math.inf):
                 assert outcome(f, x, t) == outcome(tree_walk, e, x, t)
 
+    def test_compiled_once_per_tree(self, monkeypatch):
+        # the function of a tree is kept on the tree: a repeated eval_expr
+        # walks nothing
+        e = parse("abs(x)/(t*t) - 1/t")
+        first = eval_expr(e, 2.0, 3.0)
+        walks = []
+        walk = exprparse._walk
+        monkeypatch.setattr(exprparse, "_walk",
+                            lambda *args, **kw: walks.append(args) or walk(*args, **kw))
+        assert [eval_expr(e, 2.0, 3.0) for _ in range(3)] == [first] * 3
+        assert compile_expr(e) is compile_expr(e) and walks == []
+        # a new tree is walked, however equal to a compiled one
+        eval_expr(parse("abs(x)/(t*t) - 1/t"), 2.0, 3.0)
+        assert walks
+
     @pytest.mark.parametrize("src", ["ln(0-1) / (t-t)"] + [
         f"ln(0-1) {op} sqrt(0-1)" for op in "+-*/^"])
     def test_left_error_reported_first(self, src):
         with pytest.raises(DomainError, match="^at offset 0: ln of nonpositive value -1.0$"):
             compile_expr(parse(src))(0.0, 1.0)
+
+
+class TestLinear:
+    """compile_terms marks terms._linear where e has one column and every
+    node from the root down to it is + - unary minus, * by an operand
+    without x, or / by a divisor without x."""
+
+    @pytest.mark.parametrize("src", [
+        "abs(x)/(t*t) - 1/t", "(x^2 - t)/(2*t*t)", "x - t", "t*x*3 - t",
+        "(x - t) / ln(t)", "-(exp(x) + 1) * (t - 3) + t/2", "sign(x) - t",
+        "x - x*t"])
+    def test_flagged(self, src):
+        assert compile_terms(parse(src))[1]._linear is True
+
+    @pytest.mark.parametrize("src", [
+        "exp(x - t) - 1", "ln(x - t)", "abs(x)*t + x", "(0-10)^x - t",
+        "x*t*x", "t / x - 1", "x*x*t - x", "ln(x) - t", "abs(x - t)", "x^2 - t^x",
+        "x/2 - x*t"])  # two columns, x/2 and x
+    def test_not_flagged(self, src):
+        assert not getattr(compile_terms(parse(src))[1], "_linear", False)
 
 
 # What generated code may name: the helpers, abs and inf.

@@ -30,11 +30,13 @@ from psiest import (
     theta1,
     weighted_sum,
 )
+from psiest.exprparse import compile_terms
 from psiest.solver import (
     CONVERGED, MAX_BISECT, MAX_EXPAND, MAX_ITERATIONS, NO_NEGATIVE_PART,
-    NO_POSITIVE_PART, NON_FINITE_SUM, STOP_EXHAUSTED, STOP_LIMIT, STOP_NAN,
-    STOP_NO_SIGN_CHANGE, STOP_WIDTH, SignChangeResult, _Itp, _step_toward,
-    expansion_reach)
+    NO_POSITIVE_PART, NON_FINITE_SUM, STOP_CERTIFIED, STOP_EXHAUSTED, STOP_LIMIT,
+    STOP_NAN, STOP_NO_SIGN_CHANGE, STOP_WIDTH, SignChangeResult, _Itp,
+    _solve_predicate, _step_toward, expansion_reach)
+from strategies import TREES
 
 
 def reference_bisection(value, positive, theta, cfg):
@@ -686,3 +688,210 @@ class TestLeftInverseOracle:
             st.floats(allow_nan=False, allow_infinity=False)))
         assert (_outcome(generalized_left_inverse, f, theta, y)
                 == _outcome(reference_left_inverse, f, theta, y))
+
+
+def _expr_kernel(e, theta):
+    """An expression kernel as the CLI builds one from --psi."""
+    e = parse(e) if isinstance(e, str) else e
+    column, terms = compile_terms(e)
+    return PsiKernel(theta, compile_expr(e), domain_check=math.isfinite, name="psi",
+                     column=column, terms=terms)
+
+
+def _searched(kernel, sample, cfg=SolverConfig()):
+    """solve_sign_change without a proposal: the search alone."""
+    sample.check(kernel)
+    return _solve_predicate(functools.partial(weighted_sum, kernel, sample),
+                            kernel.theta, cfg)
+
+
+def _result(solve, kernel, sample, cfg=SolverConfig()):
+    """The result's fields with floats as hex (-0.0 and NaN compare), or the
+    type and message of what the solve raises."""
+    try:
+        res = solve(kernel, sample, cfg)
+    except PsiEstError as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(res))
+
+
+def _assert_certified(kernel, sample, res, cfg=SolverConfig()):
+    lo, hi = res.bracket_lo, res.bracket_hi
+    assert weighted_sum(kernel, sample, lo) > 0.0 >= weighted_sum(kernel, sample, hi)
+    assert lo < res.theta < hi and hi - lo <= cfg.width_tol(res.theta)
+    assert (res.status, res.iterations, res.phase_evals) == (CONVERGED, 2, (2, 0, 0))
+    assert sum(res.phase_evals) == res.iterations
+
+
+def _laplace(rng):
+    return rng.choice((-1.0, 1.0)) * rng.expovariate(1.0)
+
+
+# Kernels with a proposal: the expectile's formula, and expressions affine in
+# their one column.
+CERTIFIABLE = [
+    (lambda alpha: make_kernel(FamilySpec("expectile", {"alpha": alpha})), (-10.0, 10.0)),
+    (lambda _: _expr_kernel("abs(x)/(t*t) - 1/t", _POSITIVE), (-10.0, 10.0)),
+    (lambda _: _expr_kernel("(x^2 - t)/(2*t*t)", _POSITIVE), (-10.0, 10.0)),
+    (lambda _: _expr_kernel("x - t", _LINE), (-1e6, 1e6)),
+    (lambda _: _expr_kernel("(3*x - t*2 + 1)/(1 + t*t)", _LINE), (-10.0, 10.0)),
+    (lambda _: _expr_kernel("sign(x) - t", OpenInterval(-2.0, 2.0)), (-10.0, 10.0)),
+]
+
+
+@st.composite
+def certifiable_cases(draw):
+    build, (lo, hi) = draw(st.sampled_from(CERTIFIABLE))
+    kernel = build(draw(st.floats(0.05, 0.95)))
+    xs = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=40))
+    ws = draw(st.one_of(st.just([1.0] * len(xs)),
+                        st.lists(st.sampled_from((0.0, 0.5, 1.0, 3.0)), min_size=len(xs),
+                                 max_size=len(xs)).filter(any)))
+    cfg = SolverConfig(draw(st.sampled_from((1e-12, 1e-8, 1e-3, 1e-15, 1e-20))))
+    return kernel, WeightedSample(tuple(xs), tuple(ws)), cfg
+
+
+class TestCertificate:
+    """A kernel summed term by term with a proposal is certified by two
+    sums on either side of it; every other input runs the search."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(certifiable_cases())
+    def test_certified_or_searched(self, case):
+        kernel, sample, cfg = case
+        res = solve_sign_change(kernel, sample, cfg)
+        if res.stop == STOP_CERTIFIED:
+            _assert_certified(kernel, sample, res, cfg)
+        else:
+            assert _result(solve_sign_change, kernel, sample, cfg) == _result(
+                _searched, kernel, sample, cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(TREES, st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6))
+    def test_trees_certified_only_where_flagged(self, e, xs):
+        kernel = _expr_kernel(e, _LINE)
+        sample = WeightedSample.uniform(xs)
+        got = _result(solve_sign_change, kernel, sample)
+        if got[5:6] == (STOP_CERTIFIED,):
+            assert kernel.terms._linear
+            _assert_certified(kernel, sample, solve_sign_change(kernel, sample))
+        else:
+            assert got == _result(_searched, kernel, sample)
+
+    @pytest.mark.parametrize("src, theta, xs", [
+        ("exp(x - t) - 1", _LINE, [0.5, 1.0, 4.0]),
+        ("ln(x - t)", _LINE, [0.5, 1.0, 4.0]),
+        ("abs(x)*t + x", _LINE, [-0.5, 1.0, -4.0]),
+        ("(0-10)^x - t", _LINE, [1.0, 2.0, 3.0]),
+        ("x*t*x - 1", _POSITIVE, [1.0, 2.0, 3.0])])
+    def test_unflagged_keeps_the_search(self, src, theta, xs):
+        kernel = _expr_kernel(src, theta)
+        assert not getattr(kernel.terms, "_linear", False)
+        sample = WeightedSample.uniform(xs)
+        got = _result(solve_sign_change, kernel, sample)
+        assert got == _result(_searched, kernel, sample)
+        assert STOP_CERTIFIED not in got
+
+    @pytest.mark.parametrize("src, draw", [("abs(x)/(t*t) - 1/t", _laplace),
+                                           ("(x^2 - t)/(2*t*t)", lambda r: r.gauss(0.0, 2.0))])
+    def test_benchmark_oracle_reads_the_certificate(self, src, draw):
+        # estimate_bulk's output check: the expression's eval alone, summed
+        # term by term, is > 0 and <= 0 at the ends of the certified bracket
+        oracle = PsiKernel(_POSITIVE, compile_expr(parse(src)))
+        for seed in range(12):
+            rng = random.Random(seed)
+            xs = tuple(draw(rng) for _ in range(2500))
+            res = solve_sign_change(_expr_kernel(src, _POSITIVE), WeightedSample.uniform(xs))
+            assert res.stop == STOP_CERTIFIED
+            sample = WeightedSample.uniform(xs)
+            assert weighted_sum(oracle, sample, res.bracket_lo) > 0.0
+            assert weighted_sum(oracle, sample, res.bracket_hi) <= 0.0
+
+    def test_two_sums(self, monkeypatch):
+        calls = []
+
+        def counting(kernel, sample, t):
+            calls.append(t)
+            return weighted_sum(kernel, sample, t)
+
+        monkeypatch.setattr(solver, "weighted_sum", counting)
+        for kernel in (_expr_kernel("abs(x)/(t*t) - 1/t", _POSITIVE),
+                       make_kernel(FamilySpec("expectile", {"alpha": 0.5}))):
+            calls.clear()
+            res = solve(kernel, [1.0, 2.0, 3.0])
+            assert res.stop == STOP_CERTIFIED and calls == [res.bracket_lo, res.bracket_hi]
+        # the expectile's golden: h = width_tol(2) / 4 on each side
+        assert (res.theta, res.bracket_lo, res.bracket_hi) == (
+            2.0, 1.9999999999995, 2.0000000000005)
+
+    def test_replaced_eval_keeps_the_certificate(self):
+        # the proposal goes with terms, as _affine does: a kernel whose eval
+        # alone is replaced (a counting wrapper, say) sums and solves alike
+        kernel = make_kernel(FamilySpec("expectile", {"alpha": 0.3}))
+        counted = dataclasses.replace(kernel, eval=lambda x, t: kernel.eval(x, t))
+        sample = WeightedSample.uniform([-1.0, 1.4, 2.5, -1.0])
+        assert counted._estimate is None
+        assert _result(solve_sign_change, counted, sample) == _result(
+            solve_sign_change, kernel, sample)
+        assert solve_sign_change(counted, sample).stop == STOP_CERTIFIED
+        assert solve_sign_change(dataclasses.replace(kernel, terms=None),
+                                 sample).stop == STOP_WIDTH
+
+    def test_affine_rows_keep_the_search(self):
+        # q(t) (S - W g(t)) costs O(1): a proposal would save nothing
+        res = solve(FamilySpec("normal_var", {"m": 0.0}), [1, -1, 2])
+        assert res.stop == STOP_WIDTH
+
+    def test_cancelling_expectile_keeps_the_search(self):
+        # its formula raises where the sums cancel: the search's root stands
+        res = solve(FamilySpec("expectile", {"alpha": 0.5}), [-1e20, 1e20, 2.5, 1.5])
+        assert (res.theta, res.stop, res.iterations) == (1.99999999999975, STOP_WIDTH, 8)
+
+    @pytest.mark.parametrize("proposal, certified", [
+        (lambda cs, ws: 7.0 / 3.0, True), (lambda cs, ws: math.nan, False),
+        (lambda cs, ws: math.inf, False), (lambda cs, ws: 1e6, False),
+        (lambda cs, ws: 3.0, False), (lambda cs, ws: 10.0, False),
+        (lambda cs, ws: 0.0, False), (lambda cs, ws: 1.0 / 0.0, False),
+        (lambda cs, ws: math.log(-1.0), False), (lambda cs, ws: None, False),
+        (lambda cs, ws: (_ for _ in ()).throw(DomainError("no estimate")), False)])
+    def test_bad_proposal_runs_the_search(self, proposal, certified):
+        # off the root, outside Theta, not finite or raising: the search's bits
+        kernel = PsiKernel(OpenInterval(0.0, 10.0), lambda x, t: x - t)
+        sample = WeightedSample.uniform([1.0, 2.0, 4.0])
+        want = _result(_searched, kernel, sample)
+        kernel.terms._proposal = proposal
+        got = _result(solve_sign_change, kernel, sample)
+        assert (STOP_CERTIFIED in got) == certified
+        assert certified or got == want
+
+    @pytest.mark.parametrize("bad", [math.nan, "raise"])
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_bad_certifying_sum_runs_the_search(self, bad, end):
+        # the sum is NaN, or raises, at one end of the certificate's bracket
+        # alone
+        ends = (1.9999999999995, 2.0000000000005)
+
+        def ev(x, t):
+            if t == ends[end]:
+                if bad == "raise":
+                    raise DomainError(f"psi undefined at t={t!r}")
+                return bad
+            return x - t
+
+        kernel = PsiKernel(_LINE, ev)
+        sample = WeightedSample.uniform([1.0, 2.0, 3.0])
+        want = _result(_searched, kernel, sample)
+        kernel.terms._proposal = lambda cs, ws: 2.0
+        assert _result(solve_sign_change, kernel, sample) == want
+
+    def test_tol_below_the_spacing_runs_the_search(self):
+        # a bracket of one ulp each side is wider than width_tol: the search
+        # ends BracketExhausted, as it did without a proposal
+        kernel = make_kernel(FamilySpec("expectile", {"alpha": 0.5}))
+        sample = WeightedSample.uniform([1.0, 2.0, 3.0])
+        cfg = SolverConfig(1e-20)
+        res = solve_sign_change(kernel, sample, cfg)
+        assert res.stop == STOP_EXHAUSTED
+        assert _result(solve_sign_change, kernel, sample, cfg) == _result(
+            _searched, kernel, sample, cfg)

@@ -14,7 +14,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from strategies import FAMILY_ROWS, MATHIEU_FS
@@ -266,6 +266,34 @@ def plain_cases(draw):
 ALL_CASES = st.one_of(family_cases(), expression_cases(), plain_cases())
 
 
+# The rows whose column and domain check carry a batched form (.batch), at
+# observations inside and outside X: signed zeros, NaN, infinities, squares
+# that overflow, x^beta that rounds to 1, and x / lambda that overflows.
+BATCHED_ROWS = [("normal_var", "m", (-1.0, 1.0)), ("laplace_scale", "mu", (-1.0, 1.0)),
+                ("lomax_shape_alpha", "lambda", (1e-300, 5.0)),
+                ("beta_alpha", "beta", (1e-3, 5.0))]
+ODD_XS = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 1e200, -1e200, 1e300,
+                          1.0 - 2.0 ** -53, 5e-324, math.inf, -math.inf, math.nan))
+
+
+FAMILY_ROWS_BY_ID = {row[0]: row for row in FAMILY_ROWS}
+
+
+@st.composite
+def batched_cases(draw):
+    family, key, known = draw(st.sampled_from(BATCHED_ROWS))
+    v = draw(st.sampled_from(known) | st.floats(*known))
+    kernel = make_kernel(FamilySpec(family, {key: v}))
+    inside = st.floats(*FAMILY_ROWS_BY_ID[family][3])
+    xs = draw(st.lists(inside | ODD_XS | st.just(v) | st.floats(), max_size=8))
+    return kernel, tuple(xs)
+
+
+def _batched_case(family, v, xs):
+    key = next(row[1] for row in BATCHED_ROWS if row[0] == family)
+    return make_kernel(FamilySpec(family, {key: v})), tuple(xs)
+
+
 class TestTermsBitwise:
     @given(ALL_CASES)
     def test_terms_are_pointwise_psi(self, case):
@@ -294,6 +322,55 @@ class TestTermsBitwise:
         # a second sum reads the columns, or the sums, kept on the sample
         assert _outcome(lambda: weighted_sum(kernel, sample, t)) == want
 
+
+    @given(batched_cases())
+    @example(_batched_case("normal_var", 0.5, [2.0, 0.5]))  # x = m
+    @example(_batched_case("laplace_scale", -0.0, [3.0, 0.0]))  # x = mu, signs apart
+    @example(_batched_case("normal_var", 0.0, [2.0, 1e200]))  # square overflows
+    @example(_batched_case("beta_alpha", 1e-3, [0.5, 1.0 - 2.0 ** -53]))  # x^beta -> 1
+    @example(_batched_case("beta_alpha", 2.0, [0.5, math.nan]))  # x^beta NaN
+    @example(_batched_case("lomax_shape_alpha", 1e-300, [1e10, -1.0]))
+    def test_batched_column_and_check_are_per_x(self, case):
+        # values and errors: a batch that cannot give the per-x floats gives
+        # None or raises, and PsiKernel.columns then runs x by x
+        kernel, xs = case
+        column, check = kernel.column, kernel.domain_check
+        per_x = _outcome(lambda: [column(x) for x in xs])
+        assert _outcome(lambda: kernel.columns(xs)) == per_x
+        try:
+            batch = column.batch(xs)
+        except (ArithmeticError, ValueError):
+            batch = None
+        assert batch is None or [_key(c) for c in batch] == per_x
+        assert check.batch(xs) == all(map(check, xs))
+        # the sample's check names the first x outside X
+        try:
+            WeightedSample.uniform(xs or (0.5,)).check(kernel)
+            error = None
+        except DomainError as exc:
+            error = str(exc)
+        first = next((x for x in xs or (0.5,) if not check(x)), None)
+        assert error == (None if first is None else
+                         f"observation {first!r} outside X for {kernel.name}")
+
+    @given(batched_cases(), st.booleans())
+    def test_unit_weight_sums(self, case, zero):
+        # S = fsum of the column and W = n, the floats of the weighted fsums
+        kernel, xs = case
+        xs = tuple(x for x in xs if kernel.domain_check(x))
+        if not xs:
+            return
+        weights = (1.0,) * len(xs) + (0.0,) * zero
+        sample = WeightedSample(xs + (xs[0],) * zero, weights)
+        assert sample._unit
+        cs = kernel.columns(xs)
+        try:
+            want = (math.fsum([1.0 * c for c in cs]), math.fsum([1.0] * len(cs)))
+        except (OverflowError, ValueError):
+            want = None
+        if want is not None and not all(map(math.isfinite, want)):
+            want = None
+        assert sample.sums(kernel) == want
 
 class TestTermsExamples:
     def test_kernels_of_one_expression_share_columns(self):
