@@ -125,7 +125,9 @@ def _settled(kpsi, kphi, sample: WeightedSample, cfg: SolverConfig) -> bool:
     and the psi estimate is below the phi estimate by _pair_tol, with a tol
     of at least _SETTLE_MIN_TOL.  A solve lies within 2 width_tol + 4 ulps
     of the estimate there, so the two solves are then ordered within the
-    tolerance the scan allows them."""
+    tolerance the scan allows them.  The estimators are the catalog rows'
+    formulas: the closed forms, the expectile, and lomax_rate_lambda's
+    Newton root, which serves this screen alone (the solver searches)."""
     est_psi, est_phi = kpsi._estimate, kphi._estimate
     if est_psi is None or est_phi is None or cfg.tol < _SETTLE_MIN_TOL:
         return False

@@ -128,9 +128,9 @@ class PsiKernel:
 
     Two more attributes of terms go with it in the same way, and make the
     solver certify a proposal before any search (solver._propose):
-    _proposal(columns, weights), a family row's own estimate formula
-    (families.make_kernel), and _linear, set where an expression is affine
-    in its one column (exprparse.compile_terms).
+    _proposal(columns, weights), a family row's own estimate formula where
+    the row proposes it (families.make_kernel), and _linear, set where an
+    expression is affine in its one column (exprparse.compile_terms).
 
     _estimate, set by families.make_kernel alone, is the weighted estimator
     as a formula: sample -> the point of sign change, raising (DomainError,
@@ -165,8 +165,8 @@ class PsiKernel:
 
     def columns(self, xs: Sequence[float]) -> Sequence[float]:
         """column(x) for each x of xs, in order; xs itself without a column.
-        A column that carries its batched form column.batch (families sets
-        it) gives them from it, the same floats; where the batch gives None
+        A column that carries its batched form column.batch (families and
+        exprparse.compile_terms set it) gives them from it, the same floats; where the batch gives None
         or raises, column(x) runs x by x, so any error is that of the first
         x that has one."""
         col = self.column

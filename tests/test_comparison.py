@@ -1395,6 +1395,38 @@ class TestScreenKeepsVerdicts:
         assert check_two_point(kq, kp, 0.3, 0.7).status == COUNTEREXAMPLE
         assert len(calls) == 2
 
+    _LOMAX = [make_kernel(FamilySpec("lomax_rate_lambda", {"alpha": a}))
+              for a in (1.0, 2.0, 0.5)]
+
+    @pytest.mark.parametrize("obs", [(1.0, 3.0), (0.2, 1.4, 2.6, 5.0), (0.5, 0.5 + 1e-9),
+                                     (1.0, 1e9), (3.0,), (0.3, 7.0, 1e-3, 40.0)])
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 0), (2, 0), (0, 2), (0, 0)])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-3])
+    def test_lomax_pairs(self, obs, pair, tol):
+        # lomax_rate_lambda's Newton estimate screens its scans: both
+        # orders, a near tie, a spread where the estimate declines, one
+        # observation, and a pair that ties on every sample
+        kp, kq = (self._LOMAX[i] for i in pair)
+        ws, cfg = WitnessSet(obs, (), 3), SolverConfig(tol)
+        got = _outcome(lambda: check_direct(kp, kq, ws, 6, 40, cfg))
+        want = _outcome(lambda: reference_direct(kp, kq, ws, 6, 40, cfg))
+        assert json.dumps(got) == json.dumps(want)
+        x, y = min(obs), max(obs)
+        if x < y:
+            got = _outcome(lambda: check_two_point(kp, kq, x, y, 12, cfg))
+            want = _outcome(lambda: reference_two_point(kp, kq, x, y, 12, cfg))
+            assert json.dumps(got) == json.dumps(want)
+
+    def test_lomax_two_point_solves_only_what_is_unsettled(self, monkeypatch):
+        # forward, every two-point sample is settled; reversed, the first is
+        # solved and is the counterexample
+        calls = TestScanSkipsRepeats._count_solves(monkeypatch)
+        kp, kq = self._LOMAX[:2]
+        assert check_two_point(kp, kq, 1.0, 3.0).status == NO_COUNTEREXAMPLE
+        assert calls == []
+        assert check_two_point(kq, kp, 1.0, 3.0).status == COUNTEREXAMPLE
+        assert len(calls) == 2
+
     def test_out_of_reach_is_solved(self):
         # the estimates 2e100 and 3e100 are ordered, but lie past 2**100,
         # where the search's expansion does not reach: the solve fails, and

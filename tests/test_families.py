@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import math
 import random
 import zlib
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -26,7 +28,8 @@ from psiest import (
     solve_sign_change,
     weighted_sum,
 )
-from psiest.solver import expansion_reach
+from psiest.families import trigamma
+from psiest.solver import STOP_CERTIFIED, _solve_predicate, expansion_reach
 
 
 def solve(spec, xs, weights=None):
@@ -390,7 +393,12 @@ ESTIMATE_ROWS = {
                      st.one_of(st.floats(0.01, 20.0), _spread(-300, 300))),
     "laplace_scale": (st.just({"mu": -0.7}),
                       st.one_of(st.floats(-10.0, 10.0), _spread(-40, 40, signed=True))),
+    "lomax_rate_lambda": (st.sampled_from((0.2, 1.0, 3.0, 5.0)).map(lambda a: {"alpha": a}),
+                          st.one_of(st.floats(0.01, 20.0), _spread(-40, 40))),
 }
+# The one row whose formula serves the scans' screen alone: the solver does
+# not propose it, and searches.
+SCREEN_ONLY = {"lomax_rate_lambda"}
 
 
 @st.composite
@@ -430,11 +438,80 @@ class TestKernelEstimate:
         assert res.converged, (res, est)
         assert abs(res.theta - est) <= within(cfg, res.theta), (res.theta, est)
 
+    @pytest.mark.parametrize("alpha", [0.2, 1.0, 3.0, 5.0])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-3])
+    def test_lomax_wide_spread(self, alpha, tol):
+        # xs = (1, 1e9), where Newton steps from alpha min x missed the
+        # bound: the estimate lies within it, or declines where rounding
+        # moves the root by more than about 2**10 ulps
+        kernel = make_kernel(FamilySpec("lomax_rate_lambda", {"alpha": alpha}))
+        sample, cfg = WeightedSample.uniform((1.0, 1e9)), SolverConfig(tol)
+        try:
+            est = kernel._estimate(sample)
+        except DomainError as exc:
+            assert "rounding moves the root" in str(exc)
+            assert alpha == 1.0  # the two terms cancel most at alpha = 1
+            return
+        res = solve_sign_change(kernel, sample, cfg)
+        assert res.converged
+        assert abs(res.theta - est) <= within(cfg, res.theta), (res.theta, est)
+
+    @pytest.mark.parametrize("xs", [(1.0, 1e9), (1.0, 1e10), (1e-20, 1e20)])
+    def test_lomax_declines_where_rounding_moves_the_root(self, xs):
+        # at alpha = 1 the root is sqrt(x1 x2), where h's two terms are both
+        # near 1 in size and |h'| is about 4/(x1 x2): at (1, 1e10) the root
+        # of h and the solve's sum lay 2.3e-7 apart, past the bound 2e-7
+        kernel = make_kernel(FamilySpec("lomax_rate_lambda", {"alpha": 1.0}))
+        with pytest.raises(DomainError, match="rounding moves the root"):
+            kernel._estimate(WeightedSample.uniform(xs))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_lomax_estimate_between_means(self, data):
+        # alpha H <= estimate <= alpha xbar (Jensen), H and xbar the exact
+        # weighted harmonic and arithmetic means, up to the estimator's
+        # rounding slack on each bound
+        kernel, sample, _ = data.draw(estimate_cases("lomax_rate_lambda"))
+        try:
+            est = kernel._estimate(sample)
+        except (DomainError, ArithmeticError):
+            return
+        alpha = Fraction(kernel.theta1(1.0))  # theta1(x) = alpha x
+        xs, ws = map(lambda v: [Fraction(u) for u in v],
+                     (sample._live_xs, sample._live_weights))
+        total = sum(ws, Fraction(0))
+        lo = alpha * total / sum((w / x for x, w in zip(xs, ws)), Fraction(0))
+        hi = alpha * sum((w * x for x, w in zip(xs, ws)), Fraction(0)) / total
+        slack = Fraction(2.0 ** -49)
+        assert lo * (1 - slack) <= Fraction(est) <= hi * (1 + slack), (est, lo, hi)
+
+    def test_lomax_solve_is_the_search(self):
+        # the screen's formula is not proposed: each solve is the search's,
+        # bit for bit
+        rng = random.Random(33)
+        for _ in range(200):
+            kernel = make_kernel(FamilySpec("lomax_rate_lambda",
+                                            {"alpha": rng.uniform(0.2, 5.0)}))
+            assert getattr(kernel.terms, "_proposal", None) is None
+            n = rng.randint(1, 6)
+            sample = WeightedSample(tuple(rng.uniform(0.2, 5.0) for _ in range(n)),
+                                    tuple(float(rng.randint(1, 19)) for _ in range(n)))
+            cfg = SolverConfig(rng.choice((1e-12, 1e-6)))
+            search = _solve_predicate(functools.partial(weighted_sum, kernel, sample),
+                                      kernel.theta, cfg)
+            assert solve_sign_change(kernel, sample, cfg) == search
+            assert search.stop != STOP_CERTIFIED
+
     def test_rows_with_a_formula(self):
+        # every closed-form row, the expectile and lomax_rate_lambda; the
+        # solver proposes the expectile's alone (the closed forms' sums are
+        # O(1) a step, and lomax_rate_lambda's formula is for the screen)
         for family, spec in TestClosedForms.SPECS.items():
-            has = make_kernel(spec)._estimate is not None
-            assert has == (family in ESTIMATE_ROWS), family
-        assert set(ESTIMATE_ROWS) == {*CLOSED_FORM_IDS, "expectile"}
+            kernel = make_kernel(spec)
+            assert (kernel._estimate is not None) == (family in ESTIMATE_ROWS), family
+            proposes = getattr(kernel.terms, "_proposal", None) is not None
+            assert proposes == (family == "expectile"), family
+        assert set(ESTIMATE_ROWS) == {*CLOSED_FORM_IDS, "expectile", *SCREEN_ONLY}
 
     def test_replaced_kernel_has_none(self):
         # another eval may be another psi, so a replaced kernel is solved
@@ -498,6 +575,17 @@ class TestDigamma:
             x = math.exp(rng.uniform(math.log(1e-3), math.log(1e6)))
             assert abs(digamma(x) - float(mpmath.digamma(x))) <= 1e-12
 
+    def test_stated_bound(self):
+        # within 1e-14 max(1, |digamma(x)|) on (1e-8, 1e3), and no jump
+        # where the number of recurrence steps changes, at the integers
+        # below 6 (the series was cut after B_14, 1.35e-13 at x = 6)
+        rng = random.Random(8)
+        xs = [math.exp(rng.uniform(math.log(1e-8), math.log(1e3))) for _ in range(2000)]
+        xs += [k + d for k in range(1, 7) for d in (-2e-16 * k, 0.0, 2e-16 * k)]
+        for x in xs:
+            want = float(mpmath.digamma(x))
+            assert abs(digamma(x) - want) <= 1e-14 * max(1.0, abs(want)), x
+
     def test_gamma_shape_fixed_point(self):
         lam = 1.5
         spec = FamilySpec("gamma_shape", {"lambda": lam})
@@ -505,6 +593,57 @@ class TestDigamma:
         t = solve(spec, xs)
         target = math.log(lam) + sum(math.log(x) for x in xs) / len(xs)
         assert abs(digamma(t) - target) <= 1e-8
+
+
+def _mp_parts(family, v, x, t):
+    """psi(x, t) of the three rows that gained an exact d2, in mpmath, and
+    the parts whose sum is its t-derivative, as the row's d2 adds them:
+    their sizes set the rounding scale of the float d2."""
+    x, t, v = mpmath.mpf(x), mpmath.mpf(t), mpmath.mpf(v)
+    if family == "gamma_shape":
+        return (lambda s: mpmath.log(x) + mpmath.log(v) - mpmath.digamma(s)), \
+            (-mpmath.psi(1, t),)
+    if family == "lomax_rate_lambda":
+        n, d = v * x - t, t * (t + x)
+        return (lambda s: (v * x - s) / (s * (s + x))), (-1 / d, -n * (2 * t + x) / d ** 2)
+    u = x ** t
+    return (lambda s: 1 / s + mpmath.log(x) * (1 - v * x ** s) / (1 - x ** s)), \
+        (-1 / t ** 2, (1 - v) * mpmath.log(x) ** 2 * u / (1 - u) ** 2)
+
+
+_D2_ROWS = {
+    "gamma_shape": ("lambda", st.floats(0.01, 100.0)),
+    "lomax_rate_lambda": ("alpha", st.floats(0.01, 100.0)),
+    "beta_beta": ("alpha", st.floats(1e-3, 1.0, exclude_min=True, exclude_max=True)),
+}
+
+
+class TestExactD2:
+    """The three rows without a closed-form d2 before now: their d2 is
+    mpmath's derivative of psi in t, within 1e-10 of the scale of its parts
+    (the derivative itself, except where two parts cancel)."""
+
+    @pytest.mark.parametrize("family", sorted(_D2_ROWS))
+    @settings(max_examples=100, deadline=None)
+    @given(v=st.floats(0.2, 5.0), t=st.floats(1e-3, 1e3), data=st.data())
+    def test_against_mpmath_diff(self, family, v, t, data):
+        key, xs = _D2_ROWS[family]
+        x = data.draw(xs)
+        kernel = make_kernel(FamilySpec(family, {key: v}))
+        with mpmath.workdps(40):  # 1 - x^t at x = 1 - 2**-53 needs more than 53 bits
+            psi, parts = _mp_parts(family, v, x, t)
+            want = mpmath.diff(psi, t)
+        scale = max(abs(want), sum(abs(p) for p in parts))
+        assert abs(kernel.d2(x, t) - want) <= 1e-10 * scale, (kernel.d2(x, t), want)
+
+    def test_trigamma(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            x = math.exp(rng.uniform(math.log(1e-8), math.log(1e8)))
+            want = float(mpmath.psi(1, x))
+            assert abs(trigamma(x) - want) <= 2e-13 * want
+        with pytest.raises(DomainError):
+            trigamma(0.0)
 
 
 class TestBetaBounds:
