@@ -23,10 +23,8 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import re
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
@@ -245,14 +243,10 @@ def _sqrt(v, offset):
     return math.sqrt(v)
 
 
-# Everything generated code can name; no builtins.  The names from _list on
-# serve a column's batched form (_mapped).
+# Everything generated code can name; no builtins.
 _SCOPE = {"__builtins__": {}, "abs": abs, "inf": math.inf, "DomainError": DomainError,
           "_div": _div, "_pow": _pow, "_ln": _ln, "_exp": _exp, "_sign": _sign,
-          "_sqrt": _sqrt, "_list": list, "_map": map, "_zip": zip, "_repeat": repeat,
-          "_neg": operator.neg, "_mexp": math.exp,
-          "_ops": {"+": operator.add, "-": operator.sub, "*": operator.mul,
-                   "/": operator.truediv, "^": math.pow}}
+          "_sqrt": _sqrt}
 _HELPERS = {"/": "_div", "^": "_pow"}
 # The variables a subtree reads, as bits.
 _X, _T = 1, 2
@@ -297,7 +291,6 @@ class _Batch:
     def __init__(self, in_place: bool = False):
         self.in_place = in_place
         self.columns: dict = {}  # source -> name
-        self.trees: dict = {}  # source -> the column's subtree
         self.values: dict = {}  # source -> name
         self.divisors: list = []  # the values written as the right operand of /
 
@@ -307,7 +300,6 @@ class _Batch:
         e's own batched source otherwise."""
         src, e_reads, e_raises, batched = walked
         if e_reads == _X and not e_raises and (reads & _T or raises):
-            self.trees.setdefault(src, e)
             return self.columns.setdefault(
                 src, "x" if src == "x" else f"c{len(self.columns)}")
         if not self.in_place and e_reads == _T and reads & _X and src != "t":
@@ -392,26 +384,6 @@ def compile_expr(e: Expr) -> Callable[[float, float], float]:
     return ev
 
 
-def _mapped(e: Expr) -> str:
-    """The source of an iterator of e's values over the list xs, by map in
-    C, for e that reads no t and cannot raise (a column): the same floats,
-    one operation for each node, but math.pow and math.exp raise
-    OverflowError where _pow and _exp give an inf.  A constant is repeated
-    without end, which the map over xs that holds it stops."""
-    if isinstance(e, Num):
-        return f"_repeat({e.value!r})"
-    if isinstance(e, Var):
-        return "xs"
-    if isinstance(e, Neg):
-        return f"_map(_neg, {_mapped(e.operand)})"
-    if isinstance(e, Fn):  # abs, exp or sign: ln and sqrt may raise
-        arg = _mapped(e.arg)
-        if e.name == "sign":
-            return f"_map(_sign, {arg}, _repeat({e.offset}))"
-        return f"_map({'abs' if e.name == 'abs' else '_mexp'}, {arg})"
-    return f"_map(_ops[{e.op!r}], {_mapped(e.left)}, {_mapped(e.right)})"
-
-
 def _batched(e: Expr, batch: _Batch) -> str:
     """e's values over the columns cs, as a list comprehension."""
     body = batch.ref(e, _walk(e, batch=batch), _X | _T, True)
@@ -445,10 +417,6 @@ def compile_terms(e: Expr) -> tuple[Optional[Callable[[float], object]],
     column(x) is the value of e's maximal subtree that reads x but not t
     and cannot raise (abs(x), exp(x), x^2, ...), or the tuple of their
     values where e has several; column is None where x itself is the one.
-    column carries its batched form as column.batch(xs), the convention of
-    the family rows: list(map(column, xs)) by map in C, or an
-    OverflowError where a power or exp overflows, and PsiKernel.columns
-    then runs column x by x, so each value is the per-x path's.
     terms(cs, t) is the list of e's values at the xs whose columns are cs,
     in order.  It evaluates e's maximal subtrees that read t but not x
     (t*t, 1/t, ...) once per call, then the rest of e once per x, and
@@ -471,9 +439,6 @@ def compile_terms(e: Expr) -> tuple[Optional[Callable[[float], object]],
     lines = []
     if list(hoisted.columns) not in ([], ["x"]):
         lines.append(f"column = lambda x: ({', '.join(hoisted.columns)})")
-        maps = [_mapped(k) for k in hoisted.trees.values()]
-        each = maps[0] if len(maps) == 1 else f"_zip({', '.join(maps)})"
-        lines.append(f"column.batch = lambda xs: _list({each})")
     lines.append("def terms(cs, t):")
     if hoisted.values:  # the helpers raise DomainError alone
         lines += ["    try:",

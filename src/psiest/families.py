@@ -378,9 +378,10 @@ def _lomax_rate_estimate(xs, ws, alpha: float) -> float:
     to the root.  They stop at the first step that does not rise.  Each
     step is three passes by map and two math.fsum, in C.
 
-    DomainError where the root is not finite, leaves [alpha H, alpha xbar]
-    by more than rounding, or takes more than _LOMAX_STEPS steps; and where
-    max(1, alpha) W exceeds 2**10 t |h'(t)| at the root.  h's rounding,
+    DomainError where the root or alpha xbar is not finite, where the root
+    leaves [alpha H, alpha xbar] by more than rounding or takes more than
+    _LOMAX_STEPS steps, and where |h'(t)| at the root is not finite or
+    max(1, alpha) W exceeds 2**10 t |h'(t)|.  h's rounding,
     about ulps of W, and that of a solve's sum, about ulps of
     sum |w (alpha x - t)/(t + x)| <= max(1, alpha) W, then move the root by
     more than 2**10 ulps of t or so (xs = (1, 1e10) is one such sample)."""
@@ -401,9 +402,12 @@ def _lomax_rate_estimate(xs, ws, alpha: float) -> float:
         t = step
     else:
         raise DomainError(f"lomax_rate_lambda: no root in {_LOMAX_STEPS} Newton steps")
-    if not (0.0 < t < math.inf and lo * (1.0 - _LOMAX_SLACK) <= t <= hi * (1.0 + _LOMAX_SLACK)):
+    # each test is false on NaN: an x of inf, or a w x past the largest
+    # float, gives hi = inf and a NaN or infinite slope
+    if not (0.0 < t < math.inf and hi < math.inf
+            and lo * (1.0 - _LOMAX_SLACK) <= t <= hi * (1.0 + _LOMAX_SLACK)):
         raise DomainError(f"lomax_rate_lambda: estimate {t!r} outside [{lo!r}, {hi!r}]")
-    if max(1.0, alpha) * total > 1024.0 * t * slope:
+    if not max(1.0, alpha) * total <= 1024.0 * t * slope < math.inf:
         raise DomainError(f"lomax_rate_lambda: rounding moves the root {t!r}")
     return t
 

@@ -165,8 +165,8 @@ class PsiKernel:
 
     def columns(self, xs: Sequence[float]) -> Sequence[float]:
         """column(x) for each x of xs, in order; xs itself without a column.
-        A column that carries its batched form column.batch (families and
-        exprparse.compile_terms set it) gives them from it, the same floats; where the batch gives None
+        A column that carries its batched form column.batch (families sets
+        it) gives them from it, the same floats; where the batch gives None
         or raises, column(x) runs x by x, so any error is that of the first
         x that has one."""
         col = self.column

@@ -1399,13 +1399,16 @@ class TestScreenKeepsVerdicts:
               for a in (1.0, 2.0, 0.5)]
 
     @pytest.mark.parametrize("obs", [(1.0, 3.0), (0.2, 1.4, 2.6, 5.0), (0.5, 0.5 + 1e-9),
-                                     (1.0, 1e9), (3.0,), (0.3, 7.0, 1e-3, 40.0)])
+                                     (1.0, 1e9), (3.0,), (0.3, 7.0, 1e-3, 40.0),
+                                     (1.0, math.inf), (1.0, 1e308)])
     @pytest.mark.parametrize("pair", [(0, 1), (1, 0), (2, 0), (0, 2), (0, 0)])
     @pytest.mark.parametrize("tol", [1e-12, 1e-3])
     def test_lomax_pairs(self, obs, pair, tol):
         # lomax_rate_lambda's Newton estimate screens its scans: both
         # orders, a near tie, a spread where the estimate declines, one
-        # observation, and a pair that ties on every sample
+        # observation, a pair that ties on every sample, and samples whose
+        # sums are not finite (an x of inf, or near the largest float),
+        # which the solver fails on
         kp, kq = (self._LOMAX[i] for i in pair)
         ws, cfg = WitnessSet(obs, (), 3), SolverConfig(tol)
         got = _outcome(lambda: check_direct(kp, kq, ws, 6, 40, cfg))

@@ -465,6 +465,16 @@ class TestKernelEstimate:
         with pytest.raises(DomainError, match="rounding moves the root"):
             kernel._estimate(WeightedSample.uniform(xs))
 
+    @pytest.mark.parametrize("xs, ws", [((1.0, math.inf), (1.0, 1.0)),
+                                        ((1.0, 1e308), (1.0, 2.0)),
+                                        ((0.5, 1e308), (3.0, 5.0))])
+    def test_lomax_declines_where_a_sum_is_not_finite(self, xs, ws):
+        # alpha xbar is inf and h'(t) NaN or infinite: the solve's sum is
+        # not finite either, so there is no root to estimate
+        kernel = make_kernel(FamilySpec("lomax_rate_lambda", {"alpha": 1.0}))
+        with pytest.raises(DomainError, match="outside"):
+            kernel._estimate(WeightedSample(xs, ws))
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_lomax_estimate_between_means(self, data):

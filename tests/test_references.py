@@ -43,7 +43,7 @@ from psiest import (
 from psiest import exprparse
 from psiest.cli import read_data
 from psiest.exprparse import (_HELPERS, _TOO_DEEP, MAX_DEPTH, Bin, Expr, ExprSyntaxError,
-                              Fn, Neg, Num, Var, compile_expr, compile_terms, parse)
+                              Fn, Neg, Num, Var, compile_terms, parse)
 from psiest.kernel import _ADD_IN_C_MIN, _CAP, _add
 
 LINE = OpenInterval(-math.inf, math.inf)
@@ -577,23 +577,3 @@ class TestCompileTerms:
         column, terms = compile_terms(e)
         got = outcome(lambda: terms(xs if column is None else [column(x) for x in xs], t))
         assert got == outcome(lambda: reference_terms(e)(xs, t))
-
-    @given(TREES, st.lists(POINTS, max_size=5))
-    # powers and exp that overflow at some x, a sign of NaN, several columns
-    @example(parse("(x^2 - t)/(2*t*t)"), [-0.0, math.nan, 1e200, 3.0])
-    @example(parse("t * 2^x - (-x)^3 + exp(x)"), [1e10, -1e200, 710.0, 0.5])
-    @example(parse("sign(exp(x) - exp(x)) * t"), [1000.0, 1.0])
-    @example(parse("x*t + abs(x) - ln(abs(x)) / (t*t)"), [2.0, -0.0, math.inf])
-    @example(parse("(2 + 3) * x * t - x/4"), [1.0, -5e-324])
-    def test_batched_column_is_per_x(self, e, xs):
-        # column.batch gives the per-x floats, or raises where a power or exp
-        # overflows; PsiKernel.columns then runs x by x, so its values and
-        # errors are the per-x path's
-        column, terms = compile_terms(e)
-        if column is None:
-            return
-        per_x = outcome(lambda: [column(x) for x in xs])
-        batch = outcome(lambda: column.batch(xs))
-        assert batch == per_x or batch[:2] == ("raises", "OverflowError"), (batch, per_x)
-        kernel = PsiKernel(LINE, compile_expr(e), column=column, terms=terms)
-        assert outcome(lambda: kernel.columns(xs)) == per_x
