@@ -381,10 +381,10 @@ def _lomax_rate_estimate(xs, ws, alpha: float) -> float:
     DomainError where the root or alpha xbar is not finite, where the root
     leaves [alpha H, alpha xbar] by more than rounding or takes more than
     _LOMAX_STEPS steps, and where |h'(t)| at the root is not finite or
-    max(1, alpha) W exceeds 2**10 t |h'(t)|.  h's rounding,
-    about ulps of W, and that of a solve's sum, about ulps of
-    sum |w (alpha x - t)/(t + x)| <= max(1, alpha) W, then move the root by
-    more than 2**10 ulps of t or so (xs = (1, 1e10) is one such sample)."""
+    max(1, alpha) W exceeds 2**10 t |h'(t)|.  In the last case h's
+    rounding, about ulps of W, and that of a solve's sum, about ulps of
+    sum |w (alpha x - t)/(t + x)| <= max(1, alpha) W, move the root by more
+    than 2**10 ulps of t or so (xs = (1, 1e10) is one such sample)."""
     total = math.fsum(ws)
     wx = list(map(operator.mul, ws, xs))
     inv = math.fsum(map(operator.truediv, ws, xs))
